@@ -240,7 +240,7 @@ def build_report(events: List[Dict[str, Any]],
                           "collected_clauses": 0, "min_fill": None,
                           "last": None}
     verify: Dict[str, Any] = {"checks": 0, "valid": 0, "invalid": 0,
-                              "steps": 0, "bytes": 0,
+                              "steps": 0, "bytes": 0, "propagations": 0,
                               "check_seconds": 0.0}
     inprocess: Dict[str, Any] = {"runs": 0, "removed": 0,
                                  "strengthened": 0, "reclaimed_lits": 0,
@@ -376,7 +376,7 @@ def build_report(events: List[Dict[str, Any]],
                         verify["valid"] += 1
                     else:
                         verify["invalid"] += 1
-                    for attr in ("steps", "bytes"):
+                    for attr in ("steps", "bytes", "propagations"):
                         value = attrs.get(attr)
                         if isinstance(value, int) \
                                 and not isinstance(value, bool):
@@ -544,6 +544,14 @@ def render_report(report: Dict[str, Any]) -> str:
                      f"{_fmt(verify['check_seconds'])}s total"
                      + (f", {_fmt(verify['check_seconds'] / verify['checks'])}s"
                         f" avg" if verify["checks"] else ""))
+        lines.append(f"  checker work: {verify['propagations']:,} "
+                     f"propagations")
+        if verify["check_seconds"] > 0:
+            seconds = verify["check_seconds"]
+            lines.append(f"  checker rate: "
+                         f"{_fmt(verify['steps'] / seconds)} steps/s, "
+                         f"{_fmt(verify['propagations'] / seconds)} "
+                         f"propagations/s")
         if verify["invalid"]:
             lines.append("  WARNING: rejected checks present -- some "
                          "answer was demoted")

@@ -120,13 +120,15 @@ NAMED_EVENT_ATTRS: Dict[str, Dict[str, str]] = {
         "reason": "str",
     },
     # One independent proof/model check (repro.verify): proof steps
-    # processed, proof bytes on disk, checker wall time, and the
-    # verdict (1 = valid, 0 = rejected; int because bools don't
-    # qualify as "int"/"number").
+    # processed, proof bytes on disk, checker wall time, literals the
+    # checker's RUP checks assigned (its work, so a slow check shows
+    # whether it did more or ran slower), and the verdict (1 = valid,
+    # 0 = rejected; int because bools don't qualify as "int"/"number").
     "verify.check": {
         "steps": "int",
         "bytes": "int",
         "check_seconds": "number",
+        "propagations": "int",
         "valid": "int",
     },
     # Crash recovery (PR 10): one event per search-state checkpoint a

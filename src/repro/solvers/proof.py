@@ -15,8 +15,9 @@ that an *independent* checker can validate:
 
 :func:`attach_proof_logger` instruments a :class:`CDCLSolver` without
 modifying it (the same hook philosophy as the Section 5 layer);
-:func:`check_rup_proof` is the independent validator the test suite
-runs against every UNSAT answer.
+:func:`check_rup_proof` validates the transcript -- the test suite runs
+it against every UNSAT answer -- by handing it to the independent
+checker in :mod:`repro.verify.checker`, the library's one RUP engine.
 
 .. note::
    The in-memory :class:`Proof` transcript is O(all-learned-clauses)
@@ -36,7 +37,6 @@ from typing import List, Optional, Sequence
 
 from repro.cnf.clause import Clause
 from repro.cnf.formula import CNFFormula
-from repro.cnf.literals import variable
 
 
 @dataclass
@@ -102,74 +102,6 @@ def attach_proof_logger(solver) -> Proof:
     return proof
 
 
-class _FlatClauseSet:
-    """Arena-style flat clause storage for the RUP checker.
-
-    The checker's unit propagation repeatedly sweeps the whole clause
-    set, so it uses the same memory layout as the solver's
-    :class:`~repro.solvers.clause_arena.ClauseArena` -- one flat
-    literal buffer plus offset/end arrays, iterated by integer clause
-    id -- without importing any solver code (the checker must stay
-    independent of what it validates).
-    """
-
-    __slots__ = ("lits", "off", "end")
-
-    def __init__(self) -> None:
-        self.lits: List[int] = []
-        self.off: List[int] = []
-        self.end: List[int] = []
-
-    def add(self, literals: Sequence[int]) -> None:
-        self.off.append(len(self.lits))
-        self.lits.extend(literals)
-        self.end.append(len(self.lits))
-
-    def __len__(self) -> int:
-        return len(self.off)
-
-
-def _rup_conflict(clauses: _FlatClauseSet,
-                  assumed_false: Sequence[int]) -> bool:
-    """True when unit propagation refutes ``clauses`` under the
-    negation of *assumed_false* (i.e. the clause is a RUP consequence).
-    """
-    assignment = {}
-    for lit in assumed_false:
-        var, value = variable(lit), lit < 0
-        if var in assignment and assignment[var] != value:
-            return True        # the clause is a tautology
-        assignment[var] = value
-
-    lits = clauses.lits
-    off = clauses.off
-    end = clauses.end
-    changed = True
-    while changed:
-        changed = False
-        for cid in range(len(off)):
-            unassigned = None
-            count = 0
-            satisfied = False
-            for k in range(off[cid], end[cid]):
-                lit = lits[k]
-                value = assignment.get(lit if lit > 0 else -lit)
-                if value is None:
-                    unassigned = lit
-                    count += 1
-                elif value == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if count == 0:
-                return True
-            if count == 1:
-                assignment[variable(unassigned)] = unassigned > 0
-                changed = True
-    return False
-
-
 @dataclass
 class ProofCheckResult:
     """Outcome of validating a proof."""
@@ -184,21 +116,23 @@ def check_rup_proof(formula: CNFFormula, proof: Proof
     """Validate *proof* against *formula* by reverse unit propagation.
 
     Checks every step in order and, for a complete proof, that the
-    accumulated clause set propagates to conflict outright.
+    accumulated clause set propagates to conflict outright.  The work
+    is done by the independent checker
+    (:func:`repro.verify.checker.check_proof_steps`): each step is an
+    add event, followed by the empty clause when ``proof.complete``.
     """
-    clauses = _FlatClauseSet()
-    for c in formula:
-        if not c.is_tautology():
-            clauses.add(tuple(c))
-    for index, step in enumerate(proof.steps):
-        if not _rup_conflict(clauses, tuple(step)):
-            return ProofCheckResult(False, failed_step=index,
-                                    steps_checked=index)
-        clauses.add(tuple(step))
+    # Local import: repro.verify's package init pulls in the solver
+    # stack, which imports this module.
+    from repro.verify.checker import check_proof_steps
+
+    events = [("a", tuple(step)) for step in proof.steps]
     if proof.complete:
-        if not _rup_conflict(clauses, ()):
-            return ProofCheckResult(False, failed_step=len(proof.steps),
-                                    steps_checked=len(proof.steps))
+        events.append(("a", ()))
+    outcome = check_proof_steps(formula, events,
+                                require_empty=proof.complete)
+    if not outcome.valid:
+        return ProofCheckResult(False, failed_step=outcome.line - 1,
+                                steps_checked=outcome.steps_checked)
     return ProofCheckResult(True, steps_checked=len(proof.steps))
 
 

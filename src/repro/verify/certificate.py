@@ -15,8 +15,8 @@ records *why* an answer should be believed:
 proof emission, check the proof, and **demote** any UNSAT whose proof
 fails the check to UNKNOWN -- a certified pipeline never reports an
 answer it cannot defend.  Each check emits a ``verify.check`` trace
-event (steps, bytes, check time, verdict) consumed by the
-``repro profile`` certification section.
+event (steps, bytes, check time, checker propagations, verdict)
+consumed by the ``repro profile`` certification section.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ class Certificate:
     deletions: int = 0
     bytes_written: int = 0
     check_seconds: float = 0.0
+    #: Literals the checker's RUP checks assigned (its work, apart
+    #: from its speed).
+    propagations: int = 0
     #: Why there is no usable certificate (kind="none"), or the
     #: checker diagnostic for an invalid proof.
     reason: Optional[str] = None
@@ -76,6 +79,7 @@ def _emit_check_event(tracer, outcome: CheckOutcome, bytes_written: int,
                      steps=outcome.steps_checked,
                      bytes=bytes_written,
                      check_seconds=round(seconds, 6),
+                     propagations=outcome.propagations,
                      valid=int(outcome.valid))
 
 
@@ -91,17 +95,12 @@ def check_unsat_proof(formula, proof_path: str,
     outcome = check_proof_file(formula, proof_path)
     elapsed = time.perf_counter() - started
     _emit_check_event(tracer, outcome, size, elapsed)
-    if outcome.valid:
-        return Certificate(PROOF, valid=True, proof_path=proof_path,
-                           steps=outcome.steps_checked,
-                           deletions=outcome.deletes,
-                           bytes_written=size,
-                           check_seconds=elapsed)
-    return Certificate(PROOF, valid=False, proof_path=proof_path,
+    return Certificate(PROOF, valid=outcome.valid, proof_path=proof_path,
                        steps=outcome.steps_checked,
                        deletions=outcome.deletes,
                        bytes_written=size,
                        check_seconds=elapsed,
+                       propagations=outcome.propagations,
                        reason=outcome.error)
 
 

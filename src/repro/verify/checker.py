@@ -44,6 +44,9 @@ class CheckOutcome:
     error: Optional[str] = None
     #: 1-based proof line (or step index) of the failure.
     line: Optional[int] = None
+    #: Literals assigned by the RUP checks (assumptions included):
+    #: the checker's work, independent of how fast it ran.
+    propagations: int = 0
 
     def __bool__(self) -> bool:
         return self.valid
@@ -55,54 +58,64 @@ class _ParseError(Exception):
         self.line = line
 
 
+def _codes(literals: Iterable[int]) -> List[int]:
+    """The distinct literal codes of *literals*, first-seen order."""
+    return list(dict.fromkeys(lit + lit if lit > 0 else 1 - lit - lit
+                              for lit in literals))
+
+
 class _Propagation:
     """Self-contained two-watched-literal unit propagation.
 
-    Truth values are a flat signed array indexed by variable (0 =
-    unassigned); watch lists are keyed by the watched literal and
-    visited when its negation is assigned; deleted clauses are swept
-    from watch lists lazily.  Root-level assignments are persistent
-    (they only grow); RUP checks push assumptions on the trail and
-    undo back to the saved mark.
+    Literals are stored as non-negative *codes* -- ``2v`` for ``v``,
+    ``2v + 1`` for ``-v``, so ``code ^ 1`` is the complement -- and
+    every table is a flat list indexed by code:
+
+    * ``_val[code]`` is the literal's truth value (1 true, -1 false,
+      0 unassigned), kept for both polarities, so a truth test is one
+      list read with no call and no sign arithmetic;
+    * ``_bins[code]`` holds ``(other, clause)`` pairs for the binary
+      clauses containing the literal: when it becomes false, *other*
+      is implied.  They are visited before the long-clause watches;
+    * ``_watch[code]`` lists the clauses of three or more literals
+      watching it (slots 0 and 1), compacted in place as they are
+      visited.
+
+    Code 0 is a permanently false sentinel.  A deleted clause is
+    overwritten with ``[0, 0]`` and dropped from a watch or
+    implication list the next time propagation meets it (lazy
+    sweeping): only the conflict and implication branches, never the
+    common satisfied-watch path, test for it.  Root-level assignments
+    are persistent (they only grow); RUP checks push assumptions on
+    the trail and undo back to the saved mark.
     """
 
-    __slots__ = ("_value", "_trail", "_qhead", "_clauses", "_watch",
-                 "_by_key", "root_conflict", "num_vars")
+    __slots__ = ("_val", "_trail", "_qhead", "_watch", "_bins",
+                 "_by_key", "root_conflict", "num_vars", "propagations")
 
     def __init__(self, num_vars: int) -> None:
-        self.num_vars = num_vars
-        self._value: List[int] = [0] * (num_vars + 1)
+        self.num_vars = 0
+        self._val: List[int] = [-1, 0]
         self._trail: List[int] = []
         self._qhead = 0
-        #: cid -> literal list; None once deleted.
-        self._clauses: List[Optional[List[int]]] = []
-        self._watch: Dict[int, List[int]] = {}
-        #: sorted-literal-set key -> live cids (deletion matching).
-        self._by_key: Dict[Tuple[int, ...], List[int]] = {}
+        self._watch: List[List[List[int]]] = [[], []]
+        self._bins: List[List[Tuple[int, List[int]]]] = [[], []]
+        #: sorted-code key -> live clauses (deletion matching).
+        self._by_key: Dict[Tuple[int, ...], List[List[int]]] = {}
         self.root_conflict = False
-
-    # -- assignment primitives ------------------------------------
+        #: Literals assigned by RUP checks (assumptions included).
+        self.propagations = 0
+        self.grow(num_vars)
 
     def grow(self, var: int) -> None:
+        """Extend every table to cover variables up to *var* (clause
+        insertion and RUP checks grow on demand)."""
         if var > self.num_vars:
-            self._value.extend([0] * (var - self.num_vars))
+            extra = 2 * (var - self.num_vars)
+            self._val.extend([0] * extra)
+            self._watch.extend([] for _ in range(extra))
+            self._bins.extend([] for _ in range(extra))
             self.num_vars = var
-
-    def _val(self, lit: int) -> Optional[bool]:
-        v = self._value[lit if lit > 0 else -lit]
-        if v == 0:
-            return None
-        return (v > 0) == (lit > 0)
-
-    def _assign(self, lit: int) -> None:
-        self._value[lit if lit > 0 else -lit] = 1 if lit > 0 else -1
-        self._trail.append(lit)
-
-    def _watchers(self, lit: int) -> List[int]:
-        bucket = self._watch.get(lit)
-        if bucket is None:
-            bucket = self._watch[lit] = []
-        return bucket
 
     # -- clause database ------------------------------------------
 
@@ -115,90 +128,124 @@ class _Propagation:
         propagate.  An empty or root-falsified clause sets
         ``root_conflict``.
         """
-        lits = list(dict.fromkeys(literals))
-        cid = len(self._clauses)
-        self._clauses.append(lits)
-        key = tuple(sorted(lits))
-        self._by_key.setdefault(key, []).append(cid)
-
-        litset = set(lits)
-        if any(-lit in litset for lit in lits):
-            return                      # tautology: inert
-        if not lits:
+        clause = _codes(literals)
+        self._by_key.setdefault(tuple(sorted(clause)), []).append(clause)
+        if not clause:
             self.root_conflict = True
             return
-        free = [lit for lit in lits if self._val(lit) is not False]
+        self.grow(max(clause) >> 1)
+        codes = set(clause)
+        if any(code ^ 1 in codes for code in clause):
+            return                      # tautology: inert
+        val = self._val
+        free = [code for code in clause if val[code] >= 0]
         if not free:
             self.root_conflict = True
             return
-        if any(self._val(lit) is True for lit in free):
+        if any(val[code] > 0 for code in free):
             # Satisfied by a persistent root assignment: it can never
             # propagate anything new, so it needs no watches.
             return
         if len(free) == 1:
-            self._assign(free[0])
-            if self.propagate() is not None:
+            unit = free[0]
+            val[unit] = 1
+            val[unit ^ 1] = -1
+            self._trail.append(unit)
+            if self.propagate():
                 self.root_conflict = True
             return
+        if len(clause) == 2:
+            first, second = clause
+            self._bins[first].append((second, clause))
+            self._bins[second].append((first, clause))
+            return
         # Watch two non-false literals (slots 0 and 1).
-        j = lits.index(free[0])
-        lits[0], lits[j] = lits[j], lits[0]
-        k = lits.index(free[1], 1)
-        lits[1], lits[k] = lits[k], lits[1]
-        self._watchers(lits[0]).append(cid)
-        self._watchers(lits[1]).append(cid)
+        j = clause.index(free[0])
+        clause[0], clause[j] = clause[j], clause[0]
+        k = clause.index(free[1], 1)
+        clause[1], clause[k] = clause[k], clause[1]
+        self._watch[clause[0]].append(clause)
+        self._watch[clause[1]].append(clause)
 
     def delete_clause(self, literals: Sequence[int]) -> bool:
         """Remove one clause matching *literals* as a set; False when
         no live clause matches (watch entries die lazily)."""
-        key = tuple(sorted(dict.fromkeys(literals)))
-        bucket = self._by_key.get(key)
+        bucket = self._by_key.get(tuple(sorted(_codes(literals))))
         if not bucket:
             return False
-        cid = bucket.pop()
-        self._clauses[cid] = None
+        bucket.pop()[:] = (0, 0)         # tombstone: swept lazily
         return True
 
     # -- propagation ----------------------------------------------
 
-    def propagate(self) -> Optional[int]:
-        """Unit propagation to fixpoint; returns a conflicting cid."""
+    def propagate(self) -> bool:
+        """Unit propagation to fixpoint; True on a conflict."""
+        val = self._val
         trail = self._trail
-        clauses = self._clauses
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            watchers = self._watch.get(-p)
-            if not watchers:
-                continue
-            i = 0
-            while i < len(watchers):
-                cid = watchers[i]
-                lits = clauses[cid]
-                if lits is None:        # deleted: sweep lazily
-                    watchers[i] = watchers[-1]
-                    watchers.pop()
+        watch = self._watch
+        bins = self._bins
+        qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+
+            implied = bins[false_lit]
+            dead = 0
+            for other, clause in implied:
+                value = val[other]
+                if value > 0:
                     continue
-                if lits[0] == -p:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                fval = self._val(first)
-                if fval is True:
-                    i += 1
+                if not clause[0]:       # deleted: sweep below
+                    dead += 1
                     continue
-                for k in range(2, len(lits)):
-                    if self._val(lits[k]) is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watchers(lits[1]).append(cid)
-                        watchers[i] = watchers[-1]
-                        watchers.pop()
+                if value:
+                    self._qhead = qhead
+                    return True
+                val[other] = 1
+                val[other ^ 1] = -1
+                trail.append(other)
+            if dead:
+                bins[false_lit] = [pair for pair in implied if pair[1][0]]
+
+            watchers = watch[false_lit]
+            read = write = 0
+            end = len(watchers)
+            while read < end:
+                clause = watchers[read]
+                read += 1
+                # Normalize: the false watch sits in slot 1.
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                fval = val[first]
+                if fval > 0:
+                    watchers[write] = clause
+                    write += 1
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if val[lit] >= 0:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watch[lit].append(clause)
                         break
                 else:
-                    if fval is False:
-                        return cid      # conflict
-                    self._assign(first)
-                    i += 1
-        return None
+                    if fval:
+                        if not first:   # deleted: drop the watch
+                            continue
+                        del watchers[write:read - 1]
+                        self._qhead = qhead
+                        return True
+                    watchers[write] = clause
+                    write += 1
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    trail.append(first)
+            del watchers[write:]
+        self._qhead = qhead
+        return False
 
     def rup_check(self, literals: Sequence[int]) -> bool:
         """Is the clause a RUP consequence of the current database?
@@ -206,24 +253,30 @@ class _Propagation:
         Asserts the negation of every literal, propagates, and undoes
         back to the root trail.  A literal already true at root (its
         negation contradicts the database) or a tautologous pair both
-        count as the required conflict.
+        count as the required conflict.  The literals the check
+        assigned are added to ``propagations``.
         """
-        mark = len(self._trail)
+        self.grow(max(map(abs, literals), default=0))
+        val = self._val
+        trail = self._trail
+        mark = len(trail)
         conflict = False
         for lit in literals:
-            v = self._val(lit)
-            if v is True:
+            code = lit + lit if lit > 0 else 1 - lit - lit
+            value = val[code]
+            if value > 0:
                 conflict = True
                 break
-            if v is False:
-                continue
-            self._assign(-lit)
+            if not value:
+                val[code] = -1
+                val[code ^ 1] = 1
+                trail.append(code ^ 1)
         if not conflict:
-            conflict = self.propagate() is not None
-        value = self._value
-        for lit in self._trail[mark:]:
-            value[lit if lit > 0 else -lit] = 0
-        del self._trail[mark:]
+            conflict = self.propagate()
+        self.propagations += len(trail) - mark
+        for code in trail[mark:]:
+            val[code] = val[code ^ 1] = 0
+        del trail[mark:]
         self._qhead = mark
         return conflict
 
@@ -251,15 +304,7 @@ class RupDatabase:
     __slots__ = ("_engine",)
 
     def __init__(self, formula) -> None:
-        engine = _Propagation(getattr(formula, "num_vars", 0))
-        for clause in formula:
-            lits = list(clause)
-            for lit in lits:
-                engine.grow(lit if lit > 0 else -lit)
-            engine.add_clause(lits)
-        if engine.propagate() is not None:
-            engine.root_conflict = True
-        self._engine = engine
+        self._engine = _load(formula)
 
     def admit(self, literals: Sequence[int]) -> bool:
         """RUP-check *literals*; on success insert the clause into the
@@ -267,8 +312,6 @@ class RupDatabase:
         True.  A failed check leaves the database unchanged."""
         engine = self._engine
         lits = list(literals)
-        for lit in lits:
-            engine.grow(lit if lit > 0 else -lit)
         if not engine.root_conflict and not engine.rup_check(lits):
             return False
         engine.add_clause(lits)
@@ -304,36 +347,30 @@ def _parse_proof_line(lineno: int, raw: str
     return kind, nums[:-1]
 
 
-def _check(formula, steps: Iterable[Tuple[int, str, Sequence[int]]],
-           require_empty: bool) -> CheckOutcome:
+def _load(formula) -> _Propagation:
+    """An engine holding *formula*'s clauses, at its root fixpoint."""
     engine = _Propagation(getattr(formula, "num_vars", 0))
     for clause in formula:
-        lits = list(clause)
-        for lit in lits:
-            engine.grow(lit if lit > 0 else -lit)
-        engine.add_clause(lits)
-    if engine.propagate() is not None:
-        engine.root_conflict = True
+        engine.add_clause(clause)
+    return engine
 
+
+def _check(formula, steps: Iterable[Tuple[int, str, Sequence[int]]],
+           require_empty: bool) -> CheckOutcome:
+    engine = _load(formula)
     outcome = CheckOutcome(valid=False)
+    error = None
     last_line = 0
-    for lineno, kind, lits in steps:
-        last_line = lineno
-        for lit in lits:
-            engine.grow(lit if lit > 0 else -lit)
+    for last_line, kind, lits in steps:
         if kind == "d":
             if not engine.delete_clause(lits):
-                outcome.error = (f"line {lineno}: deletion of a clause "
-                                 f"not in the database")
-                outcome.line = lineno
-                return outcome
+                error = "deletion of a clause not in the database"
+                break
             outcome.deletes += 1
         else:
             if not engine.root_conflict and not engine.rup_check(lits):
-                outcome.error = (f"line {lineno}: clause is not a RUP "
-                                 f"consequence of the database")
-                outcome.line = lineno
-                return outcome
+                error = "clause is not a RUP consequence of the database"
+                break
             engine.add_clause(lits)
             outcome.adds += 1
             if not lits:
@@ -342,12 +379,14 @@ def _check(formula, steps: Iterable[Tuple[int, str, Sequence[int]]],
         if outcome.concluded:
             break                       # UNSAT certified; ignore tail
 
-    if require_empty and not outcome.concluded:
-        outcome.error = (f"line {last_line}: proof ends without the "
-                         f"empty clause (truncated?)")
+    if error is None and require_empty and not outcome.concluded:
+        error = "proof ends without the empty clause (truncated?)"
+    outcome.propagations = engine.propagations
+    if error is not None:
+        outcome.error = f"line {last_line}: {error}"
         outcome.line = last_line
-        return outcome
-    outcome.valid = True
+    else:
+        outcome.valid = True
     return outcome
 
 

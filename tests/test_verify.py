@@ -11,6 +11,7 @@ from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import Status
 from repro.verify import (
     Certificate,
+    CheckOutcome,
     FileProofSink,
     MemoryProofSink,
     certified_solve,
@@ -171,6 +172,288 @@ class TestCheckerRejections:
         outcome = check_proof_file(formula, "/nonexistent/p.drup")
         assert not outcome.valid
         assert "unreadable proof file" in outcome.error
+
+
+class _NaiveRup:
+    """Reference forward-DRUP database for the differential tests.
+
+    Deliberately the slowest obviously-correct design: no watches, no
+    literal encoding, no trail -- every propagation re-sweeps every
+    live clause until nothing changes.  It shares no code with
+    :mod:`repro.verify.checker` and states the semantics the checker
+    must reproduce: deletions match by literal set, root assignments
+    persist once derived (deleting a clause never retracts them), and
+    a root conflict makes every later lemma acceptable.
+    """
+
+    def __init__(self, formula):
+        self.clauses = []           # live clauses as literal sets
+        self.root = {}              # var -> bool, only ever grows
+        self.conflict = False
+        for clause in formula:
+            self.add(clause)
+
+    def _fixpoint(self, assignment):
+        """Unit-propagate *assignment* in place; True on conflict."""
+        changed = True
+        while changed:
+            changed = False
+            for clause in self.clauses:
+                open_lits = []
+                for lit in clause:
+                    value = assignment.get(abs(lit))
+                    if value is None:
+                        open_lits.append(lit)
+                    elif value == (lit > 0):
+                        break
+                else:
+                    if not open_lits:
+                        return True
+                    if len(open_lits) == 1:
+                        unit = open_lits[0]
+                        assignment[abs(unit)] = unit > 0
+                        changed = True
+        return False
+
+    def add(self, lits):
+        self.clauses.append(set(lits))
+        if not self.conflict:
+            self.conflict = self._fixpoint(self.root)
+
+    def delete(self, lits):
+        target = set(lits)
+        for index, clause in enumerate(self.clauses):
+            if clause == target:
+                del self.clauses[index]
+                return True
+        return False
+
+    def is_rup(self, lits):
+        if self.conflict:
+            return True
+        assignment = dict(self.root)
+        for lit in lits:
+            value = assignment.get(abs(lit))
+            if value is None:
+                assignment[abs(lit)] = lit < 0
+            elif value == (lit > 0):
+                return True
+        return self._fixpoint(assignment)
+
+
+def _oracle_check(formula, events, require_empty=True):
+    database = _NaiveRup(formula)
+    outcome = CheckOutcome(valid=False)
+    line = 0
+    for line, (kind, lits) in enumerate(events, start=1):
+        if kind == "d":
+            if not database.delete(lits):
+                outcome.error = (f"line {line}: deletion of a clause "
+                                 f"not in the database")
+                outcome.line = line
+                return outcome
+            outcome.deletes += 1
+        else:
+            if not database.is_rup(lits):
+                outcome.error = (f"line {line}: clause is not a RUP "
+                                 f"consequence of the database")
+                outcome.line = line
+                return outcome
+            database.add(lits)
+            outcome.adds += 1
+            outcome.concluded = not lits
+        outcome.steps_checked += 1
+        if outcome.concluded:
+            break
+    if require_empty and not outcome.concluded:
+        outcome.error = (f"line {line}: proof ends without the empty "
+                         f"clause (truncated?)")
+        outcome.line = line
+        return outcome
+    outcome.valid = True
+    return outcome
+
+
+def _verdict(outcome):
+    """Every CheckOutcome field except the implementation-specific
+    work counter (propagation order decides where a conflict is
+    found)."""
+    return (outcome.valid, outcome.concluded, outcome.steps_checked,
+            outcome.adds, outcome.deletes, outcome.line, outcome.error)
+
+
+def _mutants(formula, events, rng):
+    """One corrupted copy of *events* per corruption class."""
+    adds = [i for i, (kind, lits) in enumerate(events)
+            if kind == "a" and lits]
+    pick = rng.choice(adds)
+    lits = list(events[pick][1])
+    out = {}
+
+    if len(lits) > 1:
+        dropped = list(events)
+        dropped[pick] = ("a", tuple(lits[:-1]))
+        out["drop-literal"] = dropped
+
+    flipped = list(events)
+    flipped[pick] = ("a", tuple([-lits[0]] + lits[1:]))
+    out["flip-sign"] = flipped
+
+    def random_clause(size):
+        chosen = rng.sample(range(1, formula.num_vars + 1), size)
+        return tuple(v if rng.random() < 0.5 else -v for v in chosen)
+
+    at = rng.randrange(len(events))
+    out["splice-non-rup"] = (events[:at] + [("a", random_clause(2))]
+                             + events[at:])
+    out["delete-absent"] = (events[:at] + [("d", random_clause(3))]
+                            + events[at:])
+    # Removing an *original* clause early: later lemmas must stop
+    # relying on it (deleted clauses no longer propagate).
+    original = tuple(rng.choice(list(formula)))
+    out["delete-original"] = [("d", original)] + list(events)
+
+    cut = rng.randrange(len(events))
+    out["truncated"] = events[:cut]
+
+    # A weakening of a RUP lemma by a fresh variable is still RUP (and
+    # forces the checker to grow mid-proof); a fresh bare unit is not.
+    fresh = formula.num_vars + rng.randint(1, 5)
+    out["above-num-vars"] = (events[:pick]
+                             + [("a", tuple(lits) + (fresh,))]
+                             + events[pick:])
+    out["above-num-vars-unit"] = (events[:pick] + [("a", (-fresh,))]
+                                  + events[pick:])
+    return out
+
+
+class TestDifferentialChecker:
+    """The tight-loop checker against :class:`_NaiveRup` on genuine
+    proofs (keep and size-bounded deletion) and every corruption
+    class."""
+
+    CASES = [("rk", seed, mode) for seed in range(6)
+             for mode in ("keep", "size")] + \
+            [("php", 4, "keep"), ("php", 4, "size")]
+
+    @staticmethod
+    def _proof(family, seed, mode):
+        formula = (random_ksat_at_ratio(40, 5.0, 3, seed=seed)
+                   if family == "rk" else pigeonhole(seed))
+        options = ({} if mode == "keep" else
+                   dict(deletion="size", deletion_bound=3,
+                        deletion_interval=10))
+        _, sink = solve_with_proof_stream(formula, **options)
+        return formula, list(sink.events)
+
+    @pytest.mark.parametrize("family,seed,mode", CASES)
+    def test_matches_naive_oracle(self, family, seed, mode):
+        import random
+
+        formula, events = self._proof(family, seed, mode)
+        rng = random.Random(seed * 7 + (mode == "size"))
+        inputs = {"genuine": events, **_mutants(formula, events, rng)}
+        rejected = 0
+        for name, proof in inputs.items():
+            got = check_proof_steps(formula, proof)
+            want = _oracle_check(formula, proof)
+            assert _verdict(got) == _verdict(want), name
+            rejected += not want.valid
+            if name == "genuine" and mode == "size" and family == "php":
+                assert want.deletes > 0, "no deletion lines exercised"
+        assert rejected >= 3
+
+    def test_partial_proofs_match_without_conclusion(self):
+        formula = random_ksat_at_ratio(40, 3.5, 3, seed=1)
+        _, sink = solve_with_proof_stream(formula, deletion="size",
+                                          deletion_bound=3,
+                                          deletion_interval=10)
+        got = check_proof_steps(formula, sink.events, require_empty=False)
+        want = _oracle_check(formula, sink.events, require_empty=False)
+        assert _verdict(got) == _verdict(want)
+        assert got.valid and not got.concluded
+
+    def test_root_units_survive_grow(self):
+        """Units derived at root before a lemma over a new variable
+        widens the tables must still be assigned afterwards."""
+        formula = CNFFormula(num_vars=2, clauses=[[1], [-1, 2]])
+        # (9 v 2) is RUP only because 2 is still true at root, and the
+        # check runs after the tables grew to cover variable 9.
+        events = [("a", (9, 2)), ("a", (-2,))]
+        outcome = check_proof_steps(formula, events)
+        assert _verdict(outcome) == _verdict(
+            _oracle_check(formula, events))
+        assert outcome.line == 2 and outcome.adds == 1
+
+        from repro.verify.checker import _Propagation
+        engine = _Propagation(2)
+        engine.add_clause([1])
+        engine.add_clause([-1, 2])
+        engine.grow(40)
+        assert engine.rup_check([2]) and engine.rup_check([1])
+        assert not engine.rup_check([40, -2])
+
+    def test_rup_database_admissions_match_oracle(self):
+        import random
+
+        from repro.verify.checker import RupDatabase
+
+        rng = random.Random(5)
+        formula = random_ksat_at_ratio(40, 5.0, 3, seed=2)
+        _, sink = solve_with_proof_stream(formula)
+        candidates = []
+        for kind, lits in sink.events:
+            if kind != "a" or not lits:
+                continue
+            candidates.append(lits)
+            if rng.random() < 0.4:       # junk the gate must refuse
+                candidates.append(tuple(
+                    v if rng.random() < 0.5 else -v for v in
+                    rng.sample(range(1, formula.num_vars + 1), 2)))
+        database = RupDatabase(formula)
+        oracle = _NaiveRup(formula)
+        decisions = []
+        for lits in candidates:
+            admitted = database.admit(lits)
+            expected = oracle.is_rup(lits)
+            if expected:
+                oracle.add(lits)
+            assert admitted == expected, lits
+            decisions.append(admitted)
+        assert True in decisions and False in decisions
+
+
+class TestCheckerWork:
+    def test_propagations_counted_per_check(self):
+        formula = pigeonhole(4)
+        _, sink = solve_with_proof_stream(formula)
+        outcome = check_proof_steps(formula, sink.events)
+        # Every lemma asserts at least one negated literal.
+        assert outcome.propagations >= outcome.adds - 1 > 0
+
+    def test_no_checks_no_propagations(self):
+        formula = CNFFormula(num_vars=1, clauses=[[1], [-1]])
+        outcome = check_proof_steps(formula, [("a", ())])
+        assert outcome.valid and outcome.propagations == 0
+
+    def test_certificate_event_and_profile_carry_work(self, tmp_path):
+        from repro.obs import ListSink, Tracer, build_report, render_report
+
+        sink = ListSink()
+        result = certified_solve(pigeonhole(4),
+                                 proof_path=str(tmp_path / "p.drup"),
+                                 tracer=Tracer(sink))
+        cert = result.certificate
+        assert cert.valid and cert.propagations > 0
+        (event,) = [e for e in sink.events
+                    if e["name"] == "verify.check"]
+        assert event["attrs"]["propagations"] == cert.propagations
+        report = build_report(sink.events, [])
+        assert report["certification"]["propagations"] == \
+            cert.propagations
+        text = render_report(report)
+        assert f"checker work: {cert.propagations:,} propagations" in text
+        assert "steps/s" in text and "propagations/s" in text
 
 
 class _TamperingSink(FileProofSink):
