@@ -58,35 +58,20 @@ instances one extra inprocessing run streams a DRUP proof that the
 independent checker must accept (every inprocessing transformation is
 proof-logged, so a checker rejection here is a soundness bug).  The
 JSON also records the kernel capability probe
-(:func:`repro.solvers.kernels.capability`); in ``--tiny`` mode a
-second inprocessing run on the pure-python kernel must reach the same
-verdict, which is what the CI matrix legs (numpy present / absent)
-compare.  On the full suite the run **gates** on inprocessing beating
-the plain engine on ``php-7`` (the paper's flagship refutation
-family; simplification is what keeps it tractable).
-
-Since PR 9 (batch BCP kernel) the harness carries a BCP-only
-microbenchmark (``--bcp-only`` runs it alone; full runs include it).
-Whole-solve propagation rates conflate kernel mechanics with search
-path, so the microbenchmark isolates the kernel: a budgeted
-deletion-mode watch solve *harvests* a realistic mid-search clause DB
-from the arena, then every propagation backend replays the identical
-decision-probe workload on that transplanted DB (each unassigned
-variable asserted at level 1 in both polarities, backtracked after
-propagation) timing **only** the ``_propagate`` calls.  The two
-counter kernels must report identical propagation counts (same
-discipline, same probes); the full suite **gates** on the numpy
-backend beating watch-mode by ``>= x1.3`` median propagations/sec on
-the deletion-heavy UNSAT probe instances.  The kernel capability
-probe runs exactly once per invocation (a probe failure is recorded
-as an error string under ``kernels``, never an omitted key).
+(:func:`repro.solvers.kernels.capability`), which says whether the
+numpy or the stdlib kernels ran; the CI matrix legs (numpy present /
+absent) must reach the same verdicts.  The probe runs exactly once
+per invocation (a probe failure is recorded as an error string under
+``kernels``, never an omitted key).  On the full suite the run
+**gates** on inprocessing beating the plain engine on ``php-7`` (the
+paper's flagship refutation family; simplification is what keeps it
+tractable).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_harness.py            # full
     PYTHONPATH=src python benchmarks/perf_harness.py --smoke    # <60 s
     PYTHONPATH=src python benchmarks/perf_harness.py --tiny     # CI
-    PYTHONPATH=src python benchmarks/perf_harness.py --bcp-only
     PYTHONPATH=src python benchmarks/perf_harness.py -o out.json
 """
 
@@ -107,8 +92,6 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from benchmarks.legacy_cdcl import LegacyCDCLSolver, LegacyVSIDS  # noqa: E402
-from repro.cnf.clause import Clause  # noqa: E402
-from repro.cnf.formula import CNFFormula  # noqa: E402
 from repro.cnf.generators import (  # noqa: E402
     pigeonhole,
     random_ksat_at_ratio,
@@ -281,21 +264,19 @@ def _run_certified(formula):
 INPROCESS_INTERVAL = 1000
 
 
-def _inprocess_config(kernel: str = "auto",
-                      interval: int = INPROCESS_INTERVAL):
+def _inprocess_config(interval: int = INPROCESS_INTERVAL):
     from repro.solvers.inprocess import InprocessConfig
-    return InprocessConfig(interval=interval, kernel=kernel)
+    return InprocessConfig(interval=interval)
 
 
-def _run_inprocess(formula, kernel: str = "auto",
-                   interval: int = INPROCESS_INTERVAL):
+def _run_inprocess(formula, interval: int = INPROCESS_INTERVAL):
     """The live engine with the inprocessing engine enabled.  Returns
     the timing, the result, and the per-pass totals of the run's
     :class:`~repro.solvers.inprocess.Inprocessor`."""
     solver = CDCLSolver(
         formula, heuristic=VSIDSHeuristic(seed=0),
         restart_policy=make_restart_policy("luby", 64),
-        phase_saving=True, inprocess=_inprocess_config(kernel, interval))
+        phase_saving=True, inprocess=_inprocess_config(interval))
     wall, cpu, result = _timed(solver)
     inprocessor = solver._inprocessor
     totals = ({name: dict(counters) for name, counters
@@ -351,135 +332,6 @@ def _run_old(formula):
     return _timed(solver)
 
 
-#: Conflict budget for the BCP-microbenchmark harvest solve: deep
-#: enough that the clause DB has been through several deletion rounds
-#: (learned-clause mix, compacted arena), shallow enough that the
-#: harvest stays a small fraction of the probe time.
-BCP_HARVEST_CONFLICTS = 3000
-
-
-def bcp_probe_suite(smoke: bool, tiny: bool = False):
-    """Deletion-heavy UNSAT probe instances for the BCP benchmark.
-
-    Pigeonhole DBs are dense (long occurrence lists per literal after
-    clause learning), which is the regime the batch counter kernel
-    targets; the random UNSAT instance keeps a sparse point in the
-    mix so the gate is not judged on a single structure.
-    """
-    if tiny:
-        return [("php-6", pigeonhole(6))]
-    suite = [
-        ("php-7", pigeonhole(7)),
-        ("rksat-unsat-150", random_ksat_at_ratio(150, 4.27, 3, seed=102)),
-    ]
-    if not smoke:
-        suite.append(("php-8", pigeonhole(8)))
-    return suite
-
-
-def harvest_clause_db(formula,
-                      max_conflicts: int = BCP_HARVEST_CONFLICTS):
-    """Run a budgeted deletion-mode watch solve and dump the arena.
-
-    The returned clause list is a realistic mid-search DB: original
-    clauses plus the learned clauses that survived rel_sat-style size
-    deletion, exactly as the compacting GC left them.  Every backend
-    replays its probes against this same transplanted DB, so the
-    measured rates compare kernel mechanics on an identical workload
-    rather than whole-solve rates on diverging search paths.
-    """
-    from repro.runtime.budget import Budget
-
-    solver = CDCLSolver(
-        formula, heuristic=VSIDSHeuristic(seed=0),
-        restart_policy=make_restart_policy("luby", 64),
-        phase_saving=True,
-        deletion="size", deletion_bound=6, deletion_interval=250,
-        budget=Budget(max_conflicts=max_conflicts))
-    solver.solve()
-    arena = solver.arena
-    clauses = [list(arena.lits[arena.off[cid]:arena.end[cid]])
-               for cid in range(len(arena.off))]
-    return clauses, solver._num_vars
-
-
-def bcp_probe_rate(clauses, num_vars: int, backend: str,
-                   passes: int = 3):
-    """Replay the fixed decision-probe workload on one backend.
-
-    Each unassigned variable is asserted at decision level 1 in both
-    polarities; only the ``_propagate`` calls are timed and the probe
-    is cancelled back to the root immediately, so the rate isolates
-    the propagation kernel (no conflict analysis, no heuristic, no
-    learning).  Best-of-``passes`` is taken to shed cold-cache noise.
-    Returns ``(propagations_per_sec, propagations_per_pass)``.
-    """
-    formula = CNFFormula(num_vars, [Clause(lits) for lits in clauses])
-    solver = CDCLSolver(formula, propagation=backend)
-    if solver._propagate() is not None:
-        raise AssertionError("harvested clause DB conflicts at root")
-    best = 0.0
-    props = 0
-    for _ in range(passes):
-        seconds = 0.0
-        start = solver.stats.propagations
-        for var in range(1, num_vars + 1):
-            for lit in (var, -var):
-                if solver._values[var] is not None:
-                    continue
-                solver._trail_lim.append(len(solver._trail))
-                solver._enqueue(lit, None)
-                t0 = time.perf_counter()
-                solver._propagate()
-                seconds += time.perf_counter() - t0
-                solver._cancel_until(0)
-        props = solver.stats.propagations - start
-        if seconds > 0:
-            best = max(best, props / seconds)
-    return best, props
-
-
-def bench_bcp(name, formula, passes: int = 3):
-    """One BCP-microbenchmark record: harvest once, probe per backend."""
-    from repro.solvers.bcp import propagation_available
-
-    harvest0 = time.perf_counter()
-    clauses, num_vars = harvest_clause_db(formula)
-    harvest_seconds = time.perf_counter() - harvest0
-    backends = ["watch", "python"]
-    if "numpy" in propagation_available():
-        backends.insert(1, "numpy")
-    rates = {}
-    for backend in backends:
-        rate, props = bcp_probe_rate(clauses, num_vars, backend,
-                                     passes=passes)
-        rates[backend] = {"propagations_per_sec": round(rate),
-                          "propagations_per_pass": props}
-    if "numpy" in rates:
-        # The two counter kernels follow the same batch discipline on
-        # the same probes, so their propagation counts must match
-        # exactly; a mismatch is a kernel-parity bug, not noise.
-        if rates["numpy"]["propagations_per_pass"] \
-                != rates["python"]["propagations_per_pass"]:
-            raise AssertionError(
-                f"counter kernels diverged on {name} probes: "
-                f"numpy={rates['numpy']['propagations_per_pass']} "
-                f"python={rates['python']['propagations_per_pass']}")
-    record = {
-        "instance": name,
-        "db_clauses": len(clauses),
-        "db_vars": num_vars,
-        "harvest_conflicts": BCP_HARVEST_CONFLICTS,
-        "harvest_seconds": round(harvest_seconds, 6),
-        "backends": rates,
-    }
-    if "numpy" in rates:
-        record["numpy_vs_watch"] = round(
-            rates["numpy"]["propagations_per_sec"]
-            / rates["watch"]["propagations_per_sec"], 3)
-    return record
-
-
 def _verify_model(formula, result, engine: str, name: str) -> None:
     if result.status is Status.SATISFIABLE:
         if not formula.is_satisfied_by(result.assignment):
@@ -529,44 +381,6 @@ def bench_instance(name, formula, repeats: int, tiny: bool = False):
     if inp_result.status is Status.UNSATISFIABLE:
         _, inp_proof_info = _run_inprocess_certified(
             formula, interval=inp_interval)
-    if tiny:
-        # The CI matrix compares numpy-present vs numpy-absent legs;
-        # inside one leg, the two kernels must agree as well.
-        _, _, py_result, _ = _run_inprocess(formula, kernel="python",
-                                            interval=inp_interval)
-        if py_result.status is not inp_result.status:
-            raise AssertionError(
-                f"kernel changed the verdict on {name}: "
-                f"python={py_result.status} auto={inp_result.status}")
-        # Both counter propagation backends must reach the watch
-        # engine's verdict, and — the PR-9 pinning contract — must
-        # follow byte-identical search paths: equal decision /
-        # conflict / propagation counters, every instance, every leg.
-        # (With numpy absent, "numpy" resolves to the python kernel
-        # and the comparison degenerates safely.)
-        counter_paths = {}
-        for backend in ("numpy", "python"):
-            solver = CDCLSolver(
-                formula, heuristic=VSIDSHeuristic(seed=0),
-                restart_policy=make_restart_policy("luby", 64),
-                phase_saving=True, propagation=backend)
-            bcp_result = solver.solve()
-            if bcp_result.status is not new_result.status:
-                raise AssertionError(
-                    f"propagation backend changed the verdict on "
-                    f"{name}: {backend}={bcp_result.status} "
-                    f"watch={new_result.status}")
-            _verify_model(formula, bcp_result,
-                          f"{backend}-propagation engine", name)
-            counter_paths[backend] = (bcp_result.stats.decisions,
-                                      bcp_result.stats.conflicts,
-                                      bcp_result.stats.propagations)
-        if counter_paths["numpy"] != counter_paths["python"]:
-            raise AssertionError(
-                f"counter kernels diverged on {name}: "
-                f"numpy={counter_paths['numpy']} "
-                f"python={counter_paths['python']}")
-
     if cert_result.status is not new_result.status:
         raise AssertionError(
             f"proof streaming changed the verdict on {name}: "
@@ -651,7 +465,7 @@ def bench_instance(name, formula, repeats: int, tiny: bool = False):
             **cert_info,
         },
         # One live-engine run with the inprocessing engine enabled
-        # (interval INPROCESS_INTERVAL, all passes, auto kernel).
+        # (interval INPROCESS_INTERVAL, all passes).
         # ``vs_off`` > 1 means inprocessing made this instance faster;
         # ``passes`` breaks the reclaim down per pass.
         "inprocess": {
@@ -685,21 +499,15 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repetitions per engine per "
                              "instance (default: 3, smoke/tiny: 1)")
-    parser.add_argument("--bcp-only", action="store_true",
-                        help="run only the BCP kernel microbenchmark "
-                             "(harvested-DB decision probes per "
-                             "propagation backend), skip the engine "
-                             "race")
     parser.add_argument("-o", "--output", default=None,
                         help="output JSON path (default: BENCH_PR9.json "
                              "in the repo root; '-' for stdout only)")
     args = parser.parse_args(argv)
 
-    # Probe the kernel capability exactly once per invocation.  The
-    # pre-PR9 harness probed at summary-build time and simply omitted
-    # the key when the probe raised, which made numpy-absent runs
-    # indistinguishable from runs that never probed; a failure is now
-    # recorded as an explicit error string.
+    # Probe the kernel capability exactly once per invocation; a
+    # failure is recorded as an explicit error string rather than an
+    # omitted key, so numpy-absent runs stay distinguishable from runs
+    # that never probed.
     try:
         from repro.solvers.kernels import capability
         kernels_info = capability()
@@ -707,49 +515,6 @@ def main(argv=None) -> int:
         kernels_info = {"error": f"{type(exc).__name__}: {exc}"}
 
     repeats = args.repeats or (1 if (args.smoke or args.tiny) else 3)
-    bcp_records = []
-    for name, formula in bcp_probe_suite(args.smoke, tiny=args.tiny):
-        record = bench_bcp(name, formula)
-        bcp_records.append(record)
-        ratio = record.get("numpy_vs_watch")
-        backends = record["backends"]
-        rates = "  ".join(
-            f"{backend} {info['propagations_per_sec']/1000:.0f}k/s"
-            for backend, info in backends.items())
-        print(f"bcp {name:18s} db {record['db_clauses']:5d} cl  "
-              f"{rates}  "
-              + (f"numpy/watch x{ratio:.2f}" if ratio is not None
-                 else "(numpy absent)"), flush=True)
-    bcp_ratios = [r["numpy_vs_watch"] for r in bcp_records
-                  if "numpy_vs_watch" in r]
-    median_bcp_ratio = round(statistics.median(bcp_ratios), 3) \
-        if bcp_ratios else None
-
-    if args.bcp_only:
-        summary = {
-            "bench": "PR9 batch BCP kernel: harvested-DB decision "
-                     "probes per propagation backend (--bcp-only)",
-            "kernels": kernels_info,
-            "bcp_gate": 1.3,
-            "median_bcp_numpy_vs_watch": median_bcp_ratio,
-            "bcp": bcp_records,
-        }
-        if median_bcp_ratio is not None:
-            print(f"median bcp numpy/watch: x{median_bcp_ratio:.2f}  "
-                  f"(gate >=x{summary['bcp_gate']:.2f})")
-        if args.output != "-":
-            out_path = Path(args.output) if args.output \
-                else BENCH_DIR.parent / "BENCH_PR9.json"
-            out_path.write_text(json.dumps(summary, indent=2) + "\n")
-            print(f"wrote {out_path}")
-        if not (args.smoke or args.tiny) and bcp_ratios \
-                and median_bcp_ratio < summary["bcp_gate"]:
-            print(f"FAIL: median BCP numpy/watch x{median_bcp_ratio:.2f}"
-                  f" below the x{summary['bcp_gate']:.2f} gate",
-                  file=sys.stderr)
-            return 1
-        return 0
-
     records = []
     for name, formula in build_suite(args.smoke, tiny=args.tiny):
         record = bench_instance(name, formula, repeats, tiny=args.tiny)
@@ -778,20 +543,15 @@ def main(argv=None) -> int:
                     for r in records]
     php7 = next((r for r in records if r["instance"] == "php-7"), None)
     summary = {
-        "bench": "PR9 batch BCP kernel: vectorized counter propagation "
-                 "gated at >=x1.3 median over watch-mode on the "
-                 "harvested-DB probe replay (vs PR1 legacy baseline)",
+        "bench": "live engine vs the frozen legacy baseline, with "
+                 "traced, certified, deletion-mode and inprocessing runs",
         "baseline": "benchmarks/legacy_cdcl.py (seed engine @00ba90a)",
         "config": "VSIDS seed=0, Luby-64 restarts, phase saving",
         "timing": "ratios from process CPU seconds, best of repeats "
                   "(wall seconds recorded alongside)",
         "deletion_config": "size bound=6 interval=250 (extra live run)",
         "inprocess_config": f"interval={INPROCESS_INTERVAL}, all "
-                            "passes, auto kernel (extra live run)",
-        "bcp_config": f"harvest: deletion-mode watch solve capped at "
-                      f"{BCP_HARVEST_CONFLICTS} conflicts; probes: "
-                      "each unassigned var asserted both polarities "
-                      "at level 1, _propagate-only timing, best of 3",
+                            "passes (extra live run)",
         "kernels": kernels_info,
         "repeats": repeats,
         "smoke": args.smoke,
@@ -811,12 +571,9 @@ def main(argv=None) -> int:
             else None,
         "max_certified_overhead": round(max(cert_overheads), 3)
             if cert_overheads else None,
-        "median_bcp_numpy_vs_watch": median_bcp_ratio,
         "certified_gate": 1.25,
         "tracing_gate": 1.10,
-        "bcp_gate": 1.3,
         "legacy_speedup_floor": 2.88,
-        "bcp": bcp_records,
         "instances": records,
     }
     print(f"median speedup: x{summary['median_speedup']:.2f}  "
@@ -833,13 +590,10 @@ def main(argv=None) -> int:
               f"gate <=x{summary['certified_gate']:.2f})")
     print(f"median inprocess speedup vs legacy: "
           f"x{summary['median_inprocess_speedup']:.2f}  "
-          f"(kernel {kernels_info.get('default_kernel', 'probe-failed')})")
+          f"(kernel {kernels_info.get('kernel', 'probe-failed')})")
     if php7 is not None:
         print(f"php-7 inprocess vs off: "
               f"x{summary['php7_inprocess_vs_off']:.2f}")
-    if median_bcp_ratio is not None:
-        print(f"median bcp numpy/watch: x{median_bcp_ratio:.2f}  "
-              f"(gate >=x{summary['bcp_gate']:.2f})")
 
     if args.output != "-":
         out_path = Path(args.output) if args.output \
@@ -868,15 +622,6 @@ def main(argv=None) -> int:
     if php7 is not None and summary["php7_inprocess_vs_off"] <= 1.0:
         print(f"FAIL: inprocessing did not beat the plain engine on "
               f"php-7 (x{summary['php7_inprocess_vs_off']:.2f})",
-              file=sys.stderr)
-        return 1
-    # The BCP kernel gate is judged on the full suite only (smoke/tiny
-    # probe DBs are too small for the vectorized path to amortise its
-    # per-call overhead) and only where numpy is importable.
-    if not (args.smoke or args.tiny) and bcp_ratios \
-            and median_bcp_ratio < summary["bcp_gate"]:
-        print(f"FAIL: median BCP numpy/watch x{median_bcp_ratio:.2f} "
-              f"below the x{summary['bcp_gate']:.2f} gate",
               file=sys.stderr)
         return 1
     if not (args.smoke or args.tiny) and summary["median_speedup"] \

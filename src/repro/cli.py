@@ -127,14 +127,8 @@ def _cmd_solve(args) -> int:
     inprocess_config = None
     if args.inprocess:
         from repro.solvers.inprocess import InprocessConfig
-        from repro.solvers.kernels import resolve_kernel
-        try:
-            resolve_kernel(args.kernel)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         inprocess_config = InprocessConfig(
-            interval=args.inprocess_interval, kernel=args.kernel)
+            interval=args.inprocess_interval)
     formula = load_dimacs(args.file)
     lift = None
     certified_preprocess = args.certify and args.preprocess
@@ -161,8 +155,7 @@ def _cmd_solve(args) -> int:
                                      max_conflicts=args.max_conflicts,
                                      budget=budget, tracer=tracer,
                                      proof_dir=race_dir,
-                                     inprocess=inprocess_config,
-                                     propagation=args.bcp)
+                                     inprocess=inprocess_config)
         finally:
             if ephemeral_dir is not None:
                 shutil.rmtree(ephemeral_dir, ignore_errors=True)
@@ -184,12 +177,10 @@ def _cmd_solve(args) -> int:
                                  max_conflicts=args.max_conflicts,
                                  budget=budget,
                                  preprocess=certified_preprocess,
-                                 inprocess=inprocess_config,
-                                 propagation=args.bcp)
+                                 inprocess=inprocess_config)
     else:
         solver = CDCLSolver(formula, max_conflicts=args.max_conflicts,
-                            budget=budget, inprocess=inprocess_config,
-                            propagation=args.bcp)
+                            budget=budget, inprocess=inprocess_config)
         solver.tracer = tracer
         if args.stats_json:
             # Search-quality histograms ride the single-engine path
@@ -405,17 +396,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro.obs.profile import profile_traces
-    from repro.solvers.kernels import capability
 
     text, problems = profile_traces(args.files)
     print(text)
-    cap = capability()
-    numpy_note = (f"numpy {cap['numpy_version']}" if cap["numpy"]
-                  else "numpy not installed")
-    backends = "/".join(cap["propagation_backends"])
-    print(f"kernels: default={cap['default_kernel']} ({numpy_note}); "
-          f"propagation={backends} "
-          f"(default={cap['default_propagation']})")
     return 1 if problems else 0
 
 
@@ -688,19 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CONFLICTS",
                        help="conflicts between inprocessing runs "
                             "(default: 2000)")
-    solve.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                       default="auto",
-                       help="simplification kernel implementation "
-                            "(auto = numpy when installed)")
-    solve.add_argument("--bcp",
-                       choices=("auto", "watch", "numpy", "python"),
-                       default="auto",
-                       help="propagation backend: watch = two-literal "
-                            "watching (default), numpy/python = batch "
-                            "counter kernel over the arena occurrence "
-                            "index (numpy falls back to python when "
-                            "not installed); under --portfolio this "
-                            "overrides every slot")
     solve.add_argument("--portfolio", type=int, default=0, metavar="N",
                        help="race N diversified CDCL configurations "
                             "in parallel (0 = single engine)")

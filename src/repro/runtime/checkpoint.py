@@ -22,7 +22,7 @@ defines the transferable part of a CDCL attempt's search state:
 
 What is deliberately NOT checkpointed: the trail and assignment stack
 (rebuilt by propagation), watch lists and antecedents (rebuilt by
-attach), BCP backend state, the budget meter, and the inprocessor's
+attach), the budget meter, and the inprocessor's
 model-reconstruction stack.  Only state that is (a) expensive to
 re-derive and (b) sound to replay against the *original* formula
 crosses the process boundary; everything else is reconstructed from

@@ -52,7 +52,6 @@ from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import (Budget, BudgetMeter,
                                   DEFAULT_CHECK_INTERVAL,
                                   process_rss_mb)
-from repro.solvers.bcp import CounterPropagator, resolve_propagation
 from repro.solvers.clause_arena import ClauseArena
 from repro.solvers.heuristics import DecisionHeuristic, VSIDSHeuristic
 from repro.solvers.restarts import NoRestarts, RestartPolicy
@@ -108,18 +107,6 @@ class CDCLSolver:
         per-call counter caps, soft memory ceiling.  Enforced through
         the cooperative checkpoint in ``_propagate`` (amortised, see
         DESIGN.md); exhaustion yields ``Status.UNKNOWN``.
-    propagation:
-        BCP backend: ``"auto"`` / ``"watch"`` (the default two-watched
-        scheme below) or ``"numpy"`` -- counter-based batch propagation
-        over the arena's flat buffer (:mod:`repro.solvers.bcp`),
-        degrading to a semantically identical pure-python counter
-        kernel when numpy is absent.  The backend honours the same
-        trail/antecedent/level contracts, so conflict analysis, proof
-        streaming, inprocessing and the arena GC are untouched; the
-        resolved backend is recorded in ``stats.bcp_backend`` and the
-        ``cdcl.bcp`` trace attr.  Watch stays the default because
-        counters pay O(occurrences) on every backtracked literal
-        (DESIGN.md, PR 9).
     inprocess:
         in-search simplification (paper Section 6): an
         :class:`repro.solvers.inprocess.InprocessConfig`, ``True`` for
@@ -160,7 +147,6 @@ class CDCLSolver:
                  max_decisions: Optional[int] = None,
                  budget: Optional[Budget] = None,
                  inprocess=None,
-                 propagation: str = "auto",
                  resume_from=None):
         if backtrack_mode not in ("nonchronological", "chronological"):
             raise ValueError(f"bad backtrack_mode {backtrack_mode!r}")
@@ -168,11 +154,6 @@ class CDCLSolver:
             raise ValueError(f"bad conflict_cut {conflict_cut!r}")
         if deletion not in ("keep", "size", "relevance"):
             raise ValueError(f"bad deletion policy {deletion!r}")
-        #: Requested and resolved BCP backend (resolution raises on an
-        #: unknown name; "auto" -> "watch", "numpy" -> best counter
-        #: kernel available).
-        self.propagation = propagation
-        self.bcp_backend = resolve_propagation(propagation)
 
         self.formula = formula
         self.heuristic = heuristic or VSIDSHeuristic()
@@ -271,21 +252,8 @@ class CDCLSolver:
         self._root_conflict = False
         self._pending_units: List[int] = []
 
-        #: Counter-based BCP backend (repro.solvers.bcp); None in
-        #: watch mode, where ``_propagate`` below runs unchanged.
-        #: Built after the input clauses so the occurrence index is
-        #: one vectorized pass; ``_attach`` keeps it incremental from
-        #: here on.  The bound-method override leaves the class
-        #: attribute ``CDCLSolver._propagate`` (the watch scheme)
-        #: untouched.
-        self._bcp: Optional[CounterPropagator] = None
-
         for clause in formula.clauses:
             self._attach_input_clause(clause)
-
-        if self.bcp_backend != "watch":
-            self._bcp = CounterPropagator(self, self.bcp_backend)
-            self._propagate = self._bcp.propagate  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     # Clause management
@@ -316,8 +284,6 @@ class CDCLSolver:
         else:
             self._watches[_lit_index(lits[base])].append(cid)
             self._watches[_lit_index(lits[base + 1])].append(cid)
-        if self._bcp is not None:
-            self._bcp.on_attach(cid)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause between solve calls (incremental interface).
@@ -345,8 +311,6 @@ class CDCLSolver:
         self._watches.extend([] for _ in range(2 * extra))
         self._bins.extend([] for _ in range(2 * extra))
         self._num_vars = var
-        if self._bcp is not None:
-            self._bcp.on_grow()
 
     def learned_clauses(self) -> List[Clause]:
         """The currently recorded conflict clauses."""
@@ -554,10 +518,6 @@ class CDCLSolver:
         if on_unassign is not None:
             for index in range(len(trail) - 1, target - 1, -1):
                 on_unassign(trail[index])
-        if self._bcp is not None:
-            # Counter rollback needs the erased entries still on the
-            # trail (it credits back only the processed prefix).
-            self._bcp.on_cancel(target)
         for index in range(target, len(trail)):
             lit = trail[index]
             var = lit if lit > 0 else -lit
@@ -768,24 +728,9 @@ class CDCLSolver:
     # Learned-database reduction (compacting GC)
     # ------------------------------------------------------------------
 
-    def _locked(self, cid: int) -> bool:
-        """A clause currently acting as an antecedent must stay.
-
-        Checked against the antecedent slots of the clause's own
-        variables, which holds under every propagation backend (the
-        watch scheme additionally keeps the implied literal at watch
-        position 0, but the counter backend never reorders buffer
-        slices, so position conveys nothing there).  ``_reduce_learned``
-        uses the one-pass :meth:`_locked_ids` instead of calling this
-        per clause.
-        """
-        antecedent = self._antecedent
-        return any(antecedent[lit if lit > 0 else -lit] == cid
-                   for lit in self.arena.lits_of(cid))
-
     def _locked_ids(self) -> Set[int]:
         """Every clause id currently serving as an antecedent (one
-        O(num_vars) sweep, backend-independent)."""
+        O(num_vars) sweep); a locked clause must survive collection."""
         return {reason for reason in self._antecedent
                 if type(reason) is int}
 
@@ -852,8 +797,6 @@ class CDCLSolver:
                 watches[_lit_index(alits[base + 1])].append(cid)
         self._watches = watches
         self._bins = bins
-        if self._bcp is not None:
-            self._bcp.on_gc()
         if arena.peak_lits > self.stats.arena_peak_lits:
             self.stats.arena_peak_lits = arena.peak_lits
         return reclaimed
@@ -944,7 +887,6 @@ class CDCLSolver:
                          num_clauses=len(self._clauses),
                          num_assumptions=len(assumptions)) as end:
             result = self._solve(assumptions)
-            end["bcp"] = self.bcp_backend
             end["status"] = result.status.value
             end["decisions"] = result.stats.decisions
             end["conflicts"] = result.stats.conflicts
@@ -1009,7 +951,6 @@ class CDCLSolver:
 
     def _solve(self, assumptions: Sequence[int]) -> SolverResult:
         started = time.perf_counter()
-        self.stats.bcp_backend = self.bcp_backend
         if self.inprocess_config is not None and self._inprocessor is None:
             from repro.solvers.inprocess import Inprocessor
             self._inprocessor = Inprocessor(self, self.inprocess_config)

@@ -148,17 +148,17 @@ def _delta(before: SolverStats, after: SolverStats) -> SolverStats:
     """Per-call stats: *after* minus *before*, field-generically.
 
     Counters subtract; ``max_decision_level``, ``arena_peak_lits``
-    (state readings, not counters), the ``bcp_backend`` label and the
-    ``metrics`` snapshot report the call's final state (per-call
-    attribution of a merged histogram is not recoverable, so the
-    cumulative snapshot is passed through).  Iterating
-    ``dataclasses.fields`` keeps this honest as fields are added --
-    the old hand-written version silently dropped ``flips``/``tries``.
+    (state readings, not counters) and the ``metrics`` snapshot report
+    the call's final state (per-call attribution of a merged histogram
+    is not recoverable, so the cumulative snapshot is passed through).
+    Iterating ``dataclasses.fields`` keeps this honest as fields are
+    added -- the old hand-written version silently dropped
+    ``flips``/``tries``.
     """
     delta = SolverStats()
     for f in fields(SolverStats):
         if f.name in ("max_decision_level", "arena_peak_lits",
-                      "bcp_backend", "metrics"):
+                      "metrics"):
             setattr(delta, f.name, getattr(after, f.name))
         else:
             setattr(delta, f.name,

@@ -84,10 +84,6 @@ class InprocessConfig:
         clauses vivified per run, at most (largest first).
     self_subsume_budget:
         candidate checks per self-subsumption sweep, at most.
-    kernel:
-        ``"auto"`` / ``"numpy"`` / ``"python"`` -- which
-        :mod:`repro.solvers.kernels` implementation runs the bulk
-        signature / occurrence / filter loops.
     """
 
     interval: int = 2000
@@ -101,7 +97,6 @@ class InprocessConfig:
     bve_var_budget: int = 200
     vivify_clause_budget: int = 300
     self_subsume_budget: int = 100000
-    kernel: str = "auto"
 
 
 class Inprocessor:
@@ -116,7 +111,9 @@ class Inprocessor:
     def __init__(self, solver, config: InprocessConfig) -> None:
         self.solver = solver
         self.config = config
-        self.kernel = kernels.resolve_kernel(config.kernel)
+        #: Which :mod:`repro.solvers.kernels` implementation runs the
+        #: bulk loops (recorded on every ``cdcl.inprocess`` event).
+        self.kernel = kernels.active_kernel()
         #: Variables removed from the database (BVE / equivalence);
         #: they must never reappear in assumptions or new clauses.
         self.eliminated: Set[int] = set()
@@ -362,11 +359,6 @@ class Inprocessor:
         base = arena.off[cid]
         s._watches[_lit_index(arena.lits[base])].remove(cid)
         s._watches[_lit_index(arena.lits[base + 1])].remove(cid)
-        if s._bcp is not None:
-            # Counter backend: keep the counters ticking but skip the
-            # clause at examination time (the occurrence-index analog
-            # of leaving the watch lists).
-            s._bcp.on_detach(cid)
 
     def _reattach(self, cid: int) -> None:
         s = self.solver
@@ -374,8 +366,6 @@ class Inprocessor:
         base = arena.off[cid]
         s._watches[_lit_index(arena.lits[base])].append(cid)
         s._watches[_lit_index(arena.lits[base + 1])].append(cid)
-        if s._bcp is not None:
-            s._bcp.on_reattach(cid)
 
     def _spend(self, cost: int) -> None:
         meter = self.solver._meter
@@ -517,8 +507,8 @@ class Inprocessor:
         doomed: Set[int] = set()
 
         if config.subsumption:
-            pairs = kernels.subsumption_pairs(
-                lits_list, kernel=self.kernel, spend=self._spend)
+            pairs = kernels.subsumption_pairs(lits_list,
+                                              spend=self._spend)
             learned_ids = set(s._learned)
             for sub_idx, by_idx in pairs:
                 sub_cid, by_cid = live[sub_idx], live[by_idx]
@@ -533,8 +523,8 @@ class Inprocessor:
         if config.self_subsumption:
             alive = [i for i, cid in enumerate(live)
                      if cid not in doomed]
-            sigs = kernels.bulk_signatures(lits_list, kernel=self.kernel)
-            sig_array = kernels.as_sig_array(sigs, kernel=self.kernel)
+            sigs = kernels.bulk_signatures(lits_list)
+            sig_array = kernels.as_sig_array(sigs)
             occurrences: Dict[int, List[int]] = {}
             for i in alive:
                 for lit in lits_list[i]:
@@ -559,8 +549,7 @@ class Inprocessor:
                     weak = sigs[i] & ~(1 << (lit & 63))
                     rest = [q for q in lits if q != lit]
                     for j in kernels.filter_supersets(
-                            weak, candidates, sig_array,
-                            kernel=self.kernel):
+                            weak, candidates, sig_array):
                         if j == i or j in dead:
                             continue
                         target = lits_list[j]
@@ -640,8 +629,7 @@ class Inprocessor:
         arena = s.arena
         config = self.config
         limit = config.bve_occurrence_limit
-        counts = kernels.occurrence_counts(arena.lits, s._num_vars,
-                                           kernel=self.kernel)
+        counts = kernels.occurrence_counts(arena.lits, s._num_vars)
         candidates = []
         for var in range(1, s._num_vars + 1):
             pos, neg = counts[var + var], counts[var + var + 1]

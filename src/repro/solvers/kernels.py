@@ -7,9 +7,11 @@ vectorized runtime can chew on: per-clause 64-bit signatures are one
 ``bincount``, and subsumption candidate filtering is one masked
 compare over a signature array.  This module provides those three
 kernels twice -- a numpy implementation and a pure-Python fallback
-with identical semantics -- and selects between them at import time,
+with identical semantics -- and runs numpy exactly when it imports,
 so the package keeps working with stdlib only (``pip install
-repro[fast]`` adds the accelerated path).
+repro[fast]`` adds the accelerated path).  Nothing imports this module
+on the default solve path: only inprocessing, ``simplify`` and the
+service's ``STATUS`` capability probe load it (and with it numpy).
 
 Signature semantics (shared contract, covered by the parity tests in
 ``tests/test_inprocess.py``): bit ``lit & 63`` of a 64-bit word is set
@@ -20,67 +22,34 @@ when ``sig(C) & ~sig(D) == 0`` -- the signature test never rejects a
 real subsumption, it only prunes candidates before the exact set
 inclusion check.
 
-Every public function takes ``kernel="auto"|"numpy"|"python"``;
-``"auto"`` resolves to numpy when it is importable.  Callers that must
-report which kernel actually ran (the perf harness, ``repro
-profile``) use :func:`resolve_kernel` / :func:`kernels_available`.
+The numpy path wins every inprocessing solve measured (DESIGN.md);
+the stdlib path is the only one that runs without numpy.  Callers
+that report which implementation ran (the ``cdcl.inprocess`` trace
+event, :func:`capability`) read :func:`active_kernel`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via kernels_available()
+try:  # pragma: no cover - depends on the interpreter
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Kernel names accepted everywhere a ``kernel=`` option appears.
-KERNEL_NAMES = ("auto", "numpy", "python")
 
-
-def kernels_available() -> bool:
-    """True when the numpy kernel path can run in this interpreter."""
-    return _np is not None
-
-
-def numpy_version() -> Optional[str]:
-    """The numpy version the kernels would use (None without numpy)."""
-    return None if _np is None else getattr(_np, "__version__", "?")
-
-
-def resolve_kernel(kernel: str = "auto") -> str:
-    """Normalize a kernel request to the implementation that will run.
-
-    ``"auto"`` picks numpy when available; asking for ``"numpy"``
-    without numpy installed raises (the caller asked for something the
-    environment cannot deliver -- silently degrading would make
-    benchmark records lie).
-    """
-    if kernel not in KERNEL_NAMES:
-        raise ValueError(f"unknown kernel {kernel!r}; "
-                         f"expected one of {KERNEL_NAMES}")
-    if kernel == "auto":
-        return "numpy" if _np is not None else "python"
-    if kernel == "numpy" and _np is None:
-        raise RuntimeError("numpy kernel requested but numpy is not "
-                           "installed (pip install repro[fast])")
-    return kernel
+def active_kernel() -> str:
+    """The implementation the kernels run: ``"numpy"`` when numpy
+    imported, ``"python"`` otherwise."""
+    return "python" if _np is None else "numpy"
 
 
 def capability() -> dict:
-    """JSON-ready capability probe (perf harness / ``repro profile`` /
-    service ``STATUS``): simplification kernel selection plus the
-    propagation backends this interpreter can run (PR 9)."""
-    from repro.solvers.bcp import propagation_available, \
-        resolve_propagation
-    return {
-        "numpy": kernels_available(),
-        "numpy_version": numpy_version(),
-        "default_kernel": resolve_kernel("auto"),
-        "propagation_backends": list(propagation_available()),
-        "default_propagation": resolve_propagation("auto"),
-    }
+    """JSON-ready capability probe (perf harness, service
+    ``STATUS``)."""
+    version = None if _np is None else getattr(_np, "__version__", "?")
+    return {"numpy": _np is not None, "numpy_version": version,
+            "kernel": active_kernel()}
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +65,7 @@ def clause_signature(literals: Sequence[int]) -> int:
 
 
 def bulk_signatures_flat(flat: Sequence[int], off: Sequence[int],
-                         end: Sequence[int],
-                         kernel: str = "auto") -> List[int]:
+                         end: Sequence[int]) -> List[int]:
     """Signatures for every clause of a flat arena-style buffer.
 
     ``flat[off[i]:end[i]]`` is clause *i*; offsets must be ascending
@@ -106,7 +74,7 @@ def bulk_signatures_flat(flat: Sequence[int], off: Sequence[int],
     """
     if not off:
         return []
-    if resolve_kernel(kernel) == "numpy":
+    if _np is not None:
         arr = _np.asarray(flat, dtype=_np.int64)
         vals = _np.left_shift(_np.uint64(1),
                               (arr & 63).astype(_np.uint64))
@@ -117,13 +85,12 @@ def bulk_signatures_flat(flat: Sequence[int], off: Sequence[int],
             for i in range(len(off))]
 
 
-def bulk_signatures(clauses: Sequence[Sequence[int]],
-                    kernel: str = "auto") -> List[int]:
+def bulk_signatures(clauses: Sequence[Sequence[int]]) -> List[int]:
     """Signatures for a list of literal sequences (flattens internally
     so the numpy path still runs one ``reduceat``)."""
     if not clauses:
         return []
-    if resolve_kernel(kernel) == "numpy":
+    if _np is not None:
         flat: List[int] = []
         off: List[int] = []
         end: List[int] = []
@@ -137,7 +104,7 @@ def bulk_signatures(clauses: Sequence[Sequence[int]],
         # not occur in the solver DB, so fall back for that edge.
         if any(not c for c in clauses):
             return [clause_signature(c) for c in clauses]
-        return bulk_signatures_flat(flat, off, end, kernel="numpy")
+        return bulk_signatures_flat(flat, off, end)
     return [clause_signature(c) for c in clauses]
 
 
@@ -145,8 +112,7 @@ def bulk_signatures(clauses: Sequence[Sequence[int]],
 # Occurrence counting
 # ----------------------------------------------------------------------
 
-def occurrence_counts(flat: Sequence[int], num_vars: int,
-                      kernel: str = "auto") -> List[int]:
+def occurrence_counts(flat: Sequence[int], num_vars: int) -> List[int]:
     """Literal occurrence counts over a flat buffer.
 
     Returns a flat table indexed like the solver's watch slots:
@@ -154,7 +120,7 @@ def occurrence_counts(flat: Sequence[int], num_vars: int,
     negative ones (length ``2*(num_vars+1)``).
     """
     size = 2 * (num_vars + 1)
-    if resolve_kernel(kernel) == "numpy" and flat:
+    if _np is not None and flat:
         arr = _np.asarray(flat, dtype=_np.int64)
         idx = _np.where(arr > 0, arr + arr, 1 - arr - arr)
         return _np.bincount(idx, minlength=size).tolist()
@@ -168,22 +134,22 @@ def occurrence_counts(flat: Sequence[int], num_vars: int,
 # Subsumption candidate filtering
 # ----------------------------------------------------------------------
 
-def as_sig_array(sigs: Sequence[int], kernel: str = "auto"):
+def as_sig_array(sigs: Sequence[int]):
     """Prepare a signature list for repeated :func:`filter_supersets`
     calls (numpy: one uint64 conversion up front)."""
-    if resolve_kernel(kernel) == "numpy":
+    if _np is not None:
         return _np.asarray(sigs, dtype=_np.uint64)
     return list(sigs)
 
 
-def filter_supersets(sig: int, candidates: Sequence[int], sig_array,
-                     kernel: str = "auto") -> List[int]:
+def filter_supersets(sig: int, candidates: Sequence[int],
+                     sig_array) -> List[int]:
     """The *candidates* (indices into *sig_array*) whose signature is
     a bit-superset of *sig* -- the cheap pre-filter before an exact
     set-inclusion check."""
     if not candidates:
         return []
-    if resolve_kernel(kernel) == "numpy":
+    if _np is not None:
         cand = _np.asarray(candidates, dtype=_np.intp)
         vals = sig_array[cand]
         mask = (_np.uint64(sig) & ~vals) == 0
@@ -191,15 +157,15 @@ def filter_supersets(sig: int, candidates: Sequence[int], sig_array,
     return [i for i in candidates if sig & ~sig_array[i] == 0]
 
 
-def filter_subsets(sig: int, candidates: Sequence[int], sig_array,
-                   kernel: str = "auto") -> List[int]:
+def filter_subsets(sig: int, candidates: Sequence[int],
+                   sig_array) -> List[int]:
     """The *candidates* (indices into *sig_array*) whose signature is
     a bit-subset of *sig* -- the pre-filter for "which of these could
     subsume a clause with signature *sig*" (the mirror of
     :func:`filter_supersets`)."""
     if not candidates:
         return []
-    if resolve_kernel(kernel) == "numpy":
+    if _np is not None:
         cand = _np.asarray(candidates, dtype=_np.intp)
         vals = sig_array[cand]
         mask = (vals & ~_np.uint64(sig)) == 0
@@ -213,7 +179,6 @@ def filter_subsets(sig: int, candidates: Sequence[int], sig_array,
 # ----------------------------------------------------------------------
 
 def subsumption_pairs(clauses: Sequence[Sequence[int]],
-                      kernel: str = "auto",
                       spend: Optional[Callable[[int], None]] = None
                       ) -> List[Tuple[int, int]]:
     """Find subsumed clauses: ``(subsumed_index, subsuming_index)``.
@@ -231,9 +196,8 @@ def subsumption_pairs(clauses: Sequence[Sequence[int]],
     n = len(clauses)
     if n < 2:
         return []
-    impl = resolve_kernel(kernel)
-    sigs = bulk_signatures(clauses, kernel=impl)
-    sig_array = as_sig_array(sigs, kernel=impl)
+    sigs = bulk_signatures(clauses)
+    sig_array = as_sig_array(sigs)
     order = sorted(range(n), key=lambda i: (len(clauses[i]), i))
     occurrences = {}
     pairs: List[Tuple[int, int]] = []
@@ -248,7 +212,7 @@ def subsumption_pairs(clauses: Sequence[Sequence[int]],
                 spend(len(candidates))
             litset = set(lits)
             for j in filter_subsets(sigs[idx], sorted(candidates),
-                                    sig_array, kernel=impl):
+                                    sig_array):
                 if all(q in litset for q in clauses[j]):
                     winner = j
                     break

@@ -67,15 +67,6 @@ class PortfolioConfig:
     #: instances while non-simplifying ones keep raw search throughput.
     inprocess: bool = False
     inprocess_interval: int = 2000
-    inprocess_kernel: str = "auto"
-    #: Propagation backend (PR 9): ``watch`` is the two-literal
-    #: watching engine; ``numpy``/``python`` run the batch
-    #: counter-based kernel over the arena occurrence index.  One more
-    #: diversification axis -- the counter kernel visits clauses in a
-    #: different order than watch-mode, so ``-bcp`` slots explore a
-    #: genuinely different search trajectory.  ``numpy`` degrades to
-    #: the pure-python counter kernel when numpy is not importable.
-    propagation: str = "watch"
 
     def build_solver(self, formula: CNFFormula,
                      max_conflicts: Optional[int] = None,
@@ -89,9 +80,7 @@ class PortfolioConfig:
         inprocess = None
         if self.inprocess:
             from repro.solvers.inprocess import InprocessConfig
-            inprocess = InprocessConfig(
-                interval=self.inprocess_interval,
-                kernel=self.inprocess_kernel)
+            inprocess = InprocessConfig(interval=self.inprocess_interval)
         return CDCLSolver(
             formula,
             heuristic=make_heuristic(self.heuristic, seed=self.seed,
@@ -102,7 +91,6 @@ class PortfolioConfig:
             max_conflicts=max_conflicts,
             budget=budget,
             inprocess=inprocess,
-            propagation=self.propagation,
             resume_from=resume_from,
         )
 
@@ -124,43 +112,36 @@ class PortfolioConfig:
 
 #: The diversification axes cycled by :func:`default_portfolio`:
 #: heuristic x restart policy x randomness x phase saving x
-#: inprocessing x propagation backend.  Seeds are added per slot so
-#: repeated axes still differ.  Slot 0 keeps inprocessing off and
-#: watch-mode propagation: it is the sequential fallback's first
-#: engine, and the raw-search baseline of the race.  The ``-bcp``
-#: slots run the batch counter kernel (``propagation="numpy"``, which
-#: degrades to the python counter kernel without numpy) -- a different
-#: clause-visit order, hence different learned clauses, for free.
-_DIVERSIFICATION: Tuple[
-        Tuple[str, str, int, float, bool, bool, bool], ...] = (
-    ("vsids", "luby", 64, 0.0, True, False, False),
-    ("vsids", "geometric", 100, 0.02, True, True, False),
-    ("dlis", "luby", 128, 0.0, False, False, True),
-    ("jw", "fixed", 512, 0.05, True, True, False),
-    ("vsids", "luby", 32, 0.10, False, False, False),
-    ("dlis", "geometric", 64, 0.05, True, True, False),
-    ("vsids", "fixed", 256, 0.0, False, False, True),
-    ("jw", "luby", 64, 0.10, False, True, False),
+#: inprocessing.  Seeds are added per slot so repeated axes still
+#: differ.  Slot 0 keeps inprocessing off: it is the sequential
+#: fallback's first engine, and the raw-search baseline of the race.
+_DIVERSIFICATION: Tuple[Tuple[str, str, int, float, bool, bool], ...] = (
+    ("vsids", "luby", 64, 0.0, True, False),
+    ("vsids", "geometric", 100, 0.02, True, True),
+    ("dlis", "luby", 128, 0.0, False, False),
+    ("jw", "fixed", 512, 0.05, True, True),
+    ("vsids", "luby", 32, 0.10, False, False),
+    ("dlis", "geometric", 64, 0.05, True, True),
+    ("vsids", "fixed", 256, 0.0, False, False),
+    ("jw", "luby", 64, 0.10, False, True),
 )
 
 
 def default_portfolio(n: int, seed: int = 0) -> List[PortfolioConfig]:
     """*n* diversified configurations (seeds x restarts x heuristics x
-    phase saving x inprocessing x propagation backend), deterministic
-    for a given *seed*."""
+    phase saving x inprocessing), deterministic for a given *seed*."""
     if n < 1:
         raise ValueError("portfolio size must be >= 1")
     configs = []
     for index in range(n):
-        heur, restart, interval, freq, phases, inproc, bcp = \
+        heur, restart, interval, freq, phases, inproc = \
             _DIVERSIFICATION[index % len(_DIVERSIFICATION)]
-        suffix = ("-inp" if inproc else "") + ("-bcp" if bcp else "")
+        suffix = "-inp" if inproc else ""
         configs.append(PortfolioConfig(
             name=f"{heur}-{restart}{interval}{suffix}-s{seed + index}",
             heuristic=heur, restart=restart, restart_interval=interval,
             seed=seed + index, random_freq=freq, phase_saving=phases,
-            inprocess=inproc,
-            propagation="numpy" if bcp else "watch"))
+            inprocess=inproc))
     return configs
 
 
@@ -292,7 +273,6 @@ def solve_portfolio(formula: CNFFormula,
                     progress_interval: Optional[float] = 0.25,
                     proof_dir: Optional[str] = None,
                     inprocess=None,
-                    propagation: Optional[str] = None,
                     tracer=None) -> PortfolioResult:
     """Race a portfolio of CDCL configurations on *formula*.
 
@@ -330,15 +310,9 @@ def solve_portfolio(formula: CNFFormula,
     ``inprocess`` (an
     :class:`~repro.solvers.inprocess.InprocessConfig`) force-enables
     in-search simplification on *every* configuration with the given
-    interval/kernel -- the CLI's ``--inprocess`` pass-through.
-    Without it, the default portfolio already diversifies along the
-    inprocessing axis (every second configuration simplifies).
-
-    ``propagation`` (a backend name accepted by
-    :func:`repro.solvers.bcp.resolve_propagation`) force-overrides
-    the propagation backend of *every* configuration -- the CLI's
-    ``--bcp`` pass-through.  Without it, the default portfolio's
-    ``-bcp`` slots already diversify along this axis.
+    interval -- the CLI's ``--inprocess`` pass-through.  Without it,
+    the default portfolio already diversifies along the inprocessing
+    axis (every second configuration simplifies).
     """
     if processes is None:
         processes = os.cpu_count() or 1
@@ -350,11 +324,7 @@ def solve_portfolio(formula: CNFFormula,
         raise ValueError("empty portfolio")
     if inprocess is not None:
         configs = [replace(c, inprocess=True,
-                           inprocess_interval=inprocess.interval,
-                           inprocess_kernel=inprocess.kernel)
-                   for c in configs]
-    if propagation is not None and propagation != "auto":
-        configs = [replace(c, propagation=propagation)
+                           inprocess_interval=inprocess.interval)
                    for c in configs]
 
     if timeout is not None:

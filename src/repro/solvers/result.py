@@ -70,12 +70,6 @@ class SolverStats:
     flips: int = 0          # local search
     tries: int = 0          # local search
     time_seconds: float = 0.0
-    #: Resolved BCP backend that produced these counters ("watch",
-    #: "numpy" or "python" -- the counter kernel's stdlib fallback;
-    #: "" for non-CDCL solvers).  Together with
-    #: :meth:`propagations_per_sec` this gives the per-backend
-    #: propagation throughput the perf harness and portfolio report.
-    bcp_backend: str = ""
     #: Optional registry snapshot from ``repro.obs.metrics`` (search
     #: shape histograms); None unless a recorder was attached.
     metrics: Optional[Dict[str, Dict[str, Any]]] = None
@@ -94,13 +88,6 @@ class SolverStats:
             theirs = getattr(other, f.name)
             if f.name in ("max_decision_level", "arena_peak_lits"):
                 setattr(self, f.name, max(mine, theirs))
-            elif f.name == "bcp_backend":
-                # A label, not a counter: keep it when both sides
-                # agree (or one is unset), flag heterogeneous merges.
-                if not mine:
-                    self.bcp_backend = theirs
-                elif theirs and theirs != mine:
-                    self.bcp_backend = "mixed"
             elif f.name == "metrics":
                 if theirs is None:
                     continue
@@ -111,14 +98,6 @@ class SolverStats:
                     self.metrics = merge_snapshots(mine, theirs)
             else:
                 setattr(self, f.name, mine + theirs)
-
-    def propagations_per_sec(self) -> float:
-        """Propagation throughput of the recorded run (0.0 when no
-        time was measured).  Read together with ``bcp_backend`` for
-        the per-backend rate the BCP microbenchmark compares."""
-        if self.time_seconds <= 0.0:
-            return 0.0
-        return self.propagations / self.time_seconds
 
     def as_dict(self) -> Dict[str, Any]:
         """Every field as a JSON-serializable dict (pipe/JSON safe)."""
@@ -145,9 +124,6 @@ class SolverStats:
                 if isinstance(value, (int, float)) \
                         and not isinstance(value, bool):
                     stats.time_seconds = float(value)
-            elif f.name == "bcp_backend":
-                if isinstance(value, str):
-                    stats.bcp_backend = value
             elif isinstance(value, int) and not isinstance(value, bool):
                 setattr(stats, f.name, value)
         return stats

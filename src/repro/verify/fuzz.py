@@ -83,8 +83,7 @@ class CDCLEngine(Engine):
                  minimize_learned: bool = False,
                  phase_saving: bool = False,
                  max_conflicts: Optional[int] = None,
-                 inprocess_interval: Optional[int] = None,
-                 propagation: str = "auto"):
+                 inprocess_interval: Optional[int] = None):
         self.name = name
         self.params = dict(
             heuristic=heuristic, seed=seed, random_freq=random_freq,
@@ -93,8 +92,7 @@ class CDCLEngine(Engine):
             deletion_interval=deletion_interval,
             minimize_learned=minimize_learned,
             phase_saving=phase_saving, max_conflicts=max_conflicts,
-            inprocess_interval=inprocess_interval,
-            propagation=propagation)
+            inprocess_interval=inprocess_interval)
         self.proof_events = None
 
     def run(self, formula: CNFFormula) -> SolverResult:
@@ -118,8 +116,7 @@ class CDCLEngine(Engine):
             minimize_learned=p["minimize_learned"],
             phase_saving=p["phase_saving"],
             max_conflicts=p["max_conflicts"],
-            inprocess=inprocess,
-            propagation=p["propagation"])
+            inprocess=inprocess)
         sink = attach_proof_stream(solver, MemoryProofSink())
         result = solver.solve()
         self.proof_events = sink.events
@@ -186,16 +183,9 @@ def default_engines(rng: random.Random) -> List[Engine]:
     # the simplification passes (subsumption / vivification / BVE /
     # equivalence substitution) against the reference engines.
     inprocess_interval = rng.choice([None, None, 4, 16])
-    # A third of the rounds run the batch counter-BCP backend (PR 9)
-    # instead of watch-mode, so the differential harness also pits
-    # the two propagation disciplines against each other (and the
-    # counter kernel against the proof checker) on every instance
-    # shape, including under deletion/GC and inprocessing.
-    propagation = rng.choice(["auto", "auto", "numpy"])
     cdcl = CDCLEngine(
         name=f"cdcl-{heuristic}-{restart}-{deletion}"
-             + ("-inp" if inprocess_interval is not None else "")
-             + ("-bcp" if propagation == "numpy" else ""),
+             + ("-inp" if inprocess_interval is not None else ""),
         heuristic=heuristic, seed=rng.randrange(1 << 30),
         random_freq=rng.choice([0.0, 0.02, 0.1]),
         restart=restart, restart_interval=rng.choice([16, 64, 256]),
@@ -204,8 +194,7 @@ def default_engines(rng: random.Random) -> List[Engine]:
         minimize_learned=rng.random() < 0.5,
         phase_saving=rng.random() < 0.5,
         max_conflicts=max_conflicts,
-        inprocess_interval=inprocess_interval,
-        propagation=propagation)
+        inprocess_interval=inprocess_interval)
     return [cdcl,
             DPLLEngine(max_decisions=rng.choice([None, None, 20000])),
             RecursiveLearningEngine(depth=rng.choice([1, 2]))]

@@ -56,6 +56,23 @@ class TestBasics:
         assert result.is_sat
         assert result.assignment.value_of(2) is True
 
+    def test_implication_chain_closes_at_root(self):
+        """A root unit forcing a binary chain and two ternary clauses:
+        propagation alone assigns every variable, through both the
+        binary pair lists and the watch lists."""
+        n = 30
+        formula = CNFFormula(n + 2)
+        formula.add_clause([1])
+        for i in range(1, n):
+            formula.add_clause([-i, i + 1])
+        formula.add_clause([-1, -2, n + 1])
+        formula.add_clause([-(n // 2), -n, n + 2])
+        result = CDCLSolver(formula).solve()
+        assert result.status is Status.SATISFIABLE
+        assert (result.stats.decisions, result.stats.conflicts) == (0, 0)
+        assert sorted(result.assignment.to_literals()) == \
+            list(range(1, n + 3))
+
     def test_bad_options_rejected(self):
         formula = CNFFormula(1)
         with pytest.raises(ValueError):

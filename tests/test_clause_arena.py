@@ -113,7 +113,7 @@ def _check_live_ids(solver):
             assert any(abs(lit) == var for lit in clause)
             if len(clause) >= 3:
                 # Long antecedents keep the implied literal at watch
-                # position 0 (what makes ``_locked`` complete); binary
+                # position 0 (the watch scheme's invariant); binary
                 # antecedents come from the pair lists, which never
                 # reorder the buffer -- and are never doomed anyway.
                 assert abs(clause[0]) == var

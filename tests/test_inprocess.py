@@ -17,7 +17,7 @@ from repro.solvers.result import Status
 from repro.verify.checker import check_proof_steps
 from repro.verify.drat import MemoryProofSink, attach_proof_stream
 
-HAS_NUMPY = kernels.kernels_available()
+HAS_NUMPY = kernels.active_kernel() == "numpy"
 
 
 def small_random(rng, nv=None, nc=None):
@@ -74,17 +74,15 @@ def check_round_trip(formula, config, kernel_events=False):
 
 
 class TestKernels:
-    def test_kernel_names_and_capability(self):
-        assert set(kernels.KERNEL_NAMES) == {"auto", "numpy", "python"}
+    def test_capability(self, monkeypatch):
         cap = kernels.capability()
+        assert set(cap) == {"numpy", "numpy_version", "kernel"}
         assert cap["numpy"] == HAS_NUMPY
-        assert cap["default_kernel"] in ("numpy", "python")
-        assert kernels.resolve_kernel("python") == "python"
-        assert kernels.resolve_kernel("auto") in ("numpy", "python")
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.resolve_kernel("fortran")
+        assert cap["kernel"] == ("numpy" if HAS_NUMPY else "python")
+        # Without numpy the stdlib path runs, and the probe says so.
+        monkeypatch.setattr(kernels, "_np", None)
+        assert kernels.capability() == {
+            "numpy": False, "numpy_version": None, "kernel": "python"}
 
     def test_clause_signature_bits(self):
         # Bit position is lit & 63, identical for both literal signs.
@@ -109,34 +107,28 @@ class TestKernels:
         assert kernels.subsumption_pairs([[1, 2], [-1, 3], [2, -3]]) == []
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-    def test_kernel_parity(self):
+    def test_kernel_parity(self, monkeypatch):
         rng = random.Random(42)
         for _ in range(25):
             clauses = [sorted({rng.randint(1, 20)
                                * rng.choice([1, -1])
                                for _ in range(rng.randint(1, 5))})
                        for _ in range(rng.randint(2, 30))]
-            sig_py = kernels.bulk_signatures(clauses, kernel="python")
-            sig_np = kernels.bulk_signatures(clauses, kernel="numpy")
-            assert list(sig_py) == [int(s) for s in sig_np]
             flat = [lit for c in clauses for lit in c]
-            occ_py = kernels.occurrence_counts(flat, 20, kernel="python")
-            occ_np = kernels.occurrence_counts(flat, 20, kernel="numpy")
-            assert list(occ_py) == [int(x) for x in occ_np]
-            arr_py = kernels.as_sig_array(sig_py, kernel="python")
-            arr_np = kernels.as_sig_array(sig_np, kernel="numpy")
             idx = list(range(len(clauses)))
-            probe = sig_py[0]
-            assert (kernels.filter_supersets(probe, idx, arr_py,
-                                             kernel="python")
-                    == kernels.filter_supersets(probe, idx, arr_np,
-                                                kernel="numpy"))
-            assert (kernels.filter_subsets(probe, idx, arr_py,
-                                           kernel="python")
-                    == kernels.filter_subsets(probe, idx, arr_np,
-                                              kernel="numpy"))
-            assert (kernels.subsumption_pairs(clauses, kernel="python")
-                    == kernels.subsumption_pairs(clauses, kernel="numpy"))
+
+            def outputs():
+                sigs = kernels.bulk_signatures(clauses)
+                arr = kernels.as_sig_array(sigs)
+                return (sigs, kernels.occurrence_counts(flat, 20),
+                        kernels.filter_supersets(sigs[0], idx, arr),
+                        kernels.filter_subsets(sigs[0], idx, arr),
+                        kernels.subsumption_pairs(clauses))
+
+            with_numpy = outputs()
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_np", None)
+                assert outputs() == with_numpy
 
 
 class TestPassRoundTrips:
@@ -152,12 +144,13 @@ class TestPassRoundTrips:
             check_round_trip(small_random(rng),
                              InprocessConfig(interval=1))
 
-    def test_python_kernel_round_trip(self):
+    def test_python_kernel_round_trip(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_np", None)
         rng = random.Random(13)
         for _ in range(20):
-            check_round_trip(small_random(rng),
-                             InprocessConfig(interval=1,
-                                             kernel="python"))
+            _, solver = check_round_trip(small_random(rng),
+                                         InprocessConfig(interval=1))
+            assert solver._inprocessor.kernel == "python"
 
     def test_pigeonhole_proof_checked(self):
         formula = pigeonhole(4)

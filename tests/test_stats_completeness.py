@@ -24,8 +24,6 @@ def fully_populated():
                                    "value": 100 + offset}}
         elif f.name == "time_seconds":
             stats.time_seconds = 0.5 + offset
-        elif f.name == "bcp_backend":
-            stats.bcp_backend = f"backend-{offset}"
         else:
             setattr(stats, f.name, 1 + offset)
     return stats
