@@ -9,12 +9,20 @@ need:
 * :mod:`repro.runtime.budget` -- the :class:`Budget` value object
   (deadline, counter caps, soft memory ceiling) and the amortised
   cooperative-checkpoint :class:`BudgetMeter` every engine consults;
+* :mod:`repro.runtime.attempt` -- the worker-attempt runtime shared
+  by the portfolio and the solve service: the worker entry point, the
+  pipe format and its payload audit, and the per-attempt process
+  handle with the one liveness rule (crash after a grace period, hang
+  after heartbeat silence);
 * :mod:`repro.runtime.supervisor` -- the portfolio
-  :class:`Supervisor`: heartbeat liveness, crash respawn with
-  exponential backoff, hung-worker termination, payload auditing, and
-  the per-worker :class:`PortfolioReport`;
+  :class:`Supervisor`: crash respawn with exponential backoff and
+  perturbed seeds, hung-worker termination, the UNSAT proof audit,
+  and the per-worker :class:`PortfolioReport`;
+* :mod:`repro.runtime.checkpoint` -- checksummed search checkpoints
+  that warm a respawned or retried attempt;
 * :mod:`repro.runtime.faults` -- deterministic fault injection
-  (:class:`FaultPlan`) so the recovery paths are testable in CI.
+  (:class:`FaultPlan`, :class:`ServiceFaultPlan`) so the recovery
+  paths are testable in CI.
 """
 
 from repro.runtime.budget import (

@@ -1,17 +1,24 @@
-"""Deterministic fault injection for portfolio workers.
+"""Deterministic fault injection for portfolio and service workers.
 
 The supervisor's recovery paths (crash respawn, hang detection,
 garbage rejection) are unreachable in a healthy run, so CI could never
-exercise them.  A :class:`FaultPlan` travels to each worker process
-(it is a frozen, picklable value object) and tells the worker to
-misbehave in a prescribed, reproducible way:
+exercise them.  A :class:`FaultPlan` (or its service twin
+:class:`ServiceFaultPlan`) travels to each worker process (it is a
+frozen, picklable value object) and tells the worker runtime
+(:mod:`repro.runtime.attempt`) to misbehave in a prescribed,
+reproducible way:
 
 * **crash** -- die via ``os._exit`` with no result, as a segfaulting
   or OOM-killed engine would;
 * **hang** -- spin forever without heartbeating, as a livelocked or
   deadlocked engine would;
-* **garbage** -- report a malformed or false payload (bad status
-  name, non-model "model"), as a corrupted engine would;
+* **garbage** -- report a malformed payload (wrong shape, bogus
+  status name), as a corrupted engine would; the service plan's
+  ``poisons`` schedule the same fault;
+* **kill_midjob** -- at the ``kill_after_checkpoints``-th cooperative
+  checkpoint push one progress snapshot and one search checkpoint,
+  then die with exit code 23, so the caller demonstrably holds
+  partial state and can warm the retry;
 * **false_unsat** -- report a well-formed UNSATISFIABLE verdict
   without having solved (and so without a proof), as a buggy engine
   would.  Under a certifying supervisor (``proof_dir`` set) this must
@@ -26,22 +33,17 @@ verifiable recovery.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
-#: Fault kinds understood by :meth:`FaultPlan.action`.
+#: Worker fault kinds returned by :meth:`FaultPlan.action` and
+#: :meth:`ServiceFaultPlan.action`; the worker runtime
+#: (:mod:`repro.runtime.attempt`) carries them out.
 CRASH = "crash"
 HANG = "hang"
-GARBAGE = "garbage"
-FALSE_UNSAT = "false_unsat"
-
-#: Additional service-level fault kinds
-#: (:meth:`ServiceFaultPlan.action`).
+GARBAGE = "garbage"           # malformed payload on the result pipe
+FALSE_UNSAT = "false_unsat"   # portfolio only: a well-formed lie
 KILL_MIDJOB = "kill_midjob"   # die after making observable progress
-POISON = "poison"             # malformed payload on the result pipe
-DELAY = "delay"               # server-side delayed response
 
 #: Crash-recovery fault kinds (PR 10).  ``corrupt_checkpoint`` is a
 #: *modifier*, not an action: the worker solves normally but flips
@@ -219,7 +221,7 @@ class ServiceFaultPlan:
         if attempt < self.hangs.get(job_id, 0):
             return HANG
         if attempt < self.poisons.get(job_id, 0):
-            return POISON
+            return GARBAGE
         return None
 
     def delay(self, job_id: str) -> float:
@@ -249,29 +251,3 @@ class ServiceFaultPlan:
             raise ValueError(f"unknown ServiceFaultPlan keys "
                              f"{sorted(extra)}")
         return cls(**payload)
-
-
-def execute_fault(action: str, index: int, channel) -> None:
-    """Carry out *action* inside a worker process.
-
-    ``crash`` and ``hang`` never return.  ``garbage`` sends a corrupt
-    payload over *channel* (the worker's result pipe) and returns (the
-    worker then exits normally, as a confused-but-alive engine would).
-    """
-    if action == CRASH:
-        # _exit, not sys.exit: no finally blocks, no pipe flushing --
-        # indistinguishable from a hard native crash.
-        os._exit(17)
-    elif action == HANG:
-        while True:           # pragma: no cover - killed externally
-            time.sleep(0.05)
-    elif action == GARBAGE:
-        # Wrong arity AND a bogus status: must fail payload
-        # validation, never parse as a real verdict.
-        channel.send(("garbage", index, "NOT_A_STATUS"))
-    elif action == FALSE_UNSAT:
-        # A perfectly well-formed lie: passes payload validation, so
-        # only a proof audit (supervisor proof_dir) can reject it.
-        channel.send((index, 0, "UNSATISFIABLE", None, {}))
-    else:
-        raise ValueError(f"unknown fault action {action!r}")

@@ -11,10 +11,11 @@ runtime already has (budgets, supervision, fault injection, proofs):
   weighted deficit round-robin dispatch, hardness shedding;
 * :mod:`repro.service.cache` -- LRU of terminal result bodies keyed
   by the canonical formula hash;
-* :mod:`repro.service.worker` -- the per-attempt solve process;
 * :mod:`repro.service.server` -- the asyncio :class:`SolveServer`:
   retry with inherited budgets, graceful degradation, drain-based
-  shutdown, STATUS introspection;
+  shutdown, STATUS introspection.  Each job attempt runs in one
+  process through the worker-attempt runtime the portfolio also uses
+  (:mod:`repro.runtime.attempt`);
 * :mod:`repro.service.client` -- the blocking TCP client and the
   in-process test client;
 * :mod:`repro.service.metrics` -- per-tenant service metrics

@@ -4,12 +4,13 @@ retry with inherited budgets, graceful degradation and drain.
 One :class:`SolveServer` owns the tenant queues, the result cache and
 a pool of at most ``max_workers`` concurrently running solve
 processes.  The control plane is a single asyncio event loop; the
-data plane is one ``multiprocessing`` process per job *attempt*,
-supervised from the loop through the same primitives the portfolio
-supervisor uses (a private result pipe, a heartbeat cell, termination
-on hang) but without blocking: the loop polls pipes with
-``poll(0)`` between ``await asyncio.sleep(poll_interval)`` ticks, so
-a hundred waiting clients cost nothing while two workers solve.
+data plane is one process per job *attempt*, run through the
+worker-attempt runtime the portfolio supervisor also uses
+(:mod:`repro.runtime.attempt`: a private result pipe, one payload
+audit, a heartbeat cell and one liveness rule) but without blocking:
+the loop drains pipes between ``await asyncio.sleep(poll_interval)``
+ticks, so a hundred waiting clients cost nothing while two workers
+solve.
 
 The failure contract, end to end:
 
@@ -50,25 +51,18 @@ The failure contract, end to end:
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import random
 import shutil
 import tempfile
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cnf.canonical import clauses_key
 from repro.cnf.formula import CNFFormula
+from repro.runtime.attempt import AttemptSpec, WorkerAttempt
 from repro.runtime.budget import Budget
 from repro.runtime.faults import SERVER_KILL_EXIT, ServiceFaultPlan
-from repro.runtime.supervisor import (
-    _DEATH_GRACE,
-    _MAX_CHECKPOINT_BLOB,
-    _is_checkpoint,
-    _model_satisfies,
-    stats_from_dict,
-)
 from repro.service.admission import (
     ServiceConfig,
     TenantQueues,
@@ -88,7 +82,6 @@ from repro.service.protocol import (
     decode_message,
     parse_submit,
 )
-from repro.service.worker import _job_worker_main
 from repro.solvers.portfolio import PortfolioConfig
 from repro.solvers.result import SolverStats, Status
 
@@ -96,16 +89,16 @@ from repro.solvers.result import SolverStats, Status
 class _Attempt:
     """Outcome of one supervised worker attempt."""
 
-    __slots__ = ("kind", "status_name", "model", "stats", "partial",
+    __slots__ = ("kind", "status", "model", "stats", "partial",
                  "proof_path")
 
-    def __init__(self, kind: str, status_name: Optional[str] = None,
+    def __init__(self, kind: str, status: Optional[Status] = None,
                  model: Optional[Dict[int, bool]] = None,
                  stats: Optional[Dict[str, Any]] = None,
                  partial: Optional[Dict[str, Any]] = None,
                  proof_path: Optional[str] = None):
         self.kind = kind          # result | crash | hang | poison |
-        self.status_name = status_name              # deadline
+        self.status = status                        # deadline
         self.model = model
         self.stats = stats
         self.partial = partial
@@ -116,10 +109,9 @@ class _Job:
     """Server-side state of one accepted submission."""
 
     __slots__ = ("request", "key", "future", "submitted_at",
-                 "dispatched_at", "heartbeat", "attempt_started",
-                 "task", "partial", "send_frame", "stream_seq",
-                 "last_frame_at", "last_frame_totals",
-                 "last_checkpoint", "recovered")
+                 "dispatched_at", "worker", "task", "partial",
+                 "send_frame", "stream_seq", "last_frame_at",
+                 "last_frame_totals", "last_checkpoint", "recovered")
 
     def __init__(self, request: SubmitRequest, key,
                  future: "asyncio.Future"):
@@ -128,8 +120,7 @@ class _Job:
         self.future = future
         self.submitted_at = time.monotonic()
         self.dispatched_at: Optional[float] = None
-        self.heartbeat = None            # current attempt's mp.Value
-        self.attempt_started: Optional[float] = None
+        self.worker: Optional[WorkerAttempt] = None  # running now
         self.task: Optional["asyncio.Task"] = None
         self.partial: Optional[Dict[str, Any]] = None
         # Streaming state (set only for stream:true jobs on a
@@ -503,9 +494,9 @@ class SolveServer:
                      "tenant": job.request.tenant,
                      "running_seconds": round(
                          now - (job.dispatched_at or now), 3)}
-            if job.heartbeat is not None:
+            if job.worker is not None:
                 entry["heartbeat_age"] = round(
-                    now - job.heartbeat.value, 3)
+                    now - job.worker.heartbeat.value, 3)
             active.append(entry)
         journal: Dict[str, Any] = {
             "enabled": self._journal is not None,
@@ -666,7 +657,7 @@ class SolveServer:
             outcome = await self._run_attempt(job, attempt, budget)
             if outcome.partial is not None:
                 job.partial = outcome.partial
-                burned = stats_from_dict(outcome.partial["stats"])
+                burned = SolverStats.from_dict(outcome.partial["stats"])
                 if spent is None:
                     spent = burned
                 else:
@@ -710,20 +701,6 @@ class SolveServer:
         the event loop."""
         config = self.config
         request = job.request
-        ctx = multiprocessing.get_context()
-        reader, writer = ctx.Pipe(duplex=False)
-        heartbeat = ctx.Value("d", time.monotonic())
-        job.heartbeat = heartbeat
-        job.attempt_started = time.monotonic()
-        fault_action = None
-        kill_after = 2
-        corrupt_checkpoints = False
-        if self.fault_plan is not None:
-            fault_action = self.fault_plan.action(request.job_id,
-                                                  attempt)
-            kill_after = self.fault_plan.kill_after_checkpoints
-            corrupt_checkpoints = self.fault_plan.corrupts_checkpoint(
-                request.job_id, attempt)
         proof_path = None
         if request.certify:
             proof_path = os.path.join(
@@ -739,71 +716,52 @@ class SolveServer:
         solver_config = self.solver_config
         if attempt > 0:
             solver_config = solver_config.perturbed(attempt)
-        proc = ctx.Process(
-            target=_job_worker_main,
-            args=(request.job_id, attempt, request.clause_lits,
-                  request.num_vars, solver_config, budget, heartbeat,
-                  writer, fault_action, kill_after,
-                  config.progress_interval, proof_path,
-                  config.worker_check_interval, trace_path,
-                  job.last_checkpoint, corrupt_checkpoints),
-            daemon=True)
-        proc.start()
-        writer.close()
+        worker = WorkerAttempt(AttemptSpec(
+            key=request.job_id, attempt=attempt,
+            clause_lits=request.clause_lits, num_vars=request.num_vars,
+            config=solver_config, budget=budget,
+            fault_plan=self.fault_plan,
+            progress_interval=config.progress_interval,
+            proof_path=proof_path, resume_blob=job.last_checkpoint,
+            check_interval=config.worker_check_interval, metrics=True,
+            trace_path=trace_path))
+        job.worker = worker
         started = time.monotonic()
         deadline = (None if budget.wall_seconds is None
                     else started + budget.wall_seconds
                     + config.poll_interval)
         partial: Optional[Dict[str, Any]] = None
-        died_at: Optional[float] = None
         try:
             while True:
                 now = time.monotonic()
-                try:
-                    while reader.poll(0):
-                        payload = reader.recv()
-                        if _is_checkpoint(payload):
-                            if self._record_checkpoint(job, payload):
-                                continue
-                            proc.terminate()
-                            return _Attempt("poison", partial=partial)
-                        parsed = self._parse_payload(
-                            request, payload, partial, proof_path)
-                        if parsed is None:
-                            continue          # stale attempt echo
-                        if isinstance(parsed, dict):
-                            partial = parsed  # progress snapshot
-                            await self._stream_progress(job, parsed)
-                            continue
-                        if parsed.kind != "result":
-                            proc.terminate()
-                        parsed.partial = partial
-                        return parsed
-                except (EOFError, OSError):
-                    pass              # sender gone; liveness decides
+                for message in worker.drain():
+                    tag = message[0]
+                    if tag == "checkpoint":
+                        job.last_checkpoint = message[3]
+                        self.metrics.record_checkpoint(request.tenant)
+                    elif tag == "progress":
+                        _, _, number, elapsed, stats, extras = message
+                        partial = {"attempt": number,
+                                   "elapsed": round(elapsed, 4),
+                                   "stats": stats, "extras": extras}
+                        await self._stream_progress(job, partial)
+                    elif tag == "result":
+                        _, _, _, status, model, stats = message
+                        return _Attempt("result", status=status,
+                                        model=model, stats=stats,
+                                        partial=partial,
+                                        proof_path=proof_path)
+                    else:
+                        return _Attempt("poison", partial=partial)
                 if deadline is not None and now >= deadline:
-                    proc.terminate()
                     return _Attempt("deadline", partial=partial)
-                if not proc.is_alive():
-                    if died_at is None:
-                        died_at = now
-                    elif now - died_at >= _DEATH_GRACE:
-                        return _Attempt("crash", partial=partial)
-                else:
-                    died_at = None
-                    if now - heartbeat.value > config.hang_timeout:
-                        proc.terminate()
-                        return _Attempt("hang", partial=partial)
+                fate = worker.liveness(now, config.hang_timeout)
+                if fate is not None:
+                    return _Attempt(fate, partial=partial)
                 await asyncio.sleep(config.poll_interval)
         finally:
-            job.heartbeat = None
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():       # pragma: no cover
-                proc.kill()
-                proc.join(timeout=5.0)
-            reader.close()
+            job.worker = None
+            worker.stop()
 
     async def _stream_progress(self, job: _Job,
                                progress: Dict[str, Any]) -> None:
@@ -859,82 +817,12 @@ class SolveServer:
         except (ConnectionError, OSError):
             job.send_frame = None   # client gone; stop relaying
 
-    def _record_checkpoint(self, job: _Job, payload) -> bool:
-        """Audit one piggybacked checkpoint payload; keep the blob.
-
-        Shape-audited only (id echo, attempt, bounded bytes): the
-        checksum is deliberately left for the *consuming* worker's
-        loader to verify, because that respawn path must survive a
-        corrupt blob anyway -- verifying here would just hide that
-        path from the corruption fault.
-        """
-        _tag, job_id, attempt, blob = payload
-        if (job_id != job.request.job_id
-                or not isinstance(attempt, int)
-                or isinstance(attempt, bool) or attempt < 0
-                or not isinstance(blob, (bytes, bytearray))
-                or len(blob) > _MAX_CHECKPOINT_BLOB):
-            return False
-        job.last_checkpoint = bytes(blob)
-        self.metrics.record_checkpoint(job.request.tenant)
-        return True
-
-    def _parse_payload(self, request: SubmitRequest, payload,
-                       partial, proof_path):
-        """Audit one worker pipe payload.
-
-        Returns a progress dict, a terminal :class:`_Attempt`
-        (``result`` for a believed verdict, ``poison`` for anything
-        malformed -- the sender loses all trust), or None for a stale
-        echo that should be skipped.
-        """
-        if (isinstance(payload, tuple) and len(payload) in (5, 6)
-                and payload[0] == "progress"):
-            _tag, job_id, attempt, elapsed, stats_dict = payload[:5]
-            extras = payload[5] if len(payload) == 6 else {}
-            if (job_id != request.job_id
-                    or not isinstance(attempt, int)
-                    or not isinstance(elapsed, (int, float))
-                    or isinstance(elapsed, bool) or elapsed < 0
-                    or not isinstance(stats_dict, dict)
-                    or not isinstance(extras, dict)):
-                return _Attempt("poison")
-            return {"attempt": attempt, "elapsed": round(
-                float(elapsed), 4),
-                "stats": stats_from_dict(stats_dict).as_dict(),
-                "extras": {
-                    key: value for key, value in extras.items()
-                    if isinstance(key, str)
-                    and isinstance(value, (int, float))
-                    and not isinstance(value, bool)}}
-        if (isinstance(payload, tuple) and len(payload) == 6
-                and payload[0] == "result"):
-            _tag, job_id, attempt, status_name, model, stats = payload
-            if (job_id != request.job_id
-                    or status_name not in Status.__members__
-                    or not isinstance(stats, dict)):
-                return _Attempt("poison")
-            if model is not None:
-                if not isinstance(model, dict) or not all(
-                        isinstance(k, int) and isinstance(v, bool)
-                        for k, v in model.items()):
-                    return _Attempt("poison")
-            if Status[status_name] is Status.SATISFIABLE:
-                if model is None or not _model_satisfies(
-                        request.clause_lits, model):
-                    return _Attempt("poison")
-            return _Attempt("result", status_name=status_name,
-                            model=model,
-                            stats=stats_from_dict(stats).as_dict(),
-                            proof_path=proof_path)
-        return _Attempt("poison")
-
     # -- terminal bodies -----------------------------------------------
 
     def _result_body(self, job: _Job, attempts: int,
                      outcome: _Attempt) -> Dict[str, Any]:
         request = job.request
-        status = Status[outcome.status_name]
+        status = outcome.status
         degraded = False
         reason = None
         certificate = None

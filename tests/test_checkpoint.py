@@ -221,7 +221,9 @@ class TestSupervisorWarmRespawn:
 
     @pytest.mark.slow
     def test_killed_worker_respawns_warm(self):
-        plan = FaultPlan(kills={0: 1}, kill_after_checkpoints=2)
+        # 100 cooperative checkpoints: late enough that the dying
+        # attempt has learned clauses for the respawn to import.
+        plan = FaultPlan(kills={0: 1}, kill_after_checkpoints=100)
         supervisor = Supervisor(
             [self._config()], budget=Budget(wall_seconds=120.0),
             fault_plan=plan, progress_interval=0.05,
@@ -245,3 +247,16 @@ class TestSupervisorWarmRespawn:
         assert report.result.status is Status.UNSATISFIABLE
         assert report.workers[0].attempts == 2
         assert report.result.stats.warm_resumes == 0
+
+    def test_kill_fires_without_progress_snapshots(self):
+        # The kill counts cooperative checkpoints, not progress sends,
+        # so it must fire with progress snapshots switched off too.
+        plan = FaultPlan(kills={0: 1}, kill_after_checkpoints=2)
+        supervisor = Supervisor(
+            [self._config()], budget=Budget(wall_seconds=120.0),
+            fault_plan=plan, progress_interval=None,
+            backoff_seconds=0.05)
+        report = supervisor.run(pigeonhole(6))
+        assert report.result.status is Status.UNSATISFIABLE
+        assert report.workers[0].attempts == 2
+        assert report.total_respawns == 1

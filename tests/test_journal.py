@@ -198,8 +198,10 @@ class TestServerJournal:
 @pytest.mark.slow
 class TestWarmServiceRetry:
     def test_killed_attempt_retries_warm(self):
+        # 100 cooperative checkpoints: late enough that the killed
+        # attempt has learned clauses for the retry to import.
         plan = ServiceFaultPlan(kills={"job-w": 1},
-                                kill_after_checkpoints=2)
+                                kill_after_checkpoints=100)
         formula = pigeonhole(6)
         with InProcessClient(fast_config(), fault_plan=plan) as client:
             response = client.submit("job-w", **clause_payload(formula))
@@ -207,6 +209,7 @@ class TestWarmServiceRetry:
             assert body["status"] == "UNSATISFIABLE"
             assert body["attempts"] == 2
             assert body["stats"]["warm_resumes"] >= 1
+            assert body["stats"]["checkpoint_imported_clauses"] > 0
             metrics = client.metrics()["text"]
             assert 'service_warm_retries_total{tenant="default"} 1' \
                 in metrics
@@ -231,13 +234,14 @@ class TestWarmServiceRetry:
         # DRUP proof (imported prefix + new derivations) must pass
         # the server's independent checker, not be demoted.
         plan = ServiceFaultPlan(kills={"job-cert": 1},
-                                kill_after_checkpoints=4)
+                                kill_after_checkpoints=100)
         formula = pigeonhole(5)
         with InProcessClient(fast_config(), fault_plan=plan) as client:
             response = client.submit("job-cert", certify=True,
                                      **clause_payload(formula))
             body = response["body"]
             assert body["status"] == "UNSATISFIABLE"
+            assert body["stats"]["checkpoint_imported_clauses"] > 0
             assert body["degraded"] is False
             assert body["certificate"]["valid"] is True
             assert body["certificate"]["kind"] == "proof"

@@ -52,6 +52,7 @@ PUBLIC_MODULES = [
     "repro.solvers.proof",
     "repro.runtime",
     "repro.runtime.budget",
+    "repro.runtime.attempt",
     "repro.runtime.supervisor",
     "repro.runtime.faults",
     "repro.obs",
@@ -108,7 +109,7 @@ class TestDocstringDiscipline:
         "repro.cnf.formula", "repro.cnf.clause",
         "repro.solvers.cdcl", "repro.solvers.circuit_sat",
         "repro.circuits.netlist", "repro.bdd.manager",
-        "repro.apps.atpg",
+        "repro.apps.atpg", "repro.runtime.attempt",
     ])
     def test_public_callables_documented(self, module_name):
         module = importlib.import_module(module_name)

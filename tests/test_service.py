@@ -20,9 +20,9 @@ import pytest
 from repro.cnf.generators import pigeonhole, random_ksat
 from repro.runtime.faults import (
     CRASH,
+    GARBAGE,
     HANG,
     KILL_MIDJOB,
-    POISON,
     ServiceFaultPlan,
 )
 from repro.service import (
@@ -71,7 +71,7 @@ class TestServiceFaultPlan:
         assert plan.action("j", 0) == CRASH
         assert plan.action("j", 1) == KILL_MIDJOB
         assert plan.action("j", 2) == HANG
-        assert plan.action("j", 3) == POISON
+        assert plan.action("j", 3) == GARBAGE
         assert plan.action("j", 4) is None
         assert plan.action("other", 0) is None
 

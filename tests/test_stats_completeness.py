@@ -11,7 +11,6 @@ again.
 
 from dataclasses import fields
 
-from repro.runtime.supervisor import stats_from_dict, stats_to_dict
 from repro.solvers.result import SolverStats
 
 
@@ -87,11 +86,12 @@ class TestFromDictAudit:
 class TestSupervisorWireFormat:
     def test_round_trip_preserves_every_field(self):
         stats = fully_populated()
-        rebuilt = stats_from_dict(stats_to_dict(stats))
+        rebuilt = SolverStats.from_dict(stats.as_dict())
         for f in fields(SolverStats):
             assert getattr(rebuilt, f.name) == \
                 getattr(stats, f.name), f.name
 
     def test_malformed_payload_yields_defaults(self):
-        rebuilt = stats_from_dict({"decisions": None, "evil": object()})
+        rebuilt = SolverStats.from_dict({"decisions": None,
+                                         "evil": object()})
         assert rebuilt == SolverStats()

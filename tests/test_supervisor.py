@@ -155,25 +155,25 @@ class TestRespawnBudgetThreading:
         # Record every worker attempt's budget by wrapping the worker
         # entry point; the fork start method carries the patched
         # module global into the children.
-        import repro.runtime.supervisor as sup
+        import repro.runtime.attempt as attempt_runtime
 
         log = tmp_path / "budgets.jsonl"
-        real_worker = sup._worker_main
+        real_worker = attempt_runtime.worker_main
 
-        def recording_worker(index, attempt, clause_lits, num_vars,
-                             config, budget, *args, **kwargs):
+        def recording_worker(spec, *args):
             import json
+            budget = spec.budget
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps({
-                    "attempt": attempt,
+                    "attempt": spec.attempt,
                     "wall": None if budget is None
                     else budget.wall_seconds,
                     "max_conflicts": None if budget is None
                     else budget.max_conflicts}) + "\n")
-            return real_worker(index, attempt, clause_lits, num_vars,
-                               config, budget, *args, **kwargs)
+            return real_worker(spec, *args)
 
-        monkeypatch.setattr(sup, "_worker_main", recording_worker)
+        monkeypatch.setattr(attempt_runtime, "worker_main",
+                            recording_worker)
         from repro.runtime.budget import Budget
         report = Supervisor(default_portfolio(1),
                             budget=Budget(wall_seconds=30.0,
