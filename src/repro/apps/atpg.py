@@ -35,7 +35,10 @@ from repro.circuits.faults import (
 )
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
-from repro.circuits.simulate import simulate
+from repro.circuits.parallel_sim import (
+    fault_parallel_detects,
+    parallel_fault_simulate,
+)
 from repro.circuits.tseitin import encode_circuit, encode_miter
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
@@ -214,8 +217,11 @@ class ATPGEngine:
     method:
         per-fault solving path (see :func:`solve_fault`).
     fault_dropping:
-        simulate each generated vector against remaining faults and
-        drop the detected ones (the iterated-SAT usage of Section 6).
+        simulate each SAT-generated vector once against every fault
+        not yet detected -- fault-parallel, one machine per bit
+        (:func:`repro.circuits.parallel_sim.fault_parallel_detects`)
+        -- and drop the detected ones, so SAT targets only faults no
+        earlier vector covers (the iterated-SAT usage of Section 6).
     collapse:
         apply structural fault collapsing before generation.
     max_conflicts:
@@ -304,9 +310,6 @@ class ATPGEngine:
         if self.random_patterns > 0:
             # Random-pattern grading phase (bit-parallel): the classic
             # front-end that leaves only hard faults to the SAT engine.
-            from repro.circuits.parallel_sim import (
-                parallel_fault_simulate,
-            )
             vectors = [
                 {name: self.rng.random() < 0.5
                  for name in self.circuit.inputs}
@@ -362,10 +365,13 @@ class ATPGEngine:
             vector = self._complete_vector(result.vector)
             report.vectors.append(vector)
             if self.fault_dropping:
-                for other in remaining:
-                    if other == fault or detected_early.get(other):
-                        continue
-                    if self._detects(vector, other):
+                candidates = [other for other in remaining
+                              if other != fault
+                              and not detected_early.get(other)]
+                hits = fault_parallel_detects(self.circuit, candidates,
+                                              vector)
+                for other, hit in zip(candidates, hits):
+                    if hit:
                         detected_early[other] = True
         return report
 
@@ -376,13 +382,6 @@ class ATPGEngine:
         return {name: (self.rng.random() < 0.5 if value is None
                        else bool(value))
                 for name, value in cube.items()}
-
-    def _detects(self, vector: Dict[str, bool],
-                 fault: StuckAtFault) -> bool:
-        good = simulate(self.circuit, vector)
-        bad = simulate(self.circuit, vector,
-                       faults={fault.node: fault.value})
-        return any(good[out] != bad[out] for out in self.circuit.outputs)
 
 
 class IncrementalATPG:

@@ -106,9 +106,11 @@ def fault_simulate(circuit: Circuit, faults: Iterable[StuckAtFault],
     """Serial fault simulation: for each fault, the index of the first
     detecting vector (``None`` when undetected).
 
-    Applications use this for *fault dropping*: faults detected by an
-    already-generated vector need no dedicated SAT call (Section 3's
-    iterated-SAT usage pattern).
+    The serial reference: one good and one faulty
+    :func:`~repro.circuits.simulate.simulate` pass per (fault, vector)
+    pair.  ATPG fault dropping and random-pattern grading run the
+    bit-parallel simulators of :mod:`repro.circuits.parallel_sim`,
+    which the tests hold equal to this function and :func:`detects`.
     """
     result: Dict[StuckAtFault, Optional[int]] = {f: None for f in faults}
     goods = [simulate(circuit, vector) for vector in vectors]

@@ -1,15 +1,24 @@
-"""Bit-parallel (pattern-parallel) circuit simulation.
+"""Bit-parallel circuit simulation, pattern- and fault-parallel.
 
-The classic EDA trick: a Python integer carries one bit per test
-pattern, so a single pass of bitwise operations simulates the whole
-pattern block at once.  Fault simulation -- the inner loop of every
-ATPG flow (Section 3) -- is where this pays: the engine simulates the
-good machine once per block and each fault against the block, instead
-of once per (fault, vector) pair.
+The classic EDA trick: a Python integer carries one bit per simulated
+machine, so a single pass of bitwise operations simulates them all at
+once.  Fault simulation -- the inner loop of every ATPG flow (Section
+3) -- is where this pays, in two directions:
 
-Word width is unbounded (Python ints), so a "block" can be thousands
-of patterns; helpers pack/unpack between vector dicts and pattern
-words.
+* *pattern-parallel* (:func:`simulate_parallel`,
+  :func:`parallel_fault_simulate`): bit *i* is test pattern *i*; the
+  good machine is simulated once per block and each fault once
+  against the whole block.  This grades many patterns at a time
+  (random-pattern fault grading, re-checking a finished test set).
+* *fault-parallel* (:func:`fault_parallel_detects`): bit 0 is the good
+  machine and bit *i* the machine with fault *i*, all under one
+  pattern, so one pass drops every fault a freshly generated test
+  vector detects -- the per-vector fault dropping of deterministic
+  ATPG.
+
+Word width is unbounded (Python ints), so a word can carry thousands
+of patterns or faults; helpers pack/unpack between vector dicts and
+pattern words.
 """
 
 from __future__ import annotations
@@ -130,6 +139,57 @@ def parallel_fault_simulate(circuit: Circuit,
         else:
             results[fault] = None
     return results
+
+
+def fault_parallel_detects(circuit: Circuit,
+                           faults: Sequence[StuckAtFault],
+                           vector: Dict[str, bool]) -> List[bool]:
+    """Fault-parallel simulation of one input *vector*.
+
+    Bit 0 of each node's word is the good machine, bit *i* the machine
+    with ``faults[i - 1]``.  A faulty machine's stuck bit is forced
+    right after its node is evaluated -- where
+    :func:`repro.circuits.simulate.simulate` forces it -- so faults on
+    primary inputs and outputs behave exactly as there.  Returns, per
+    fault, whether some primary output differs from the good machine:
+    the flag :func:`repro.circuits.faults.detects` computes with two
+    serial passes.  Like ``simulate``, a vector missing a primary input
+    raises ``KeyError``.  Combinational circuits only.
+    """
+    if circuit.is_sequential():
+        raise ValueError("fault-parallel simulation is combinational "
+                         "only")
+    ones = (1 << (len(faults) + 1)) - 1
+    stuck_one: Dict[str, int] = {}
+    stuck_zero: Dict[str, int] = {}
+    for bit, fault in enumerate(faults, start=1):
+        masks = stuck_one if fault.value else stuck_zero
+        masks[fault.node] = masks.get(fault.node, 0) | (1 << bit)
+
+    words: Dict[str, int] = {}
+    for name in circuit.topological_order():
+        node = circuit.node(name)
+        if node.gate_type is GateType.INPUT:
+            value = ones if vector[name] else 0
+        elif node.gate_type is GateType.CONST0:
+            value = 0
+        elif node.gate_type is GateType.CONST1:
+            value = ones
+        else:
+            value = _gate_word(node.gate_type,
+                               [words[f] for f in node.fanins], ones)
+        if name in stuck_one:
+            value |= stuck_one[name]
+        if name in stuck_zero:
+            value &= ~stuck_zero[name]
+        words[name] = value
+
+    difference = 0
+    for output in circuit.outputs:
+        word = words[output]
+        difference |= word ^ (ones if word & 1 else 0)
+    return [bool((difference >> bit) & 1)
+            for bit in range(1, len(faults) + 1)]
 
 
 def random_pattern_coverage(circuit: Circuit,

@@ -2,7 +2,8 @@
 
 Simulation is the substrate several applications lean on:
 
-* ATPG (Section 3) uses good/faulty simulation for fault dropping,
+* ATPG (Section 3) checks test vectors by good/faulty simulation
+  (the serial reference for :mod:`repro.circuits.parallel_sim`),
 * equivalence checking uses random simulation as a cheap prefilter
   before invoking SAT on the miter,
 * BMC cross-checks counterexample traces,

@@ -37,6 +37,8 @@ out), extended with 30 for an UNKNOWN that exists only because a
 claimed answer failed certification (a demotion is a bug report, not
 a timeout, and scripts must be able to tell them apart); rejected or
 malformed service submissions exit 2, and 0/1 = pass/fail elsewhere.
+An input file that cannot be read or parsed, or a sequential netlist
+given to ``atpg``, is one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -81,6 +83,23 @@ def _tracer_from_args(args):
     tracer = Tracer(sink)
     tracer.emit_meta()
     return tracer
+
+
+class _BadInput(Exception):
+    """An input file that cannot be used; :func:`main` prints it as
+    one ``error:`` line and exits 2."""
+
+
+def _read_input(loader, path: str):
+    """``loader(path)``, with an unreadable or malformed file raised
+    as :class:`_BadInput` instead of a traceback."""
+    from repro.circuits.bench_format import BenchFormatError
+    from repro.cnf.dimacs import DimacsError
+    try:
+        return loader(path)
+    except (OSError, UnicodeDecodeError, DimacsError,
+            BenchFormatError) as exc:
+        raise _BadInput(f"cannot read {path}: {exc}") from None
 
 
 def _add_obs_flags(subparser) -> None:
@@ -129,7 +148,7 @@ def _cmd_solve(args) -> int:
         from repro.solvers.inprocess import InprocessConfig
         inprocess_config = InprocessConfig(
             interval=args.inprocess_interval)
-    formula = load_dimacs(args.file)
+    formula = _read_input(load_dimacs, args.file)
     lift = None
     certified_preprocess = args.certify and args.preprocess
     if args.preprocess and not certified_preprocess:
@@ -224,7 +243,10 @@ def _cmd_atpg(args) -> int:
     from repro.apps.atpg import ATPGEngine, TestOutcome
     from repro.circuits.bench_format import load_bench
 
-    circuit = load_bench(args.file)
+    circuit = _read_input(load_bench, args.file)
+    if circuit.is_sequential():
+        raise _BadInput(f"{args.file} is sequential; ATPG is "
+                        f"combinational only")
     engine = ATPGEngine(circuit, collapse=args.collapse,
                         fault_dropping=not args.no_dropping,
                         budget=_budget_from_args(args),
@@ -264,8 +286,8 @@ def _cmd_cec(args) -> int:
     from repro.apps.equivalence import check_equivalence
     from repro.circuits.bench_format import load_bench
 
-    left = load_bench(args.left)
-    right = load_bench(args.right)
+    left = _read_input(load_bench, args.left)
+    right = _read_input(load_bench, args.right)
     if args.certify and args.preprocess:
         print("error: --certify is incompatible with --preprocess "
               "(the proof would certify the preprocessed miter, not "
@@ -305,7 +327,7 @@ def _cmd_bmc(args) -> int:
     from repro.apps.bmc import check_safety
     from repro.circuits.bench_format import load_bench
 
-    circuit = load_bench(args.file)
+    circuit = _read_input(load_bench, args.file)
     output = args.output or circuit.outputs[0]
     result = check_safety(circuit, output, bad_value=not args.low,
                           max_depth=args.depth,
@@ -348,7 +370,7 @@ def _cmd_delay(args) -> int:
     from repro.apps.delay import compute_delay
     from repro.circuits.bench_format import load_bench
 
-    circuit = load_bench(args.file)
+    circuit = _read_input(load_bench, args.file)
     report = compute_delay(circuit, max_paths=args.max_paths)
     print(f"topological delay:  {report.topological_delay}")
     print(f"sensitizable delay: {report.sensitizable_delay}")
@@ -361,7 +383,7 @@ def _cmd_delay(args) -> int:
 def _cmd_info(args) -> int:
     from repro.circuits.bench_format import load_bench
 
-    circuit = load_bench(args.file)
+    circuit = _read_input(load_bench, args.file)
     for key, value in circuit.stats().items():
         print(f"{key}: {value}")
     return 0
@@ -373,7 +395,7 @@ def _cmd_optimize(args) -> int:
     from repro.circuits.bench_format import load_bench, save_bench
     from repro.circuits.strash import structural_hash
 
-    circuit = load_bench(args.file)
+    circuit = _read_input(load_bench, args.file)
     before = circuit.num_gates()
     optimized = sweep(structural_hash(circuit))
     if not args.no_redundancy and not optimized.is_sequential():
@@ -406,7 +428,7 @@ def _cmd_check(args) -> int:
     from repro.cnf.dimacs import load_dimacs
     from repro.verify.checker import check_proof_file
 
-    formula = load_dimacs(args.formula)
+    formula = _read_input(load_dimacs, args.formula)
     outcome = check_proof_file(formula, args.proof)
     if outcome.valid:
         print(f"VALID: {outcome.adds} additions, {outcome.deletes} "
@@ -521,18 +543,17 @@ def _progress_printer():
     return show
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _cmd_submit(args) -> int:
     from repro.service.client import ServiceClient
 
     dimacs = None
     if args.file is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                dimacs = handle.read()
-        except OSError as exc:
-            print(f"error: cannot read {args.file}: {exc}",
-                  file=sys.stderr)
-            return 2
+        dimacs = _read_input(_read_text, args.file)
     try:
         client = ServiceClient(args.host, args.port,
                                timeout=args.client_timeout)
@@ -910,6 +931,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.obs_tracer = tracer
     try:
         return args.handler(args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream closed stdout early (| head, | grep -q).  Follow
         # the shell's SIGPIPE convention: 128 + SIGPIPE, no traceback.

@@ -12,7 +12,12 @@ from repro.apps.atpg import (
 )
 from repro.circuits.faults import StuckAtFault, detects, full_fault_list
 from repro.circuits.library import c17, half_adder, redundant_or_chain
-from repro.circuits.generators import ripple_carry_adder
+from repro.circuits.generators import (
+    alu,
+    array_multiplier,
+    mux_tree,
+    ripple_carry_adder,
+)
 
 
 class TestSolveFault:
@@ -107,6 +112,37 @@ class TestATPGEngine:
         assert report.count(TestOutcome.DETECTED) == 1
         assert report.fault_coverage == 0.5
         assert ATPGReport().fault_coverage == 1.0
+
+
+class TestFaultDroppingDecisions:
+    """Which faults are dropped, not just how many: checked against
+    the serial reference :func:`repro.circuits.faults.detects`."""
+
+    @pytest.mark.parametrize("collapse", [False, True],
+                             ids=["full", "collapsed"])
+    @pytest.mark.parametrize("factory", [
+        c17, lambda: alu(3), lambda: mux_tree(3),
+        lambda: array_multiplier(3), redundant_or_chain,
+    ], ids=["c17", "alu3", "mux3", "mul3", "redundant-or"])
+    def test_dropped_exactly_when_an_earlier_vector_detects(
+            self, factory, collapse):
+        circuit = factory()
+        report = ATPGEngine(circuit, collapse=collapse).run()
+        vectors = iter(report.vectors)
+        earlier = []
+        for result in report.results:
+            covered = any(detects(circuit, result.fault, vector)
+                          for vector in earlier)
+            if result.outcome is TestOutcome.DETECTED_BY_SIMULATION:
+                assert covered, result.fault
+                continue
+            # SAT targeted it: no earlier vector may detect it.
+            assert not covered, result.fault
+            if result.outcome is TestOutcome.DETECTED:
+                vector = next(vectors)
+                assert detects(circuit, result.fault, vector)
+                earlier.append(vector)
+        assert next(vectors, None) is None
 
 
 class TestIncrementalATPG:

@@ -183,6 +183,61 @@ class TestOptimize:
         assert "EQUIVALENT" in capsys.readouterr().out
 
 
+def assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for needle in needles:
+        assert needle in lines[0], err
+
+
+class TestBadInput:
+    """A missing, malformed or unusable input file is one ``error:``
+    line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("kind", ["missing", "malformed",
+                                      "not-utf8"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{cnf}"],
+        ["check", "{cnf}", "{proof}"],
+        ["atpg", "{bench}"],
+        ["cec", "{bench}", "{good}"],
+        ["cec", "{good}", "{bench}"],
+        ["bmc", "{bench}"],
+        ["delay", "{bench}"],
+        ["info", "{bench}"],
+        ["optimize", "{bench}"],
+    ], ids=lambda argv: "-".join(a.strip("{}") for a in argv))
+    def test_bad_file(self, tmp_path, capsys, c17_path, argv, kind):
+        suffix = ".cnf" if "{cnf}" in argv else ".bench"
+        path = tmp_path / f"bad{suffix}"
+        if kind == "malformed":
+            path.write_text("p cnf x y\n" if suffix == ".cnf"
+                            else "INPUT(a)\ny = FOO(a)\n")
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe\xfa\n")
+        values = {"cnf": str(path), "bench": str(path),
+                  "good": c17_path, "proof": str(tmp_path / "p.drup")}
+        code = main([arg.format(**values) for arg in argv])
+        assert code == 2
+        assert_one_error_line(capsys, "cannot read", str(path))
+
+    @pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+    def test_submit_unreadable_file(self, tmp_path, capsys, kind):
+        path = tmp_path / "job.cnf"
+        if kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe\xfa\n")
+        # The file is read before any connection is attempted.
+        assert main(["submit", str(path), "--port", "1"]) == 2
+        assert_one_error_line(capsys, "cannot read", str(path))
+
+    def test_atpg_rejects_sequential_netlist(self, tmp_path, capsys):
+        path = str(tmp_path / "cnt.bench")
+        save_bench(binary_counter(2), path)
+        assert main(["atpg", path]) == 2
+        assert_one_error_line(capsys, path, "sequential")
+
+
 class TestObservability:
     def sat_path(self, tmp_path):
         formula = random_ksat_at_ratio(12, ratio=3.0, seed=0)

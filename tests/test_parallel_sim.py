@@ -6,12 +6,20 @@ import pytest
 
 from repro.circuits.faults import (
     StuckAtFault,
+    detects,
     fault_simulate,
     full_fault_list,
 )
-from repro.circuits.generators import alu, ripple_carry_adder
+from repro.circuits.gates import GateType
+from repro.circuits.generators import (
+    alu,
+    binary_counter,
+    ripple_carry_adder,
+)
 from repro.circuits.library import c17, half_adder
+from repro.circuits.netlist import Circuit
 from repro.circuits.parallel_sim import (
+    fault_parallel_detects,
     pack_vectors,
     parallel_fault_simulate,
     random_pattern_coverage,
@@ -102,6 +110,104 @@ class TestParallelFaultSimulation:
         result = parallel_fault_simulate(
             circuit, [StuckAtFault("carry", True)], vectors)
         assert result[StuckAtFault("carry", True)] == 1
+
+
+def const_driver_and_fanout_output():
+    """A CONST1 driver, and a primary output that also feeds gates."""
+    circuit = Circuit("const_po")
+    circuit.add_input("a")
+    circuit.add_input("b")
+    circuit.add_const("one", True)
+    circuit.add_gate("n1", GateType.AND, ["a", "one"])
+    circuit.add_gate("n2", GateType.XOR, ["n1", "b"])
+    circuit.add_gate("y", GateType.NOR, ["n1", "n2"])
+    circuit.set_output("n1")
+    circuit.set_output("y")
+    return circuit
+
+
+def serial_flags(circuit, faults, vector):
+    return [detects(circuit, fault, vector) for fault in faults]
+
+
+class TestFaultParallelDetects:
+    """The fault-parallel kernel against the serial reference
+    :func:`repro.circuits.faults.detects`: results must be equal."""
+
+    @pytest.mark.parametrize("factory", [
+        c17, lambda: alu(2), lambda: ripple_carry_adder(3),
+        const_driver_and_fanout_output,
+    ], ids=["c17", "alu2", "rca3", "const-po-fanout"])
+    def test_matches_serial_reference(self, factory):
+        circuit = factory()
+        faults = full_fault_list(circuit)
+        flags_seen = set()
+        for vector in random_vectors(circuit, 12, seed=6):
+            flags = fault_parallel_detects(circuit, faults, vector)
+            assert flags == serial_flags(circuit, faults, vector)
+            flags_seen.update(flags)
+        assert flags_seen == {False, True}
+
+    def test_empty_fault_list(self):
+        circuit = c17()
+        vector = random_vectors(circuit, 1)[0]
+        assert fault_parallel_detects(circuit, [], vector) == []
+
+    def test_both_stuck_values_on_one_node(self):
+        circuit = const_driver_and_fanout_output()
+        for vector in random_vectors(circuit, 4, seed=7):
+            good = simulate(circuit, vector)
+            for node in ("a", "n1", "n2", "y"):
+                faults = [StuckAtFault(node, False),
+                          StuckAtFault(node, True)]
+                flags = fault_parallel_detects(circuit, faults, vector)
+                assert flags == serial_flags(circuit, faults, vector)
+                # Stuck at its own value the node changes nothing.
+                assert not flags[int(good[node])]
+
+    def test_duplicated_fault(self):
+        circuit = alu(2)
+        faults = full_fault_list(circuit)[:6]
+        faults = faults + faults[::2]
+        for vector in random_vectors(circuit, 6, seed=8):
+            flags = fault_parallel_detects(circuit, faults, vector)
+            assert flags == serial_flags(circuit, faults, vector)
+            assert flags[6:] == flags[0:6:2]
+
+    @pytest.mark.parametrize("factory", [
+        c17, lambda: alu(2), const_driver_and_fanout_output,
+    ], ids=["c17", "alu2", "const-po-fanout"])
+    def test_primary_input_and_output_faults(self, factory):
+        circuit = factory()
+        faults = [StuckAtFault(name, value)
+                  for name in circuit.inputs + circuit.outputs
+                  for value in (False, True)]
+        for vector in random_vectors(circuit, 8, seed=9):
+            flags = fault_parallel_detects(circuit, faults, vector)
+            assert flags == serial_flags(circuit, faults, vector)
+            good = simulate(circuit, vector)
+            # A primary-output fault is detected iff it flips the PO.
+            for fault, flag in zip(faults, flags):
+                if fault.node in circuit.outputs:
+                    assert flag == (good[fault.node] != fault.value)
+
+    def test_missing_input_raises_key_error(self):
+        circuit = c17()
+        vector = random_vectors(circuit, 1)[0]
+        del vector[circuit.inputs[2]]
+        with pytest.raises(KeyError):
+            simulate(circuit, vector)
+        with pytest.raises(KeyError):
+            fault_parallel_detects(circuit, full_fault_list(circuit),
+                                   vector)
+        with pytest.raises(KeyError):
+            fault_parallel_detects(circuit, [], vector)
+
+    def test_sequential_circuit_rejected(self):
+        circuit = binary_counter(2)
+        vector = {name: False for name in circuit.inputs}
+        with pytest.raises(ValueError):
+            fault_parallel_detects(circuit, [], vector)
 
 
 class TestRandomPatternCoverage:

@@ -14,9 +14,15 @@ from conftest import brute_force_status
 
 from repro.bdd.manager import BDDManager
 from repro.circuits.bench_format import parse_bench, write_bench
-from repro.circuits.faults import StuckAtFault, detects, inject_fault
+from repro.circuits.faults import (
+    StuckAtFault,
+    detects,
+    full_fault_list,
+    inject_fault,
+)
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
+from repro.circuits.parallel_sim import fault_parallel_detects
 from repro.circuits.simulate import exhaustive_truth_table, simulate
 from repro.cnf.cardinality import at_most_k
 from repro.cnf.formula import CNFFormula
@@ -162,6 +168,16 @@ class TestCircuitRoundTrips:
                                  faults={fault.node: fault.value})
         for good_out, new_out in zip(circuit.outputs, faulty.outputs):
             assert via_circuit[new_out] == via_injection[good_out]
+
+    @SETTINGS
+    @given(small_circuits(), st.data())
+    def test_fault_parallel_kernel_matches_serial_detects(self, circuit,
+                                                          data):
+        vector = {name: data.draw(st.booleans(), label=name)
+                  for name in circuit.inputs}
+        faults = full_fault_list(circuit)
+        assert fault_parallel_detects(circuit, faults, vector) == \
+            [detects(circuit, fault, vector) for fault in faults]
 
 
 class TestProofProperties:
