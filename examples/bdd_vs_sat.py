@@ -25,7 +25,7 @@ from repro.circuits.generators import (
 )
 from repro.circuits.tseitin import encode_miter
 from repro.experiments.tables import format_table
-from repro.solvers.proof import check_rup_proof, solve_with_proof
+from repro.verify import check_proof_steps, solve_with_proof_stream
 
 
 def ordering_demo():
@@ -69,12 +69,12 @@ def certified_unsat_demo():
     print("=== Certifying an equivalence with a RUP proof ===\n")
     encoding = encode_miter(ripple_carry_adder(3),
                             carry_select_adder(3))
-    result, proof = solve_with_proof(encoding.formula)
-    check = check_rup_proof(encoding.formula, proof)
+    result, sink = solve_with_proof_stream(encoding.formula)
+    check = check_proof_steps(encoding.formula, sink.events)
     print(f"miter: {result.status.value} "
           f"({result.stats.conflicts} conflicts)")
-    print(f"proof: {len(proof)} derivation steps, complete: "
-          f"{proof.complete}")
+    print(f"proof: {sink.adds} derivation steps, {sink.deletes} "
+          f"deletions, complete: {sink.concluded}")
     print(f"independent RUP check: "
           f"{'VALID' if check.valid else 'INVALID'} "
           f"({check.steps_checked} steps verified)")

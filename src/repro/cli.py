@@ -49,6 +49,20 @@ import sys
 from typing import List, Optional
 
 
+def _at_least(minimum, kind=int):
+    """An argparse ``type=`` for a *kind* flag that must be at least
+    *minimum*: a value out of range is a usage error (exit 2), not a
+    traceback or a silent nonsense answer from the library."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= minimum:        # NaN is out of range too
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # "invalid int value: 'x'"
+    return parse
+
+
 def _budget_from_args(args):
     """Build a :class:`repro.runtime.Budget` from the shared
     ``--timeout`` / ``--max-memory-mb`` flags (None when unset)."""
@@ -120,13 +134,13 @@ def _add_certify_flags(subparser) -> None:
 
 
 def _add_budget_flags(subparser) -> None:
-    subparser.add_argument("--timeout", type=float, default=None,
-                           metavar="SECONDS",
+    subparser.add_argument("--timeout", type=_at_least(0, float),
+                           default=None, metavar="SECONDS",
                            help="wall-clock budget; exhaustion yields "
                                 "a partial/UNKNOWN result, not an "
                                 "error")
-    subparser.add_argument("--max-memory-mb", type=float, default=None,
-                           metavar="MB",
+    subparser.add_argument("--max-memory-mb", type=_at_least(0, float),
+                           default=None, metavar="MB",
                            help="soft ceiling on process RSS; "
                                 "exceeding it stops the search")
 
@@ -682,7 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--preprocess", action="store_true",
                        help="run Preprocess() incl. equivalency "
                             "reasoning first")
-    solve.add_argument("--max-conflicts", type=int, default=None)
+    solve.add_argument("--max-conflicts", type=_at_least(0),
+                       default=None)
     solve.add_argument("--inprocess", action="store_true",
                        help="periodic in-search simplification "
                             "(subsumption, vivification, bounded "
@@ -692,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CONFLICTS",
                        help="conflicts between inprocessing runs "
                             "(default: 2000)")
-    solve.add_argument("--portfolio", type=int, default=0, metavar="N",
+    solve.add_argument("--portfolio", type=_at_least(0), default=0,
+                       metavar="N",
                        help="race N diversified CDCL configurations "
                             "in parallel (0 = single engine)")
     solve.add_argument("--stats-json", action="store_true",
@@ -723,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     cec.add_argument("left")
     cec.add_argument("right")
     cec.add_argument("--preprocess", action="store_true")
-    cec.add_argument("--portfolio", type=int, default=0, metavar="N",
+    cec.add_argument("--portfolio", type=_at_least(0), default=0,
+                     metavar="N",
                      help="race N diversified CDCL configurations on "
                           "the miter (0 = single engine)")
     cec.add_argument("--strash", action="store_true",
@@ -737,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     bmc.add_argument("file")
     bmc.add_argument("--output", default=None,
                      help="output to watch (default: first PO)")
-    bmc.add_argument("--depth", type=int, default=10)
+    bmc.add_argument("--depth", type=_at_least(0), default=10)
     bmc.add_argument("--low", action="store_true",
                      help="look for value 0 instead of 1")
     _add_budget_flags(bmc)
@@ -809,9 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=9123,
                        help="TCP port (0 = ephemeral, printed on "
                             "startup)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_at_least(1), default=2,
                        help="concurrent solve processes")
-    serve.add_argument("--queue-depth", type=int, default=8,
+    serve.add_argument("--queue-depth", type=_at_least(1), default=8,
                        help="queued jobs allowed per tenant before "
                             "load shedding")
     serve.add_argument("--max-hardness", type=float, default=5000.0,

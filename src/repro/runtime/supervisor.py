@@ -19,12 +19,12 @@ believed.  This module wraps the race in a :class:`Supervisor` that
   and treated as crashes (the worker clearly can't be trusted);
   spawning, the audit and the liveness rule are the shared
   worker-attempt runtime of :mod:`repro.runtime.attempt`;
-* **audits UNSAT claims** when a ``proof_dir`` is configured: each
-  worker streams a DRUP proof to a per-attempt file, and a worker
-  claiming UNSAT must pass the independent checker
-  (:mod:`repro.verify.checker`) before the race settles; on check
-  failure the slot degrades to ``DISCREPANT`` and the race continues
-  -- the UNSAT mirror of the SAT model audit;
+* **certifies results** when a ``proof_dir`` is configured: each
+  worker streams a DRUP proof to a per-attempt file, and every result
+  goes through :func:`repro.verify.certificate.certify_result`, so a
+  worker claiming UNSAT must pass the independent checker before the
+  race settles; on check failure the slot degrades to ``DISCREPANT``
+  and the race continues -- the UNSAT mirror of the SAT model audit;
 * enforces the race-wide wall-clock **deadline** from the
   :class:`~repro.runtime.budget.Budget`, cancelling everything still
   running when it expires;
@@ -50,6 +50,7 @@ from repro.runtime.attempt import AttemptSpec, WorkerAttempt
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultPlan
 from repro.solvers.result import SolverResult, SolverStats, Status
+from repro.verify.certificate import certify_result
 
 
 class WorkerOutcome(Enum):
@@ -167,7 +168,7 @@ class _Slot:
     __slots__ = ("index", "config", "worker", "attempts", "outcome",
                  "result", "stats", "respawn_at", "spawned_at",
                  "finished_at", "timeline", "traced_base", "proof_path",
-                 "discrepancy", "last_checkpoint")
+                 "last_checkpoint")
 
     def __init__(self, index: int, config):
         self.index = index
@@ -177,13 +178,14 @@ class _Slot:
         self.attempts = 0
         #: DRUP proof file of the *latest* attempt (proof_dir mode).
         self.proof_path: Optional[str] = None
-        #: Checker diagnostic when the slot went DISCREPANT.
-        self.discrepancy: Optional[str] = None
         #: Latest piggybacked checkpoint blob (verified only by the
         #: respawned worker's checksummed loader -- a corrupt blob
         #: demotes that respawn to a cold restart).
         self.last_checkpoint: Optional[bytes] = None
         self.outcome: Optional[WorkerOutcome] = None
+        #: The reported (certified, under proof_dir) result; for a
+        #: DISCREPANT slot the demoted UNKNOWN with its failed
+        #: certificate.
         self.result: Optional[SolverResult] = None
         self.stats: Optional[SolverStats] = None
         self.respawn_at: Optional[float] = None
@@ -230,11 +232,12 @@ class Supervisor:
         disables them and restores bare heartbeats.
     proof_dir:
         directory for per-attempt DRUP proof files.  When set, every
-        worker streams its derivation there and an UNSAT claim is only
-        believed after the independent checker validates the file; a
-        failed check settles that slot as ``DISCREPANT`` while the
-        race continues.  ``None`` (default) trusts UNSAT claims as
-        before.
+        worker streams its derivation there and every result is
+        certified: an UNSAT claim is only believed after the
+        independent checker validates the file (a failed check settles
+        that slot as ``DISCREPANT`` while the race continues), and
+        the race's result always carries a certificate.  ``None``
+        (default) trusts UNSAT claims as before.
     tracer:
         optional :class:`repro.obs.trace.Tracer`: the race becomes a
         ``portfolio.race`` span with spawn/outcome events and
@@ -345,36 +348,36 @@ class Supervisor:
         def record_result(target: _Slot, message, now: float) -> None:
             _tag, _index, _attempt, status, model, stats_dict = message
             stats = SolverStats.from_dict(stats_dict)
-            certificate = None
-            if (status is Status.UNSATISFIABLE
-                    and self.proof_dir is not None):
-                # The UNSAT mirror of the SAT model audit: the claim
-                # is only believed once the worker's streamed proof
-                # passes the independent checker.  A missing or
-                # invalid proof settles the slot as DISCREPANT and
-                # the race continues without it.
-                from repro.verify.certificate import check_unsat_proof
-                certificate = check_unsat_proof(
-                    formula, target.proof_path or "", self.tracer)
-                if not certificate.valid:
-                    target.outcome = WorkerOutcome.DISCREPANT
-                    target.discrepancy = certificate.reason
-                    target.stats = stats
-                    target.finished_at = now
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "portfolio.discrepant", worker=target.index,
-                            config=target.config.name,
-                            reason=certificate.reason
-                            or "proof check failed")
+            assignment = Assignment(model) if model is not None else None
+            result = SolverResult(status, assignment, stats)
+            if self.proof_dir is not None:
+                # The shared certification rule: an UNSAT claim is
+                # only believed once the worker's streamed proof
+                # passes the independent checker, the UNSAT mirror of
+                # the payload's model audit.
+                result = certify_result(formula, result,
+                                        target.proof_path, self.tracer)
+                if (result.status is Status.UNKNOWN
+                        and status is Status.SATISFIABLE):
+                    # A model the audit rejects: as in the payload
+                    # audit, the attempt cannot be trusted.
+                    self._handle_crash(target, now)
                     return
             target.stats = stats
             target.finished_at = now
-            assignment = Assignment(model) if model is not None else None
-            target.result = SolverResult(status, assignment, stats,
-                                         certificate=certificate)
+            target.result = result
             if status is Status.UNKNOWN:
                 target.outcome = WorkerOutcome.UNKNOWN
+            elif result.status is Status.UNKNOWN:
+                # A missing or invalid proof settles the slot as
+                # DISCREPANT; the race continues without it.
+                target.outcome = WorkerOutcome.DISCREPANT
+                if self.tracer is not None:
+                    self.tracer.event(
+                        "portfolio.discrepant", worker=target.index,
+                        config=target.config.name,
+                        reason=result.certificate.reason
+                        or "proof check failed")
 
         try:
             now = time.monotonic()
@@ -433,7 +436,7 @@ class Supervisor:
                 if slot.worker is not None:
                     slot.worker.stop()
 
-        return self._assemble(slots, started, deadline_hit)
+        return self._assemble(formula, slots, started, deadline_hit)
 
     # ------------------------------------------------------------------
 
@@ -499,8 +502,8 @@ class Supervisor:
 
     # -- report assembly ----------------------------------------------
 
-    def _assemble(self, slots: List[_Slot], started: float,
-                  deadline_hit: bool) -> PortfolioReport:
+    def _assemble(self, formula: CNFFormula, slots: List[_Slot],
+                  started: float, deadline_hit: bool) -> PortfolioReport:
         now = time.monotonic()
         decisive = sorted(
             (slot.index, slot.result) for slot in slots
@@ -531,7 +534,9 @@ class Supervisor:
                 outcome=outcome, attempts=slot.attempts,
                 stats=slot.stats,
                 wall_seconds=max(0.0, end - begin),
-                discrepancy=slot.discrepancy,
+                discrepancy=(slot.result.certificate.reason
+                             if outcome is WorkerOutcome.DISCREPANT
+                             else None),
                 timeline=slot.timeline))
             if self.tracer is not None:
                 self.tracer.event(
@@ -548,16 +553,20 @@ class Supervisor:
                 winner=self.configs[index].name, winner_index=index,
                 wall_seconds=now - started, deadline_hit=deadline_hit,
                 total_respawns=respawns)
-        # No decisive verdict: surface any exhausted worker's stats.
-        for slot in slots:
-            if slot.result is not None:
-                return PortfolioReport(
-                    result=SolverResult(Status.UNKNOWN, None,
-                                        slot.result.stats),
-                    workers=workers, wall_seconds=now - started,
-                    deadline_hit=deadline_hit, total_respawns=respawns)
+        # No decisive verdict: UNKNOWN with any exhausted worker's
+        # stats; a certified race certifies it too, carrying the
+        # evidence of the first claim that failed its check.
+        exhausted = [slot.result.stats for slot in slots
+                     if slot.outcome is WorkerOutcome.UNKNOWN]
+        result = SolverResult(Status.UNKNOWN, None,
+                              exhausted[0] if exhausted else SolverStats())
+        if self.proof_dir is not None:
+            result.certificate = next(
+                (slot.result.certificate for slot in slots
+                 if slot.outcome is WorkerOutcome.DISCREPANT), None)
+            result = certify_result(formula, result, None)
         return PortfolioReport(
-            result=SolverResult(Status.UNKNOWN), workers=workers,
+            result=result, workers=workers,
             wall_seconds=now - started, deadline_hit=deadline_hit,
             total_respawns=respawns)
 

@@ -137,11 +137,10 @@ class ServiceClient:
 class InProcessClient:
     """A :class:`SolveServer` driven synchronously on a private loop."""
 
-    def __init__(self, config=None, *, fault_plan=None,
-                 solver_config=None, tracer=None, journal=None):
+    def __init__(self, config=None, *, fault_plan=None, tracer=None,
+                 journal=None):
         self._loop = asyncio.new_event_loop()
         self.server = SolveServer(config, fault_plan=fault_plan,
-                                  solver_config=solver_config,
                                   tracer=tracer, journal=journal)
         self._loop.run_until_complete(self.server.start())
 

@@ -27,10 +27,13 @@ The failure contract, end to end:
 * when every attempt fails, the response is a *structured partial
   result*: status UNKNOWN, ``degraded`` true with the failure kind,
   and the last progress snapshot the dying worker reported;
-* certified jobs (``certify``) must pass the independent DRUP check
-  (UNSAT) or the model audit (SAT); a failed check *demotes* the
-  answer to UNKNOWN with ``degraded_reason = "certification"`` --
-  the service never forwards an answer it cannot defend;
+* certified jobs (``certify``) go through the certification rule
+  every certified entry point shares
+  (:func:`repro.verify.certificate.certify_result`): UNSAT must pass
+  the independent DRUP check and SAT the model audit, and a failed
+  check *demotes* the answer to UNKNOWN with ``degraded_reason =
+  "certification"`` -- the service never forwards an answer it
+  cannot defend;
 * shutdown drains: queued and running jobs finish within
   ``grace_seconds``, stragglers are cancelled with a terminal
   degraded response, and new submissions are rejected with
@@ -58,6 +61,7 @@ import tempfile
 import time
 from typing import Any, Dict, Optional
 
+from repro.cnf.assignment import Assignment
 from repro.cnf.canonical import clauses_key
 from repro.cnf.formula import CNFFormula
 from repro.runtime.attempt import AttemptSpec, WorkerAttempt
@@ -83,7 +87,13 @@ from repro.service.protocol import (
     parse_submit,
 )
 from repro.solvers.portfolio import PortfolioConfig
-from repro.solvers.result import SolverStats, Status
+from repro.solvers.result import SolverResult, SolverStats, Status
+from repro.verify.certificate import certify_result
+
+#: The engine configuration of every job: ``PortfolioConfig``'s
+#: defaults search exactly like ``CDCLSolver(formula)``.  A retried
+#: attempt runs its ``perturbed`` variant, like a portfolio respawn.
+_ENGINE = PortfolioConfig(name="service")
 
 
 class _Attempt:
@@ -143,6 +153,11 @@ class _Job:
 class SolveServer:
     """See the module docstring for the full contract.
 
+    Every job runs the engine defaults (the search of
+    ``CDCLSolver(formula)``; retries run a perturbed variant).  A
+    certified job's terminal body carries its certificate as the
+    wire dict ``{"kind", "valid", "steps", "reason"}``.
+
     Parameters
     ----------
     config:
@@ -151,10 +166,6 @@ class SolveServer:
         scripted chaos (:class:`repro.runtime.faults.ServiceFaultPlan`)
         keyed by job id -- crash/kill/hang/poison execute inside the
         worker, delays stall the server's response.
-    solver_config:
-        the engine configuration jobs run under (default: a plain
-        VSIDS/luby CDCL).  Retried attempts run its ``perturbed``
-        variant, exactly like portfolio respawns.
     tracer:
         optional :class:`repro.obs.trace.Tracer`; the service emits
         ``service.submit`` / ``service.reject`` / ``service.dispatch``
@@ -177,7 +188,6 @@ class SolveServer:
 
     def __init__(self, config: Optional[ServiceConfig] = None, *,
                  fault_plan: Optional[ServiceFaultPlan] = None,
-                 solver_config: Optional[PortfolioConfig] = None,
                  tracer=None, worker_trace_dir: Optional[str] = None,
                  journal: Optional[str] = None):
         self.config = config or ServiceConfig()
@@ -185,8 +195,6 @@ class SolveServer:
         self.tracer = tracer
         self.worker_trace_dir = worker_trace_dir
         self.metrics = ServiceMetrics()
-        self.solver_config = solver_config or PortfolioConfig(
-            name="service-cdcl")
         self._queues = TenantQueues(self.config.queue_depth, self.config)
         self._cache = ResultCache(self.config.cache_size)
         self._active: Dict[str, _Job] = {}
@@ -713,13 +721,10 @@ class SolveServer:
                            for c in request.job_id)[:80]
             trace_path = os.path.join(self.worker_trace_dir,
                                       f"{safe}-a{attempt}.jsonl")
-        solver_config = self.solver_config
-        if attempt > 0:
-            solver_config = solver_config.perturbed(attempt)
         worker = WorkerAttempt(AttemptSpec(
             key=request.job_id, attempt=attempt,
             clause_lits=request.clause_lits, num_vars=request.num_vars,
-            config=solver_config, budget=budget,
+            config=_ENGINE.perturbed(attempt), budget=budget,
             fault_plan=self.fault_plan,
             progress_interval=config.progress_interval,
             proof_path=proof_path, resume_blob=job.last_checkpoint,
@@ -823,48 +828,30 @@ class SolveServer:
                      outcome: _Attempt) -> Dict[str, Any]:
         request = job.request
         status = outcome.status
-        degraded = False
-        reason = None
         certificate = None
         if request.certify:
             formula = CNFFormula(num_vars=request.num_vars,
                                  clauses=request.clause_lits)
-            if status is Status.UNSATISFIABLE:
-                from repro.verify.certificate import check_unsat_proof
-                cert = check_unsat_proof(
-                    formula, outcome.proof_path or "", self.tracer)
-                certificate = {"kind": cert.kind, "valid": cert.valid,
-                               "steps": cert.steps,
-                               "reason": cert.reason}
-                if not cert.valid:
-                    # Demotion, not a flip: an UNSAT whose proof the
-                    # independent checker rejects is not an answer.
-                    status = Status.UNKNOWN
-                    degraded = True
-                    reason = "certification"
-            elif status is Status.SATISFIABLE:
-                from repro.cnf.assignment import Assignment
-                from repro.verify.certificate import model_certificate
-                cert = model_certificate(
-                    formula, Assignment(dict(outcome.model)))
-                certificate = {"kind": cert.kind, "valid": cert.valid,
-                               "steps": 0, "reason": cert.reason}
-                if not cert.valid:   # pragma: no cover - pre-audited
-                    status = Status.UNKNOWN
-                    degraded = True
-                    reason = "certification"
-            else:
-                certificate = {"kind": "none", "valid": None,
-                               "steps": 0,
-                               "reason": "no verdict to certify"}
+            model = (Assignment(dict(outcome.model))
+                     if status is Status.SATISFIABLE else None)
+            result = certify_result(formula, SolverResult(status, model),
+                                    outcome.proof_path, self.tracer)
+            status = result.status
+            cert = result.certificate
+            certificate = {"kind": cert.kind, "valid": cert.valid,
+                           "steps": cert.steps, "reason": cert.reason}
         if outcome.proof_path is not None:
             try:
                 os.remove(outcome.proof_path)
             except OSError:
                 pass
-        if status is Status.UNKNOWN and not degraded:
-            degraded = True
-            reason = "budget"
+        degraded = status is Status.UNKNOWN
+        reason = None
+        if degraded:
+            # A demotion, not a flip: the claimed answer failed its
+            # check.  Otherwise the worker ran out of budget.
+            reason = ("certification" if outcome.status is not status
+                      else "budget")
         model_lits = None
         if status is Status.SATISFIABLE:
             model_lits = [var if value else -var

@@ -409,7 +409,9 @@ class Inprocessor:
     # -- pass: equivalent-literal substitution -------------------------
 
     def _pass_equivalence(self, frozen: Set[int]) -> None:
-        """Union-find equivalence classes from binary pairs, then
+        """Equivalence classes from binary pairs (the helper
+        :func:`repro.solvers.preprocess.equivalence_classes` shares
+        with the formula-level ``equivalency_reduce``), then
         substitute representatives (paper §6 equivalency reasoning).
 
         The substituted clause is RUP given the two defining binaries
@@ -417,35 +419,21 @@ class Inprocessor:
         the originals; the defining binaries themselves substitute to
         tautologies and are simply deleted.
         """
-        from repro.solvers.preprocess import _UnionFind
+        from repro.solvers.preprocess import equivalence_classes
 
         s = self.solver
         arena = s.arena
-        binset: Set[Tuple[int, int]] = set()
+        binaries: List[Tuple[int, int]] = []
         for cid in self._live_ids():
             if arena.size(cid) == 2:
                 a, b = arena.lits_of(cid)
-                binset.add((a, b) if a <= b else (b, a))
-        classes = _UnionFind()
-        found = False
-        for la, lb in binset:
-            counterpart = (-la, -lb) if -la <= -lb else (-lb, -la)
-            if counterpart in binset and (la, lb) < counterpart:
-                same = (la > 0) != (lb > 0)
-                if not classes.union(abs(la), abs(lb), same):
-                    # x == x': unit propagation over the equivalence
-                    # chain refutes either phase, so the unit is RUP.
-                    self._add_unit(-abs(la))
-                    return
-                found = True
-        if not found:
+                binaries.append((a, b) if a <= b else (b, a))
+        mapping, contradiction = equivalence_classes(binaries)
+        if contradiction is not None:
+            # x == x': unit propagation over the equivalence chain
+            # refutes either phase, so the unit is RUP.
+            self._add_unit(-abs(contradiction))
             return
-
-        mapping: Dict[int, int] = {}
-        for var in list(classes.parent):
-            root, sign = classes.find(var)
-            if root != var:
-                mapping[var] = root * sign
         for var in list(mapping):
             rep = abs(mapping[var])
             if (var in frozen or rep in frozen

@@ -52,16 +52,18 @@ class PortfolioConfig:
     """One engine configuration in the race.
 
     Everything is a primitive so the config (and the worker arguments
-    built from it) pickle cleanly across the process boundary.
+    built from it) pickle cleanly across the process boundary.  The
+    field defaults are the engine's, so ``PortfolioConfig(name=...)``
+    searches exactly like ``CDCLSolver(formula)``.
     """
 
     name: str
     heuristic: str = "vsids"
-    restart: str = "luby"
+    restart: str = "none"
     restart_interval: int = 64
     seed: int = 0
     random_freq: float = 0.0
-    phase_saving: bool = True
+    phase_saving: bool = False
     #: In-search simplification (repro.solvers.inprocess) -- one more
     #: diversification axis: simplifying members chase redundancy-heavy
     #: instances while non-simplifying ones keep raw search throughput.
@@ -187,16 +189,22 @@ def _solve_sequential(formula: CNFFormula,
     configuration receives only the remaining time, and once the
     deadline passes the scan stops with UNKNOWN instead of starting
     the next engine.  With a *proof_dir* the scan certifies in
-    process: every UNSAT claim must pass the independent proof check
-    (a failed check demotes that configuration's answer to UNKNOWN
-    and the scan continues) and SAT models are audited.
+    process: each configuration streams its proof there and its
+    result goes through
+    :func:`repro.verify.certificate.certify_result` (a failed check
+    demotes that configuration's answer to UNKNOWN and the scan
+    continues).  A certified scan without a decisive verdict returns
+    UNKNOWN carrying the first failed certificate, or a ``none`` one.
     """
+    if proof_dir is not None:
+        from repro.verify.certificate import certify_result
+        from repro.verify.drat import FileProofSink, attach_proof_stream
+        os.makedirs(proof_dir, exist_ok=True)
     started = time.monotonic()
     wall = budget.wall_seconds if budget is not None else None
     last = SolverResult(Status.UNKNOWN)
+    failed = None
     finished = []
-    if proof_dir is not None:
-        os.makedirs(proof_dir, exist_ok=True)
     for index, config in enumerate(configs):
         call_budget = budget
         if wall is not None:
@@ -210,54 +218,30 @@ def _solve_sequential(formula: CNFFormula,
         if proof_dir is None:
             last = solver.solve()
         else:
-            last = _certified_sequential_solve(
-                formula, solver,
-                os.path.join(proof_dir, f"seq{index}-{config.name}.drup"),
-                tracer)
+            proof_path = os.path.join(proof_dir,
+                                      f"seq{index}-{config.name}.drup")
+            sink = attach_proof_stream(solver, FileProofSink(proof_path))
+            try:
+                last = solver.solve()
+            finally:
+                sink.close()
+            if last.status is not Status.UNSATISFIABLE:
+                try:                    # partial proofs certify nothing
+                    os.remove(proof_path)
+                except OSError:
+                    pass
+            last = certify_result(formula, last, proof_path, tracer)
+            if failed is None and last.certificate.valid is False:
+                failed = last.certificate
         finished.append(config.name)
         if last.status is not Status.UNKNOWN:
             return PortfolioResult(last, winner=config.name,
                                    winner_index=index, processes_used=1,
                                    finished=finished)
+    if proof_dir is not None:
+        last = certify_result(formula, SolverResult(
+            Status.UNKNOWN, None, last.stats, certificate=failed), None)
     return PortfolioResult(last, processes_used=1, finished=finished)
-
-
-def _certified_sequential_solve(formula: CNFFormula, solver: CDCLSolver,
-                                proof_path: str, tracer) -> SolverResult:
-    """One certified solve of a pre-built engine (sequential scan).
-
-    Mirrors :func:`repro.verify.certificate.certified_solve`, but on a
-    configuration-built solver: UNSAT must pass the proof check or is
-    demoted to UNKNOWN; SAT models are audited; partial proofs are
-    removed.
-    """
-    from repro.verify.certificate import (check_unsat_proof,
-                                          model_certificate)
-    from repro.verify.drat import FileProofSink, attach_proof_stream
-
-    sink = attach_proof_stream(solver, FileProofSink(proof_path))
-    try:
-        result = solver.solve()
-    finally:
-        sink.close()
-    if result.status is Status.UNSATISFIABLE:
-        certificate = check_unsat_proof(formula, proof_path, tracer)
-        if certificate.valid:
-            result.certificate = certificate
-            return result
-        return SolverResult(Status.UNKNOWN, None, result.stats,
-                            certificate=certificate)
-    try:
-        os.remove(proof_path)
-    except OSError:
-        pass
-    if result.status is Status.SATISFIABLE:
-        certificate = model_certificate(formula, result.assignment)
-        if not certificate.valid:
-            return SolverResult(Status.UNKNOWN, None, result.stats,
-                                certificate=certificate)
-        result.certificate = certificate
-    return result
 
 
 def solve_portfolio(formula: CNFFormula,
@@ -304,8 +288,10 @@ def solve_portfolio(formula: CNFFormula,
     ``proof_dir`` turns the race into a *certified* one: workers
     stream DRUP proofs there, an UNSAT claim must pass the
     independent checker before it can win (failures degrade that
-    worker to ``DISCREPANT`` and the race continues), and the winning
-    result carries a :class:`~repro.verify.certificate.Certificate`.
+    worker to ``DISCREPANT`` and the race continues), and every
+    result carries a :class:`~repro.verify.certificate.Certificate`
+    (:func:`~repro.verify.certificate.certify_result`) -- an UNKNOWN
+    the first failed one, if any claim failed its check.
 
     ``inprocess`` (an
     :class:`~repro.solvers.inprocess.InprocessConfig`) force-enables

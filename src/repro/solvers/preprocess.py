@@ -7,9 +7,11 @@ the same value.  Hence, variable y can be replaced by variable x, and
 one variable is eliminated."
 
 :func:`equivalency_reduce` finds such pairs (including the negated form
-x == y'), builds equivalence classes via union-find, rewrites the
-formula onto class representatives, and reports the substitution so
-models can be lifted back.  :func:`preprocess` chains the standard
+x == y'), builds equivalence classes via union-find
+(:func:`equivalence_classes`, shared with the inprocessor's
+equivalent-literal pass), rewrites the formula onto class
+representatives, and reports the substitution so models can be lifted
+back.  :func:`preprocess` chains the standard
 passes of :mod:`repro.cnf.simplify` with equivalency reasoning and
 optional recursive learning into the paper's generic preprocessing
 function.
@@ -18,7 +20,7 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
@@ -92,6 +94,28 @@ class _UnionFind:
         return True
 
 
+def _equivalency_pairs(binaries: Iterable[Tuple[int, int]]
+                       ) -> Iterator[Tuple[int, int]]:
+    """Yield each binary clause (a + b) of *binaries* (sorted literal
+    pairs) whose counterpart (a' + b') is present too: together they
+    say a == b'.  Pairs come in the set order of *binaries*; that
+    order picks the unit the inprocessor derives from a contradiction
+    (:mod:`repro.solvers.inprocess`), so it must not change."""
+    binary = set(binaries)
+    for lit_a, lit_b in binary:
+        counterpart = ((-lit_a, -lit_b) if -lit_a <= -lit_b
+                       else (-lit_b, -lit_a))
+        if counterpart in binary and (lit_a, lit_b) < counterpart:
+            yield lit_a, lit_b
+
+
+def _binaries(formula: CNFFormula) -> Iterator[Tuple[int, int]]:
+    """The binary clauses of *formula* as sorted literal pairs."""
+    for clause in formula:
+        if len(clause) == 2:
+            yield tuple(sorted(clause.literals))
+
+
 def find_equivalences(formula: CNFFormula) -> List[Tuple[int, int, bool]]:
     """Scan for equivalency clause pairs.
 
@@ -99,21 +123,36 @@ def find_equivalences(formula: CNFFormula) -> List[Tuple[int, int, bool]]:
     (a + b')(a' + b) meaning a == b; ``same=False`` from
     (a + b)(a' + b') meaning a == b'.
     """
-    binary: Set[Tuple[int, int]] = set()
-    for clause in formula:
-        if len(clause) == 2:
-            lits = tuple(sorted(clause.literals))
-            binary.add(lits)
     found = []
-    for lit_a, lit_b in binary:
-        # (lit_a + lit_b) together with (-lit_a + -lit_b) gives
-        # lit_a == -lit_b.
-        counterpart = tuple(sorted((-lit_a, -lit_b)))
-        if counterpart in binary and (lit_a, lit_b) < counterpart:
-            same = (lit_a > 0) != (lit_b > 0)
-            var_a, var_b = sorted((variable(lit_a), variable(lit_b)))
-            found.append((var_a, var_b, same))
+    for lit_a, lit_b in _equivalency_pairs(_binaries(formula)):
+        var_a, var_b = sorted((variable(lit_a), variable(lit_b)))
+        found.append((var_a, var_b, (lit_a > 0) != (lit_b > 0)))
     return found
+
+
+def equivalence_classes(binaries: Iterable[Tuple[int, int]]
+                        ) -> Tuple[Dict[int, int], Optional[int]]:
+    """The equivalences that *binaries* (sorted literal pairs) define,
+    merged into classes with parity -- the core :func:`equivalency_reduce`
+    shares with the inprocessor's equivalent-literal pass.
+
+    Returns ``(mapping, None)``: *mapping* sends each variable that is
+    not its class's representative (the smallest variable) to the
+    signed representative literal.  An equivalence contradicting the
+    classes (x == x') returns ``({}, lit)``, *lit* being the first
+    literal of that pair.
+    """
+    classes = _UnionFind()
+    for lit_a, lit_b in _equivalency_pairs(binaries):
+        if not classes.union(abs(lit_a), abs(lit_b),
+                             (lit_a > 0) != (lit_b > 0)):
+            return {}, lit_a
+    mapping: Dict[int, int] = {}
+    for var in list(classes.parent):
+        root, sign = classes.find(var)
+        if root != var:
+            mapping[var] = root * sign
+    return mapping, None
 
 
 def equivalency_reduce(formula: CNFFormula) -> EquivalencyResult:
@@ -128,23 +167,10 @@ def equivalency_reduce(formula: CNFFormula) -> EquivalencyResult:
     removed = 0
 
     for _ in range(formula.num_vars + 1):
-        pairs = find_equivalences(current)
-        if not pairs:
-            break
-        classes = _UnionFind()
-        consistent = True
-        for var_a, var_b, same in pairs:
-            if not classes.union(var_a, var_b, same):
-                consistent = False
-                break
-        if not consistent:
+        mapping, contradiction = equivalence_classes(_binaries(current))
+        if contradiction is not None:
             return EquivalencyResult(None, substitution, eliminated,
                                      removed)
-        mapping: Dict[int, int] = {}
-        for var in list(classes.parent):
-            root, sign = classes.find(var)
-            if root != var:
-                mapping[var] = root * sign
         if not mapping:
             break
         before = current.num_clauses

@@ -137,10 +137,11 @@ class SolverResult:
     assignment: Optional[Assignment] = None
     stats: SolverStats = field(default_factory=SolverStats)
     #: Optional :class:`repro.verify.certificate.Certificate` --
-    #: populated by the certified pipelines (``certified_solve``, the
-    #: supervised portfolio under ``proof_dir``, the apps under
-    #: ``--certify``); None for plain solve calls.  Typed ``Any`` to
-    #: keep this leaf module free of a verify-layer import.
+    #: set on every result of a certified path (``certified_solve``
+    #: and the apps on it, the portfolio under ``proof_dir``, the
+    #: service's certified jobs) by ``certify_result``; None for plain
+    #: solve calls.  Typed ``Any`` to keep this leaf module free of a
+    #: verify-layer import.
     certificate: Optional[Any] = None
 
     @property

@@ -12,8 +12,11 @@ package makes answers *checkable* instead:
   solvers it audits;
 * :mod:`repro.verify.certificate` packages the outcome
   (SAT model / UNSAT proof / UNKNOWN reason) as a
-  :class:`Certificate` and enforces the demotion contract: an answer
-  whose evidence fails the check is reported UNKNOWN, never believed;
+  :class:`Certificate`, and its :func:`certify_result` is the one
+  demotion contract every certified entry point shares
+  (``certified_solve`` and the apps on it, the portfolio's scan and
+  race, the solve server): an answer whose evidence fails the check
+  is reported UNKNOWN, never believed;
 * :mod:`repro.verify.fuzz` hunts for wrong answers: differential
   fuzzing across CDCL / DPLL / recursive-learning with delta-debugged
   minimal reproducers.
@@ -22,6 +25,7 @@ package makes answers *checkable* instead:
 from repro.verify.certificate import (
     Certificate,
     certified_solve,
+    certify_result,
     check_unsat_proof,
     model_certificate,
 )
@@ -48,6 +52,7 @@ from repro.verify.fuzz import (
 __all__ = [
     "Certificate",
     "certified_solve",
+    "certify_result",
     "check_unsat_proof",
     "model_certificate",
     "CheckOutcome",

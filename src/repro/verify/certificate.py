@@ -8,15 +8,17 @@ records *why* an answer should be believed:
   to worker payloads);
 * ``kind="proof"`` -- UNSAT, with a streamed DRUP proof that the
   independent checker (:mod:`repro.verify.checker`) validated;
-* ``kind="none"`` -- UNKNOWN, or a demoted answer, with ``reason``
-  saying what is missing.
+* ``kind="none"`` -- UNKNOWN, with ``reason`` saying what is missing.
 
-:func:`certified_solve` is the one-stop entry: solve with streaming
-proof emission, check the proof, and **demote** any UNSAT whose proof
-fails the check to UNKNOWN -- a certified pipeline never reports an
-answer it cannot defend.  Each check emits a ``verify.check`` trace
-event (steps, bytes, check time, checker propagations, verdict)
-consumed by the ``repro profile`` certification section.
+:func:`certify_result` is the one certification rule: it checks the
+evidence of one solver result and **demotes** an answer whose evidence
+fails to UNKNOWN -- a certified pipeline never reports an answer it
+cannot defend.  Every certified entry point routes its results through
+it: :func:`certified_solve` (and the apps built on it), the portfolio's
+sequential scan and supervised race, and the solve server.  Each proof
+check emits a ``verify.check`` trace event (steps, bytes, check time,
+checker propagations, verdict) consumed by the ``repro profile``
+certification section.
 """
 
 from __future__ import annotations
@@ -112,24 +114,57 @@ def model_certificate(formula, assignment) -> Certificate:
                        "claimed model does not satisfy the formula")
 
 
+def certify_result(formula, result, proof_path: Optional[str],
+                   tracer=None):
+    """Attach evidence to *result* (about the original *formula*), or
+    demote it -- the one rule every certified entry point shares:
+
+    * UNSAT must pass the independent checker over *proof_path*;
+    * a SAT model must pass the audit against *formula*;
+    * UNKNOWN gets a ``none`` certificate stating its reason, unless
+      it already carries one (a demoted answer's), so the rule is
+      idempotent;
+    * failed evidence returns a new UNKNOWN result with the same
+      stats, carrying the certificate with ``valid=False``.
+
+    Otherwise returns *result* itself.  The proof file is left alone.
+    """
+    from repro.solvers.result import SolverResult, Status
+
+    if result.status is Status.UNSATISFIABLE:
+        certificate = check_unsat_proof(formula, proof_path or "", tracer)
+    elif result.status is Status.SATISFIABLE:
+        certificate = model_certificate(formula, result.assignment)
+    else:
+        if result.certificate is None:
+            result.certificate = Certificate(
+                NONE, reason="solver returned UNKNOWN (budget exhausted)")
+        return result
+    if not certificate.valid:
+        # Demotion, never a flip: an answer whose evidence fails the
+        # check is not an answer, it is a bug report.
+        return SolverResult(Status.UNKNOWN, None, result.stats,
+                            certificate=certificate)
+    result.certificate = certificate
+    return result
+
+
 def certified_solve(formula, proof_path: Optional[str] = None,
                     tracer=None, sink_factory=FileProofSink,
                     preprocess: bool = False,
                     **cdcl_kwargs):
     """Solve *formula* with end-to-end certification.
 
-    Streams a DRUP proof while solving; on UNSAT the independent
-    checker validates it before the answer is released.  Returns a
-    :class:`~repro.solvers.result.SolverResult` whose ``certificate``
-    is always populated:
-
-    * SAT    -> model audited against *formula*;
-    * UNSAT  -> proof check passed (the file stays at *proof_path*
-      when one was given; a temporary file is cleaned up);
-    * UNKNOWN, or UNSAT whose proof **fails** the check -> the status
-      is *demoted* to UNKNOWN with the diagnostic in
-      ``certificate.reason`` (an invalid proof keeps its file for
-      post-mortem when *proof_path* was explicit).
+    Streams a DRUP proof while solving and passes the result through
+    :func:`certify_result`, so the returned
+    :class:`~repro.solvers.result.SolverResult` always carries a
+    ``certificate``: an UNSAT proof the checker validated, an audited
+    SAT model, or a ``none`` certificate on UNKNOWN -- and an answer
+    whose evidence fails is *demoted* to UNKNOWN with the diagnostic
+    in ``certificate.reason``.  A proof file stays at *proof_path*
+    when one was given (an invalid one too, for post-mortem); a
+    temporary file is cleaned up, and so is any partial proof of a
+    non-UNSAT run.
 
     ``preprocess=True`` runs the proof-logged preprocessing subset
     (:func:`repro.cnf.simplify.simplify_with_proof`) into the same
@@ -153,74 +188,40 @@ def certified_solve(formula, proof_path: Optional[str] = None,
                                               prefix="repro-proof-")
         os.close(handle)
     sink = sink_factory(proof_path)
-    target = formula
-    forced = {}
+    target, forced = formula, {}
     if preprocess:
         from repro.cnf.simplify import simplify_with_proof
         pre = simplify_with_proof(formula, sink)
-        if pre.unsat:
-            # Preprocessing refuted the formula; the sink already
-            # holds the concluding empty clause.  Check the stream
-            # against the original formula like any other UNSAT.
-            sink.close()
-            certificate = check_unsat_proof(formula, proof_path, tracer)
-            certificate.deletions = sink.deletes
-            if ephemeral:
-                _remove(proof_path)
-                certificate.proof_path = None
-            status = (Status.UNSATISFIABLE if certificate.valid
-                      else Status.UNKNOWN)
-            result = SolverResult(status, None, SolverStats())
-            result.certificate = certificate
-            return result
-        target = pre.formula
-        forced = pre.forced
-    solver = CDCLSolver(target, **cdcl_kwargs)
-    if tracer is not None:
-        solver.tracer = tracer
-    attach_proof_stream(solver, sink)
-    try:
-        result = solver.solve()
-    finally:
+        target, forced = pre.formula, pre.forced
+    if target is None:
+        # Preprocessing refuted the formula; the sink already holds
+        # the concluding empty clause.
         sink.close()
+        result = SolverResult(Status.UNSATISFIABLE, None, SolverStats())
+    else:
+        solver = CDCLSolver(target, **cdcl_kwargs)
+        if tracer is not None:
+            solver.tracer = tracer
+        attach_proof_stream(solver, sink)
+        try:
+            result = solver.solve()
+        finally:
+            sink.close()
+        if result.status is Status.SATISFIABLE:
+            # Lift the model of the reduced formula back to the
+            # original: propagated-unit variables take their forced
+            # values (overwriting whatever the search assigned to the
+            # now unconstrained variables).
+            for var, value in forced.items():
+                result.assignment.assign(var, value)
 
-    if result.status is Status.SATISFIABLE and forced:
-        # Lift the model of the reduced formula back to the original:
-        # propagated-unit variables take their forced values
-        # (overwriting whatever the search assigned to the now
-        # unconstrained variables).
-        for var, value in forced.items():
-            result.assignment.assign(var, value)
-
-    if result.status is Status.UNSATISFIABLE:
-        certificate = check_unsat_proof(formula, proof_path, tracer)
+    result = certify_result(formula, result, proof_path, tracer)
+    certificate = result.certificate
+    if certificate.kind == PROOF:
         certificate.deletions = sink.deletes
-        if certificate.valid:
-            result.certificate = certificate
-            if ephemeral:
-                _remove(proof_path)
-                certificate.proof_path = None
-            return result
-        # Demote: an UNSAT whose proof fails the independent check is
-        # not an answer, it is a bug report.
-        if ephemeral:
-            _remove(proof_path)
-            certificate.proof_path = None
-        demoted = SolverResult(Status.UNKNOWN, None, result.stats)
-        demoted.certificate = certificate
-        return demoted
-
-    _remove(proof_path)        # partial proofs are not certificates
-    if result.status is Status.SATISFIABLE:
-        certificate = model_certificate(formula, result.assignment)
-        if not certificate.valid:
-            demoted = SolverResult(Status.UNKNOWN, None, result.stats)
-            demoted.certificate = certificate
-            return demoted
-        result.certificate = certificate
-        return result
-    result.certificate = Certificate(
-        NONE, reason="solver returned UNKNOWN (budget exhausted)")
+    if ephemeral or certificate.kind != PROOF:
+        _remove(proof_path)        # partial proofs are not certificates
+        certificate.proof_path = None
     return result
 
 

@@ -6,18 +6,19 @@ logging the clauses in derivation order -- plus the clauses the GC
 deletes, so a checker's propagation stays bounded -- yields a standard
 DRUP file any independent tool can validate.
 
-The in-memory ``repro.solvers.proof.Proof`` transcript is
-O(all-learned-clauses) in RAM, which rules it out for long runs; the
-sinks here are O(1) solver-side: each step is formatted and handed to
-the sink immediately, and :class:`FileProofSink` appends it to a file
-through a bounded buffer.
+The file sink is O(1) solver-side: each step is formatted and handed
+to the sink immediately, and :class:`FileProofSink` appends it to a
+file through a bounded buffer.  :class:`MemoryProofSink` keeps the
+steps as events instead -- O(all-learned-clauses) in RAM, so for unit
+tests, the fuzzer and small ablations only -- which
+:func:`repro.verify.checker.check_proof_steps` validates directly;
+:func:`solve_with_proof_stream` wires either sink to a fresh solver.
 
-Attachment uses the same monkey-patch hook philosophy as
-``attach_proof_logger`` (the engine is never modified), plus the
-engine's ``on_proof_delete`` hook for GC deletion lines.  Literals are
-snapshotted at attach time (``arena.lits_of``), so later compactions
--- which renumber ids and recycle buffer space -- can never corrupt an
-already-emitted step.
+Attachment monkey-patches the solver instance (the engine is never
+modified) and uses the engine's ``on_proof_delete`` hook for GC
+deletion lines.  Literals are snapshotted at attach time
+(``arena.lits_of``), so later compactions -- which renumber ids and
+recycle buffer space -- can never corrupt an already-emitted step.
 
 DRUP line format (checker-facing contract):
 

@@ -405,7 +405,8 @@ def _portfolio_round(formula: CNFFormula, rng: random.Random,
 
     The race must either agree with the engines' *consensus* verdict
     or come back UNKNOWN (budgets and injected faults make giving up
-    legitimate; lying does not).
+    legitimate; lying does not), and being certified, every result
+    must carry a certificate.
     """
     from repro.runtime.faults import FaultPlan
     from repro.solvers.portfolio import default_portfolio, solve_portfolio
@@ -422,15 +423,17 @@ def _portfolio_round(formula: CNFFormula, rng: random.Random,
             processes=2, timeout=20.0, max_retries=1,
             fault_plan=plan, progress_interval=None, proof_dir=tmp)
         status = outcome.result.status
+        certificate = outcome.result.certificate
+        if certificate is None:
+            return (f"portfolio {status.value} arrived without a "
+                    f"certificate (faults={plan!r})")
         if status is Status.UNKNOWN:
             return None
         if consensus is not None and status is not consensus:
             return (f"portfolio={status.value} disagrees with "
                     f"engine consensus {consensus.value} "
                     f"(faults={plan!r})")
-        if (status is Status.UNSATISFIABLE
-                and (outcome.result.certificate is None
-                     or not outcome.result.certificate.valid)):
+        if status is Status.UNSATISFIABLE and not certificate.valid:
             return "portfolio UNSAT arrived without a valid certificate"
     return None
 

@@ -302,6 +302,33 @@ class TestObservability:
         assert count >= 2
 
 
+class TestBadFlags:
+    """An out-of-range numeric flag is an argparse usage error (exit
+    2), never a library traceback or a silent nonsense answer."""
+
+    BUDGETED = ["solve x.cnf", "atpg x.bench", "cec a.bench b.bench",
+                "bmc x.bench"]
+
+    @pytest.mark.parametrize("argv", [
+        "solve x.cnf --portfolio -1",
+        "cec a.bench b.bench --portfolio -2",
+        "solve x.cnf --max-conflicts -3",
+        "bmc x.bench --depth -1",
+        "serve --workers 0",
+        "serve --queue-depth 0",
+    ] + [f"{command} --timeout -1" for command in BUDGETED]
+      + [f"{command} --max-memory-mb -5" for command in BUDGETED])
+    def test_out_of_range_is_usage_error(self, capsys, argv):
+        argv = argv.split()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {argv[-2]}: must be >= " in err
+        assert "Traceback" not in err
+
+
 class TestCertification:
     def test_solve_certify_unsat(self, tmp_path, capsys):
         path = str(tmp_path / "unsat.cnf")
@@ -322,6 +349,15 @@ class TestCertification:
         assert main(["solve", path, "--certify"]) == 10
         out = capsys.readouterr().out
         assert "c certificate: model verified" in out
+
+    def test_solve_portfolio_certify_audits_model(self, tmp_path,
+                                                  capsys):
+        path = str(tmp_path / "sat.cnf")
+        save_dimacs(random_ksat_at_ratio(40, 3.5, 3, seed=11), path)
+        assert main(["solve", path, "--portfolio", "2",
+                     "--certify"]) == 10
+        out = capsys.readouterr().out
+        assert "c certificate: model verified against the formula" in out
 
     def test_solve_certify_composes_with_preprocess(self, tmp_path,
                                                     capsys):
@@ -429,6 +465,23 @@ class TestSolveExitCodes:
         path = str(tmp_path / "unsat.cnf")
         save_dimacs(pigeonhole(3), path)
         assert main(["solve", path, "--certify"]) == 30
+        out = capsys.readouterr().out
+        assert "s UNKNOWN" in out
+        assert "proof INVALID" in out
+
+    def test_race_certification_failure_is_exit_thirty(
+            self, tmp_path, capsys, monkeypatch):
+        # Every worker's UNSAT proof fails: the race ends UNKNOWN
+        # carrying the failed certificate, not as a budget UNKNOWN.
+        from repro.verify.checker import CheckOutcome
+        monkeypatch.setattr(
+            "repro.verify.certificate.check_proof_file",
+            lambda formula, path: CheckOutcome(
+                valid=False, error="forced failure"))
+        path = str(tmp_path / "unsat.cnf")
+        save_dimacs(pigeonhole(3), path)
+        assert main(["solve", path, "--certify", "--portfolio",
+                     "2"]) == 30
         out = capsys.readouterr().out
         assert "s UNKNOWN" in out
         assert "proof INVALID" in out

@@ -27,7 +27,7 @@ from repro.circuits.simulate import exhaustive_truth_table, simulate
 from repro.cnf.cardinality import at_most_k
 from repro.cnf.formula import CNFFormula
 from repro.cnf.pseudo_boolean import evaluate_terms, pb_at_most
-from repro.solvers.proof import check_rup_proof, solve_with_proof
+from repro.verify import check_proof_steps, solve_with_proof_stream
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -188,6 +188,6 @@ class TestProofProperties:
         formula = random_ksat_at_ratio(7, ratio=6.0, seed=seed)
         if brute_force_status(formula) != "UNSAT":
             return
-        result, proof = solve_with_proof(formula)
+        result, sink = solve_with_proof_stream(formula)
         assert result.is_unsat
-        assert check_rup_proof(formula, proof).valid
+        assert check_proof_steps(formula, sink.events).valid

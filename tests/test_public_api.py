@@ -49,12 +49,12 @@ PUBLIC_MODULES = [
     "repro.solvers.incremental",
     "repro.solvers.portfolio",
     "repro.solvers.forward_implication",
-    "repro.solvers.proof",
     "repro.runtime",
     "repro.runtime.budget",
     "repro.runtime.attempt",
     "repro.runtime.supervisor",
     "repro.runtime.faults",
+    "repro.verify",
     "repro.obs",
     "repro.obs.trace",
     "repro.obs.metrics",

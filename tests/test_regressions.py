@@ -103,13 +103,13 @@ class TestProofUnitOrdering:
     relied on them failed reverse-unit-propagation checking."""
 
     def test_units_interleaved_in_proof(self):
-        from repro.solvers.proof import check_rup_proof, solve_with_proof
+        from repro.verify import check_proof_steps, solve_with_proof_stream
         formula = pigeonhole(5)
-        result, proof = solve_with_proof(formula, deletion="size",
-                                         deletion_bound=5,
-                                         deletion_interval=20)
+        result, sink = solve_with_proof_stream(formula, deletion="size",
+                                               deletion_bound=5,
+                                               deletion_interval=20)
         assert result.is_unsat
-        assert check_rup_proof(formula, proof).valid
+        assert check_proof_steps(formula, sink.events).valid
 
 
 class TestSweepFixpoint:

@@ -447,6 +447,32 @@ class TestFaultTolerance:
             assert body["status"] in ("SATISFIABLE", "UNSATISFIABLE")
 
 
+class TestEngineDefaults:
+    """A job searches exactly like ``CDCLSolver(formula)``: the
+    service runs the engine defaults, not a configuration of its
+    own."""
+
+    @pytest.mark.parametrize("formula", [
+        pigeonhole(5), random_ksat(60, 250, seed=3),
+        random_ksat(60, 270, seed=8)], ids=["php5", "rk60-s3", "rk60-s8"])
+    def test_job_counters_match_the_engine(self, formula):
+        from repro.solvers.portfolio import PortfolioConfig
+
+        expected = CDCLSolver(formula).solve()
+        configured = PortfolioConfig(name="defaults").build_solver(
+            formula).solve()
+        with InProcessClient(fast_config()) as client:
+            body = client.submit("job", **clause_payload(formula),
+                                 use_cache=False)["body"]
+        assert body["status"] == expected.status.name
+        assert body["attempts"] == 1
+        for counter in ("conflicts", "decisions", "propagations"):
+            assert body["stats"][counter] == \
+                getattr(expected.stats, counter), counter
+            assert getattr(configured.stats, counter) == \
+                getattr(expected.stats, counter), counter
+
+
 class TestCertificationDemotion:
     def test_failed_proof_check_demotes_never_flips(self, monkeypatch):
         from repro.verify.checker import CheckOutcome

@@ -661,3 +661,115 @@ class TestCertifiedPortfolio:
         liar = next(w for w in outcome.report.workers
                     if w.outcome.name == "DISCREPANT")
         assert liar.discrepancy
+
+
+class TestCertifyResult:
+    """The rules of the one certification function that the
+    entry-point table below does not reach."""
+
+    def test_model_that_fails_the_audit_is_demoted(self):
+        from repro.cnf.assignment import Assignment
+        from repro.solvers.result import SolverResult
+        from repro.verify import certify_result
+
+        formula = CNFFormula(num_vars=2, clauses=[[1, 2], [-1]])
+        good = SolverResult(Status.SATISFIABLE,
+                            Assignment({1: False, 2: True}))
+        assert certify_result(formula, good, None) is good
+        assert good.certificate.kind == "model" and good.certificate.valid
+        bad = certify_result(formula, SolverResult(
+            Status.SATISFIABLE, Assignment({1: True, 2: True})), None)
+        assert bad.status is Status.UNKNOWN and bad.assignment is None
+        assert bad.certificate.kind == "model"
+        assert bad.certificate.valid is False
+
+    def test_demotion_keeps_stats_and_is_idempotent(self, tmp_path):
+        from repro.solvers.result import SolverResult, SolverStats
+        from repro.verify import certify_result
+
+        formula = pigeonhole(4)
+        stats = SolverStats(conflicts=7)
+        claim = SolverResult(Status.UNSATISFIABLE, None, stats)
+        demoted = certify_result(formula, claim,
+                                 str(tmp_path / "absent.drup"))
+        assert claim.status is Status.UNSATISFIABLE      # never flipped
+        assert demoted.status is Status.UNKNOWN
+        assert demoted.stats is stats
+        certificate = demoted.certificate
+        assert certificate.kind == "proof" and certificate.valid is False
+        assert certify_result(formula, demoted, None) is demoted
+        assert demoted.certificate is certificate
+
+
+# -- the contract table -------------------------------------------------
+#
+# Every certified entry point must return a certificate on every
+# result, with the same verdict and evidence for the same outcome.
+
+def _via_certified_solve(formula, max_conflicts, tmp_path):
+    result = certified_solve(formula, max_conflicts=max_conflicts)
+    cert = result.certificate
+    return result.status.name, cert and cert.kind, cert and cert.valid
+
+
+def _via_portfolio(processes):
+    def run(formula, max_conflicts, tmp_path):
+        from repro.solvers.portfolio import solve_portfolio
+
+        result = solve_portfolio(formula, processes=processes,
+                                 max_conflicts=max_conflicts,
+                                 timeout=60.0, progress_interval=None,
+                                 proof_dir=str(tmp_path)).result
+        cert = result.certificate
+        return result.status.name, cert and cert.kind, cert and cert.valid
+    return run
+
+
+def _via_service(formula, max_conflicts, tmp_path):
+    from repro.service import InProcessClient, ServiceConfig
+
+    config = ServiceConfig(max_workers=2, hang_timeout=5.0,
+                           default_deadline=60.0, poll_interval=0.01,
+                           progress_interval=0.0, grace_seconds=5.0)
+    with InProcessClient(config) as client:
+        body = client.submit("contract",
+                             clauses=[list(c) for c in formula.clauses],
+                             num_vars=formula.num_vars,
+                             max_conflicts=max_conflicts,
+                             certify=True, use_cache=False)["body"]
+    cert = body["certificate"] or {}
+    return body["status"], cert.get("kind"), cert.get("valid")
+
+
+ENTRY_POINTS = {
+    "certified_solve": _via_certified_solve,
+    "scan": _via_portfolio(1),
+    "race": _via_portfolio(2),
+    "service": _via_service,
+}
+
+#: outcome -> (formula factory, conflict cap, forced check failure,
+#: expected (status, certificate kind, certificate valid)).
+OUTCOMES = {
+    "sat": (lambda: random_ksat_at_ratio(40, 3.5, 3, seed=11), None,
+            False, ("SATISFIABLE", "model", True)),
+    "unsat": (lambda: pigeonhole(5), None, False,
+              ("UNSATISFIABLE", "proof", True)),
+    "unknown": (lambda: pigeonhole(7), 5, False,
+                ("UNKNOWN", "none", None)),
+    "failed-check": (lambda: pigeonhole(5), None, True,
+                     ("UNKNOWN", "proof", False)),
+}
+
+
+class TestCertificationContract:
+    @pytest.mark.parametrize("outcome", list(OUTCOMES))
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_contract(self, entry, outcome, tmp_path, monkeypatch):
+        make, cap, fail_check, expected = OUTCOMES[outcome]
+        if fail_check:
+            monkeypatch.setattr(
+                "repro.verify.certificate.check_proof_file",
+                lambda formula, path: CheckOutcome(
+                    valid=False, error="forced failure"))
+        assert ENTRY_POINTS[entry](make(), cap, tmp_path) == expected
