@@ -28,18 +28,23 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuits.faults import (
+    FAULT_NODE,
     StuckAtFault,
     collapse_equivalent,
     full_fault_list,
     inject_fault,
 )
-from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 from repro.circuits.parallel_sim import (
     fault_parallel_detects,
     parallel_fault_simulate,
 )
-from repro.circuits.tseitin import encode_circuit, encode_miter
+from repro.circuits.tseitin import (
+    add_difference,
+    encode_circuit,
+    encode_miter,
+    encode_nodes,
+)
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.circuit_sat import CircuitSATSolver
@@ -162,26 +167,10 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
         proof_path = os.path.join(
             proof_dir, f"atpg-{fault.node}-sa{int(fault.value)}.drup")
     if method == "portfolio":
-        from repro.solvers.portfolio import solve_portfolio
-        race_dir = None
-        ephemeral_dir = None
-        if certify:
-            race_dir = proof_dir
-            if race_dir is None:
-                import shutil
-                import tempfile
-                ephemeral_dir = tempfile.mkdtemp(prefix="repro-atpg-")
-                race_dir = ephemeral_dir
-        try:
-            result = solve_portfolio(
-                encoding.formula, max_conflicts=max_conflicts,
-                budget=budget, tracer=tracer,
-                proof_dir=race_dir).result
-        finally:
-            if ephemeral_dir is not None:
-                shutil.rmtree(ephemeral_dir, ignore_errors=True)
-        if ephemeral_dir is not None and result.certificate is not None:
-            result.certificate.proof_path = None
+        from repro.solvers.portfolio import race_portfolio
+        result = race_portfolio(encoding.formula, certify, proof_dir,
+                                max_conflicts=max_conflicts,
+                                budget=budget, tracer=tracer).result
     elif certify:
         from repro.verify.certificate import certified_solve
         result = certified_solve(encoding.formula,
@@ -387,10 +376,13 @@ class ATPGEngine:
 class IncrementalATPG:
     """Iterative ATPG on a single persistent solver (Section 6, [25]).
 
-    The good circuit is encoded once.  For each target fault only the
-    faulty *fanout cone* is encoded (with fresh variables); a per-fault
-    difference literal is constrained equal to the OR of the output
-    XORs and passed as the solve assumption.  Clauses recorded while
+    The good circuit is encoded once.  For each target fault the
+    faulty copy (:func:`~repro.circuits.faults.inject_fault`) is
+    encoded with every node outside the fault's fanout given its
+    good-circuit variable, so only the faulty *fanout cone* gets fresh
+    variables; a per-fault difference literal over the outputs the
+    cone reaches (:func:`~repro.circuits.tseitin.add_difference`) is
+    passed as the solve assumption.  Clauses recorded while
     processing one fault remain valid -- they reference good-circuit
     and cone variables whose definitions never change -- so later
     faults start with a primed clause database.
@@ -415,48 +407,24 @@ class IncrementalATPG:
     def solve_fault(self, fault: StuckAtFault,
                     budget: Optional[Budget] = None) -> FaultResult:
         """Target one fault through the shared solver."""
-        cone = sorted(self.circuit.transitive_fanout([fault.node]))
-        affected_outputs = [out for out in self.circuit.outputs
-                            if out in cone]
-        if not affected_outputs:
+        faulty = inject_fault(self.circuit, fault)
+        cone = faulty.transitive_fanout([FAULT_NODE])
+        if cone.isdisjoint(faulty.outputs):
             return FaultResult(fault, TestOutcome.REDUNDANT)
 
-        # Fresh variables for the faulty copies of the cone nodes.
-        faulty_var: Dict[str, int] = {}
-        for name in cone:
-            faulty_var[name] = self.solver.new_var()
+        def new_var(name: str) -> int:
+            return self.solver.new_var()
 
-        def fanin_literal(name: str) -> int:
-            if name in faulty_var:
-                return faulty_var[name]
-            return self.encoding.var_of[name]
-
-        # The fault site is stuck: a unit definition of its faulty var.
-        site_var = faulty_var[fault.node]
-        self.solver.add_clause([site_var if fault.value else -site_var])
-        from repro.circuits.gates import gate_cnf_clauses
-        for name in cone:
-            if name == fault.node:
-                continue
-            node = self.circuit.node(name)
-            inputs = [fanin_literal(f) for f in node.fanins]
-            for clause in gate_cnf_clauses(node.gate_type,
-                                           faulty_var[name], inputs):
-                self.solver.add_clause(clause)
-
-        # diff <-> OR of per-output XORs; assumed true for this query.
-        xor_vars = []
-        for out in affected_outputs:
-            good = self.encoding.var_of[out]
-            bad = faulty_var[out]
-            xvar = self.solver.new_var()
-            for clause in gate_cnf_clauses(GateType.XOR, xvar,
-                                           [good, bad]):
-                self.solver.add_clause(clause)
-            xor_vars.append(xvar)
-        diff = self.solver.new_var()
-        for clause in gate_cnf_clauses(GateType.OR, diff, xor_vars):
-            self.solver.add_clause(clause)
+        good = self.encoding.var_of
+        bad = encode_nodes(faulty, new_var, self.solver.add_clause,
+                           given={name: var for name, var in good.items()
+                                  if name not in cone})
+        diff = add_difference(
+            [(good[out], bad[faulty_out])
+             for out, faulty_out in zip(self.circuit.outputs,
+                                        faulty.outputs)
+             if faulty_out in cone],
+            new_var, self.solver.add_clause)
 
         result = self.solver.solve(assumptions=[diff], budget=budget)
         if result.is_sat:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.circuits.gates import GateType, gate_cnf_clauses
 from repro.circuits.netlist import Circuit
+from repro.circuits.tseitin import encode_nodes, input_trace
 from repro.runtime.budget import Budget
 from repro.solvers.incremental import IncrementalSolver
 from repro.solvers.result import SolverStats
@@ -106,7 +106,6 @@ class BoundedModelChecker:
         #: solver, so each depth can be re-posed as a standalone
         #: formula whose proof stands on its own.
         self._mirror: List[List[int]] = []
-        self._max_var = 0
 
     def _post(self, clause: List[int]) -> None:
         """Add *clause* to the incremental solver (and the certified
@@ -117,31 +116,10 @@ class BoundedModelChecker:
 
     def _add_frame(self) -> Dict[str, int]:
         """Encode one more time frame and link the DFFs."""
-        frame_index = len(self.frames)
-        var_of: Dict[str, int] = {}
-        for name in self.circuit.topological_order():
-            var_of[name] = self.solver.new_var()
-            self._max_var = max(self._max_var, var_of[name])
-        for name in self.circuit.topological_order():
-            node = self.circuit.node(name)
-            if node.gate_type is GateType.INPUT:
-                continue
-            if node.gate_type is GateType.DFF:
-                if frame_index == 0:
-                    value = self.initial_state[name]
-                    self._post(
-                        [var_of[name] if value else -var_of[name]])
-                else:
-                    previous = self.frames[frame_index - 1]
-                    data = node.fanins[0]
-                    # q_t == data_{t-1}
-                    self._post([-var_of[name], previous[data]])
-                    self._post([var_of[name], -previous[data]])
-                continue
-            inputs = [var_of[f] for f in node.fanins]
-            for clause in gate_cnf_clauses(node.gate_type,
-                                           var_of[name], inputs):
-                self._post(clause)
+        var_of = encode_nodes(
+            self.circuit, lambda name: self.solver.new_var(), self._post,
+            previous=self.frames[-1] if self.frames else None,
+            initial=self.initial_state)
         self.frames.append(var_of)
         return var_of
 
@@ -208,7 +186,9 @@ class BoundedModelChecker:
                              decisions=call.stats.decisions)
             if call.is_sat:
                 result.failure_depth = depth
-                result.trace = self._extract_trace(call.assignment, depth)
+                result.trace = input_trace(call.assignment,
+                                           self.frames[:depth + 1],
+                                           self.circuit.inputs)
                 return result
             if not call.is_unsat:
                 certificate = call.certificate
@@ -241,7 +221,7 @@ class BoundedModelChecker:
         from repro.verify.certificate import certified_solve
 
         formula = CNFFormula(
-            num_vars=self._max_var,
+            num_vars=self.solver.num_vars,
             clauses=self._mirror + [[assumption]])
         proof_path = None
         if self.proof_dir is not None:
@@ -250,17 +230,6 @@ class BoundedModelChecker:
                                       f"depth{depth}.drup")
         return certified_solve(formula, proof_path=proof_path,
                                tracer=self.tracer, budget=budget)
-
-    def _extract_trace(self, assignment, depth: int
-                       ) -> List[Dict[str, bool]]:
-        trace = []
-        for frame in range(depth + 1):
-            vector = {}
-            for name in self.circuit.inputs:
-                value = assignment.value_of(self.frames[frame][name])
-                vector[name] = bool(value) if value is not None else False
-            trace.append(vector)
-        return trace
 
 
 def check_safety(circuit: Circuit, output: str, bad_value: bool = True,

@@ -174,28 +174,12 @@ def _check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
         lift = pre.lift_model
 
     if backend == "portfolio":
-        from repro.solvers.portfolio import solve_portfolio
-        race_dir = None
-        ephemeral_dir = None
-        if certify:
-            race_dir = proof_dir
-            if race_dir is None:
-                import shutil
-                import tempfile
-                ephemeral_dir = tempfile.mkdtemp(prefix="repro-cec-")
-                race_dir = ephemeral_dir
-        try:
-            result = solve_portfolio(formula,
-                                     processes=portfolio_processes,
-                                     max_conflicts=max_conflicts,
-                                     seed=seed, budget=budget,
-                                     tracer=tracer,
-                                     proof_dir=race_dir).result
-        finally:
-            if ephemeral_dir is not None:
-                shutil.rmtree(ephemeral_dir, ignore_errors=True)
-        if ephemeral_dir is not None and result.certificate is not None:
-            result.certificate.proof_path = None
+        from repro.solvers.portfolio import race_portfolio
+        result = race_portfolio(formula, certify, proof_dir,
+                                processes=portfolio_processes,
+                                max_conflicts=max_conflicts,
+                                seed=seed, budget=budget,
+                                tracer=tracer).result
     elif certify:
         import os
         from repro.verify.certificate import certified_solve

@@ -8,15 +8,22 @@ outputs.  UNSAT through depth k proves k-step equivalence (full
 sequential equivalence needs an inductive or fixpoint argument, which
 bounded checking deliberately trades away -- exactly the trade
 bounded model checking made famous).
+
+Each frame of each machine is one :func:`repro.circuits.tseitin.
+encode_nodes` call (the shared input variables *given*, DFFs copied
+from the previous frame or fixed to the reset state), and the frame's
+divergence literal is :func:`~repro.circuits.tseitin.add_difference`
+over the output pairs.  Sequential ATPG is this check run against the
+faulty copy of a circuit (:mod:`repro.apps.sequential_atpg`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.circuits.gates import GateType, gate_cnf_clauses
 from repro.circuits.netlist import Circuit
+from repro.circuits.tseitin import add_difference, encode_nodes, input_trace
 from repro.solvers.incremental import IncrementalSolver
 from repro.solvers.result import SolverStats
 
@@ -27,25 +34,45 @@ class SequentialEquivalenceReport:
 
     ``equivalent_through`` is the deepest frame proved equal;
     ``failure_depth``/``trace`` report the first divergence if any.
+    ``aborted`` marks a depth the solver could not decide within its
+    conflict cap: the sweep stopped there, and that depth is not
+    proved.  ``initial_a``/``initial_b`` are the reset states the
+    machines started from (DFFs missing from them start at 0).
     """
 
     equivalent_through: int = -1
     failure_depth: Optional[int] = None
     trace: List[Dict[str, bool]] = field(default_factory=list)
     stats: SolverStats = field(default_factory=SolverStats)
+    aborted: bool = False
+    initial_a: Dict[str, bool] = field(default_factory=dict)
+    initial_b: Dict[str, bool] = field(default_factory=dict)
 
     @property
     def bounded_equivalent(self) -> bool:
-        """True when no divergence exists within the bound."""
-        return self.failure_depth is None
+        """True when every depth within the bound was proved equal."""
+        return self.failure_depth is None and not self.aborted
+
+
+def _reset_state(circuit: Circuit,
+                 initial: Optional[Dict[str, bool]]) -> Dict[str, bool]:
+    """Every DFF of *circuit* at 0, overridden by *initial*."""
+    state = {dff: False for dff in circuit.dffs}
+    state.update(initial or {})
+    return state
 
 
 class SequentialEquivalenceChecker:
-    """Product-machine unrolling on one incremental solver."""
+    """Product-machine unrolling on one incremental solver.
+
+    ``max_conflicts_per_depth`` caps each depth's solve (``None``:
+    unbounded); a depth that hits the cap ends the check ``aborted``.
+    """
 
     def __init__(self, circuit_a: Circuit, circuit_b: Circuit,
                  initial_a: Optional[Dict[str, bool]] = None,
-                 initial_b: Optional[Dict[str, bool]] = None):
+                 initial_b: Optional[Dict[str, bool]] = None,
+                 max_conflicts_per_depth: Optional[int] = None):
         circuit_a.validate()
         circuit_b.validate()
         if list(circuit_a.inputs) != list(circuit_b.inputs):
@@ -54,87 +81,60 @@ class SequentialEquivalenceChecker:
             raise ValueError("circuits must have equally many outputs")
         self.circuit_a = circuit_a
         self.circuit_b = circuit_b
-        self.initial_a = {dff: False for dff in circuit_a.dffs}
-        self.initial_b = {dff: False for dff in circuit_b.dffs}
-        if initial_a:
-            self.initial_a.update(initial_a)
-        if initial_b:
-            self.initial_b.update(initial_b)
-        self.solver = IncrementalSolver()
-        #: per frame: (inputs, vars_a, vars_b, diff)
-        self.frames: List[tuple] = []
-
-    def _encode_machine(self, circuit: Circuit, frame_index: int,
-                        inputs: Dict[str, int],
-                        previous: Optional[Dict[str, int]],
-                        initial: Dict[str, bool]) -> Dict[str, int]:
-        var_of: Dict[str, int] = {}
-        for name in circuit.topological_order():
-            node = circuit.node(name)
-            if node.gate_type is GateType.INPUT:
-                var_of[name] = inputs[name]
-                continue
-            var_of[name] = self.solver.new_var()
-            if node.gate_type is GateType.DFF:
-                if frame_index == 0:
-                    value = initial[name]
-                    self.solver.add_clause(
-                        [var_of[name] if value else -var_of[name]])
-                else:
-                    data = previous[node.fanins[0]]
-                    self.solver.add_clause([-var_of[name], data])
-                    self.solver.add_clause([var_of[name], -data])
-                continue
-            operands = [var_of[f] for f in node.fanins]
-            for clause in gate_cnf_clauses(node.gate_type,
-                                           var_of[name], operands):
-                self.solver.add_clause(clause)
-        return var_of
+        self.initial_a = _reset_state(circuit_a, initial_a)
+        self.initial_b = _reset_state(circuit_b, initial_b)
+        self.solver = IncrementalSolver(
+            max_conflicts_per_call=max_conflicts_per_depth)
+        #: per frame: (vars_a, vars_b, diff); vars_a holds the shared
+        #: input variables too
+        self.frames: List[Tuple[Dict[str, int], Dict[str, int], int]] = []
 
     def _add_frame(self) -> None:
-        frame_index = len(self.frames)
+        def new_var(name: str) -> int:
+            return self.solver.new_var()
+
+        add_clause = self.solver.add_clause
         inputs = {name: self.solver.new_var()
                   for name in self.circuit_a.inputs}
-        prev_a = self.frames[-1][1] if self.frames else None
-        prev_b = self.frames[-1][2] if self.frames else None
-        vars_a = self._encode_machine(self.circuit_a, frame_index,
-                                      inputs, prev_a, self.initial_a)
-        vars_b = self._encode_machine(self.circuit_b, frame_index,
-                                      inputs, prev_b, self.initial_b)
-        xor_vars = []
-        for out_a, out_b in zip(self.circuit_a.outputs,
-                                self.circuit_b.outputs):
-            xvar = self.solver.new_var()
-            for clause in gate_cnf_clauses(
-                    GateType.XOR, xvar, [vars_a[out_a], vars_b[out_b]]):
-                self.solver.add_clause(clause)
-            xor_vars.append(xvar)
-        diff = self.solver.new_var()
-        for clause in gate_cnf_clauses(GateType.OR, diff, xor_vars):
-            self.solver.add_clause(clause)
-        self.frames.append((inputs, vars_a, vars_b, diff))
+        prev_a, prev_b, _ = self.frames[-1] if self.frames \
+            else (None, None, None)
+        vars_a = encode_nodes(self.circuit_a, new_var, add_clause,
+                              given=inputs, previous=prev_a,
+                              initial=self.initial_a)
+        vars_b = encode_nodes(self.circuit_b, new_var, add_clause,
+                              given=inputs, previous=prev_b,
+                              initial=self.initial_b)
+        diff = add_difference(
+            [(vars_a[out_a], vars_b[out_b])
+             for out_a, out_b in zip(self.circuit_a.outputs,
+                                     self.circuit_b.outputs)],
+            new_var, add_clause)
+        self.frames.append((vars_a, vars_b, diff))
 
     def check(self, max_depth: int = 10
               ) -> SequentialEquivalenceReport:
-        """Search for a divergence within ``max_depth + 1`` frames."""
-        report = SequentialEquivalenceReport()
+        """Search for a divergence within ``max_depth + 1`` frames.
+
+        A depth the solver could not decide stops the sweep with
+        ``aborted`` set; it is never counted as proved.
+        """
+        report = SequentialEquivalenceReport(initial_a=self.initial_a,
+                                             initial_b=self.initial_b)
         for depth in range(max_depth + 1):
             while len(self.frames) <= depth:
                 self._add_frame()
             call = self.solver.solve(
-                assumptions=[self.frames[depth][3]])
+                assumptions=[self.frames[depth][2]])
             report.stats.merge(call.stats)
             if call.is_sat:
                 report.failure_depth = depth
-                report.trace = []
-                for frame in range(depth + 1):
-                    inputs = self.frames[frame][0]
-                    vector = {}
-                    for name, var in inputs.items():
-                        value = call.assignment.value_of(var)
-                        vector[name] = bool(value) \
-                            if value is not None else False
-                    report.trace.append(vector)
+                report.trace = input_trace(
+                    call.assignment,
+                    [frame[0] for frame in self.frames[:depth + 1]],
+                    self.circuit_a.inputs)
+                return report
+            if not call.is_unsat:
+                report.aborted = True
                 return report
             report.equivalent_through = depth
         return report
@@ -151,13 +151,16 @@ def check_sequential_equivalence(circuit_a: Circuit,
 
 def verify_divergence(circuit_a: Circuit, circuit_b: Circuit,
                       report: SequentialEquivalenceReport) -> bool:
-    """Replay a divergence trace through both simulators."""
+    """Replay a divergence trace through both simulators, each machine
+    from the reset state the check started it in."""
     from repro.circuits.simulate import simulate_sequence
 
     if report.failure_depth is None:
         return False
-    frames_a = simulate_sequence(circuit_a, report.trace)
-    frames_b = simulate_sequence(circuit_b, report.trace)
+    frames_a = simulate_sequence(
+        circuit_a, report.trace, _reset_state(circuit_a, report.initial_a))
+    frames_b = simulate_sequence(
+        circuit_b, report.trace, _reset_state(circuit_b, report.initial_b))
     frame = report.failure_depth
     return any(frames_a[frame][out_a] != frames_b[frame][out_b]
                for out_a, out_b in zip(circuit_a.outputs,

@@ -7,33 +7,32 @@ a stuck-at fault in a non-scan sequential circuit needs an input
 distinguishing it from the good machine, then propagates the
 difference to an observable output.
 
-The SAT model unrolls both machines side by side (the BMC construction
-of [5] applied twice), with:
-
-* one shared input-variable set per time frame,
-* the good machine's gates encoded per Table 1,
-* the faulty machine identical except the fault site is a constant in
-  *every* frame (the single-stuck-line assumption),
-* both machines starting from the reset state,
-* a per-frame difference indicator ``diff_t`` (OR of output XORs).
-
-Frames are added lazily on one persistent incremental solver; the
-query "detected within t frames" is the single assumption ``diff_t``,
-so recorded clauses carry across both depths and faults -- compounding
-the Section 6 incremental-SAT advantage.
+That is exactly bounded sequential equivalence of the circuit and its
+faulty copy (:func:`repro.circuits.faults.inject_fault`, which wires the
+fault site to a constant in *every* frame -- the single-stuck-line
+assumption), so a test generator here is one
+:class:`~repro.apps.seq_equivalence.SequentialEquivalenceChecker` on
+that pair: shared inputs per frame, both machines from the same reset
+state, and a per-frame difference literal ``diff_t`` assumed one depth
+at a time.  Frames are added lazily on one persistent incremental
+solver, so recorded clauses carry across depths -- the Section 6
+incremental-SAT advantage -- and the first satisfiable depth is the
+shortest detecting sequence.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from repro.apps.seq_equivalence import (
+    SequentialEquivalenceChecker,
+    SequentialEquivalenceReport,
+    verify_divergence,
+)
 from repro.circuits.faults import StuckAtFault, full_fault_list, inject_fault
-from repro.circuits.gates import GateType, gate_cnf_clauses
 from repro.circuits.netlist import Circuit
-from repro.circuits.simulate import simulate_sequence
-from repro.solvers.incremental import IncrementalSolver
 from repro.solvers.result import SolverStats
 
 
@@ -59,120 +58,34 @@ class SequentialFaultResult:
 class SequentialATPG:
     """Time-frame-expansion test generator for one target fault.
 
-    A fresh engine per fault (the two-machine unrolling is fault-
-    specific); within a fault, depths share one incremental solver.
+    A fresh engine per fault (the faulty machine is fault-specific);
+    within a fault, depths share one incremental solver, each capped
+    at ``max_conflicts_per_depth`` conflicts (a depth that hits the cap
+    makes the fault ABORTED).
     """
 
     def __init__(self, circuit: Circuit, fault: StuckAtFault,
                  initial_state: Optional[Dict[str, bool]] = None,
                  max_conflicts_per_depth: Optional[int] = 50000):
-        circuit.validate()
         self.circuit = circuit
         self.fault = fault
-        self.initial_state = {dff: False for dff in circuit.dffs}
-        if initial_state:
-            self.initial_state.update(initial_state)
-        self.solver = IncrementalSolver(
-            max_conflicts_per_call=max_conflicts_per_depth)
-        #: per frame: (input vars, good node vars, faulty node vars,
-        #: diff var)
-        self.frames: List[Tuple[Dict[str, int], Dict[str, int],
-                                Dict[str, int], int]] = []
-
-    # ------------------------------------------------------------------
-
-    def _encode_machine(self, frame_index: int,
-                        inputs: Dict[str, int],
-                        previous: Optional[Dict[str, int]],
-                        faulty: bool) -> Dict[str, int]:
-        """One frame of one machine; returns node-name -> variable."""
-        var_of: Dict[str, int] = {}
-        fault_node = self.fault.node if faulty else None
-        for name in self.circuit.topological_order():
-            node = self.circuit.node(name)
-            if node.gate_type is GateType.INPUT:
-                var_of[name] = inputs[name]
-                if name == fault_node:
-                    # Faulty machine sees the stuck value instead; give
-                    # it a private constant-driven variable.
-                    var_of[name] = self.solver.new_var()
-                    self.solver.add_clause(
-                        [var_of[name] if self.fault.value
-                         else -var_of[name]])
-                continue
-            var_of[name] = self.solver.new_var()
-            if name == fault_node:
-                self.solver.add_clause(
-                    [var_of[name] if self.fault.value
-                     else -var_of[name]])
-                continue
-            if node.gate_type is GateType.DFF:
-                if frame_index == 0:
-                    value = self.initial_state[name]
-                    self.solver.add_clause(
-                        [var_of[name] if value else -var_of[name]])
-                else:
-                    data = previous[node.fanins[0]]
-                    self.solver.add_clause([-var_of[name], data])
-                    self.solver.add_clause([var_of[name], -data])
-                continue
-            operands = [var_of[f] for f in node.fanins]
-            for clause in gate_cnf_clauses(node.gate_type,
-                                           var_of[name], operands):
-                self.solver.add_clause(clause)
-        return var_of
-
-    def _add_frame(self) -> None:
-        frame_index = len(self.frames)
-        inputs = {name: self.solver.new_var()
-                  for name in self.circuit.inputs}
-        prev_good = self.frames[-1][1] if self.frames else None
-        prev_bad = self.frames[-1][2] if self.frames else None
-        good = self._encode_machine(frame_index, inputs, prev_good,
-                                    faulty=False)
-        bad = self._encode_machine(frame_index, inputs, prev_bad,
-                                   faulty=True)
-
-        xor_vars = []
-        for output in self.circuit.outputs:
-            xvar = self.solver.new_var()
-            for clause in gate_cnf_clauses(
-                    GateType.XOR, xvar, [good[output], bad[output]]):
-                self.solver.add_clause(clause)
-            xor_vars.append(xvar)
-        diff = self.solver.new_var()
-        for clause in gate_cnf_clauses(GateType.OR, diff, xor_vars):
-            self.solver.add_clause(clause)
-        self.frames.append((inputs, good, bad, diff))
-
-    # ------------------------------------------------------------------
+        self.checker = SequentialEquivalenceChecker(
+            circuit, inject_fault(circuit, fault),
+            initial_state, initial_state,
+            max_conflicts_per_depth=max_conflicts_per_depth)
 
     def solve(self, max_depth: int = 10) -> SequentialFaultResult:
         """Search for a detecting sequence of length <= max_depth+1."""
+        report = self.checker.check(max_depth)
         result = SequentialFaultResult(
-            self.fault, SequenceOutcome.UNDETECTABLE_WITHIN_BOUND)
-        for depth in range(max_depth + 1):
-            while len(self.frames) <= depth:
-                self._add_frame()
-            diff = self.frames[depth][3]
-            call = self.solver.solve(assumptions=[diff])
-            result.stats.merge(call.stats)
-            if call.is_unknown:
-                result.outcome = SequenceOutcome.ABORTED
-                return result
-            if call.is_sat:
-                result.outcome = SequenceOutcome.DETECTED
-                result.detect_frame = depth
-                result.sequence = []
-                for frame in range(depth + 1):
-                    inputs = self.frames[frame][0]
-                    vector = {}
-                    for name, var in inputs.items():
-                        value = call.assignment.value_of(var)
-                        vector[name] = bool(value) \
-                            if value is not None else False
-                    result.sequence.append(vector)
-                return result
+            self.fault, SequenceOutcome.UNDETECTABLE_WITHIN_BOUND,
+            stats=report.stats)
+        if report.aborted:
+            result.outcome = SequenceOutcome.ABORTED
+        elif report.failure_depth is not None:
+            result.outcome = SequenceOutcome.DETECTED
+            result.detect_frame = report.failure_depth
+            result.sequence = report.trace
         return result
 
 
@@ -195,19 +108,14 @@ def validate_sequence(circuit: Circuit, result: SequentialFaultResult,
                       ) -> bool:
     """Replay a detecting sequence on good and faulty machines.
 
-    Confirms the primary outputs differ at the reported frame.
+    Confirms the primary outputs differ at the reported frame
+    (:func:`~repro.apps.seq_equivalence.verify_divergence` from
+    *initial_state*).
     """
     if result.outcome is not SequenceOutcome.DETECTED:
         return False
-    state = {dff: False for dff in circuit.dffs}
-    if initial_state:
-        state.update(initial_state)
-    faulty = inject_fault(circuit, result.fault)
-    good_frames = simulate_sequence(circuit, result.sequence,
-                                    dict(state))
-    bad_frames = simulate_sequence(faulty, result.sequence, dict(state))
-    frame = result.detect_frame
-    for good_out, bad_out in zip(circuit.outputs, faulty.outputs):
-        if good_frames[frame][good_out] != bad_frames[frame][bad_out]:
-            return True
-    return False
+    report = SequentialEquivalenceReport(
+        failure_depth=result.detect_frame, trace=result.sequence,
+        initial_a=initial_state or {}, initial_b=initial_state or {})
+    return verify_divergence(circuit, inject_fault(circuit, result.fault),
+                             report)

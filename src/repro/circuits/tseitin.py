@@ -9,12 +9,21 @@ The encoding is the satisfiability-equivalent (Tseitin-style) one: each
 circuit node gets a CNF variable, each gate contributes its Table 1
 clauses, and any property is a set of unit (or richer) constraints over
 node variables.
+
+:func:`encode_nodes` is the only code that turns a netlist into those
+clauses.  :func:`encode_circuit` wraps it for one frame in a formula;
+bounded model checking and the sequential product machine call it per
+time frame, and incremental ATPG per fault on the faulty copy with the
+good circuit's variables given outside the fault's fanout.  Next to it
+are the one XOR/OR difference output (:func:`add_difference`) and the
+per-frame input-trace reader (:func:`input_trace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
@@ -69,42 +78,101 @@ class CircuitEncoding:
                 for name, var in self.var_of.items()}
 
 
-def encode_circuit(circuit: Circuit,
-                   formula: Optional[CNFFormula] = None,
-                   var_prefix: str = "",
-                   state_as_inputs: bool = True) -> CircuitEncoding:
-    """Encode the combinational part of *circuit* into CNF.
+def encode_nodes(circuit: Circuit,
+                 new_var: Callable[[str], int],
+                 add_clause: Callable[[List[int]], object],
+                 given: Optional[Dict[str, int]] = None,
+                 previous: Optional[Dict[str, int]] = None,
+                 initial: Optional[Dict[str, bool]] = None
+                 ) -> Dict[str, int]:
+    """Table 1 over *circuit*: the one netlist-to-clauses construction.
 
-    Every node receives a fresh variable in *formula* (a new formula is
-    created when none is given -- passing one supports composing several
-    circuits, e.g. miters, into a single variable space).  DFF outputs
-    are treated as free pseudo-inputs when *state_as_inputs* is true
-    (the single-frame view used by combinational applications); BMC
-    instead unrolls time frames itself.
+    Walks the topological order.  A node named in *given* keeps that
+    variable and contributes no clauses (inputs shared by two machines,
+    or good-circuit signals outside a fault's fanout); every other node
+    gets ``new_var(name)``, and each gate sends its Table 1 clauses to
+    ``add_clause``.  A DFF output is a copy of its data input's
+    variable in the *previous* frame when one is given, else fixed to
+    its *initial* value when those are given, else a free
+    pseudo-input (the single-frame view).  Returns node name ->
+    variable.
     """
-    formula = formula if formula is not None else CNFFormula()
-    encoding = CircuitEncoding(circuit, formula)
-
+    given = given or {}
+    var_of: Dict[str, int] = {}
     for name in circuit.topological_order():
-        var = formula.new_var(var_prefix + name)
-        encoding.var_of[name] = var
-        encoding.node_of[var] = name
-
-    for name in circuit.topological_order():
+        if name in given:
+            var_of[name] = given[name]
+            continue
+        var = var_of[name] = new_var(name)
         node = circuit.node(name)
         if node.gate_type is GateType.INPUT:
             continue
         if node.gate_type is GateType.DFF:
-            if not state_as_inputs:
-                raise ValueError(
-                    "sequential circuit: unroll with repro.apps.bmc or "
-                    "pass state_as_inputs=True for the single-frame view")
+            if previous is not None:
+                data = previous[node.fanins[0]]
+                # q_t == data_{t-1}
+                add_clause([-var, data])
+                add_clause([var, -data])
+            elif initial is not None:
+                add_clause([var if initial[name] else -var])
             continue
-        output_lit = encoding.var_of[name]
-        input_lits = [encoding.var_of[f] for f in node.fanins]
-        for clause in gate_cnf_clauses(node.gate_type, output_lit,
-                                       input_lits):
-            formula.add_clause(clause)
+        for clause in gate_cnf_clauses(node.gate_type, var,
+                                       [var_of[f] for f in node.fanins]):
+            add_clause(clause)
+    return var_of
+
+
+def add_difference(pairs: Iterable[Tuple[int, int]],
+                   new_var: Callable[[str], int],
+                   add_clause: Callable[[List[int]], object]) -> int:
+    """The variable of OR_i (a_i XOR b_i) over literal *pairs*.
+
+    The miter output of Section 3 built directly on two encoded
+    machines: it is true exactly when some pair differs, so assuming
+    it asks for a distinguishing input.
+    """
+    xor_vars = []
+    for index, (left, right) in enumerate(pairs):
+        xor_var = new_var(f"diff_{index}")
+        for clause in gate_cnf_clauses(GateType.XOR, xor_var,
+                                       [left, right]):
+            add_clause(clause)
+        xor_vars.append(xor_var)
+    diff = new_var("diff")
+    for clause in gate_cnf_clauses(GateType.OR, diff, xor_vars):
+        add_clause(clause)
+    return diff
+
+
+def input_trace(assignment: Assignment,
+                frames: Sequence[Dict[str, int]],
+                inputs: Sequence[str]) -> List[Dict[str, bool]]:
+    """One input vector per unrolled frame, read from a model
+    (inputs the model leaves unassigned read as 0)."""
+    return [{name: bool(assignment.value_of(frame[name]))
+             for name in inputs}
+            for frame in frames]
+
+
+def encode_circuit(circuit: Circuit,
+                   formula: Optional[CNFFormula] = None,
+                   var_prefix: str = "") -> CircuitEncoding:
+    """Encode the combinational part of *circuit* into CNF.
+
+    Every node receives a fresh variable in *formula*, named
+    ``var_prefix + node`` (a new formula is created when none is given
+    -- passing one supports composing several circuits, e.g. miters,
+    into a single variable space).  DFF outputs are free pseudo-inputs
+    (the single-frame view used by combinational applications); BMC
+    and the sequential checks unroll frames with :func:`encode_nodes`.
+    """
+    formula = formula if formula is not None else CNFFormula()
+    encoding = CircuitEncoding(circuit, formula)
+    encoding.var_of = encode_nodes(
+        circuit, lambda name: formula.new_var(var_prefix + name),
+        formula.add_clause)
+    encoding.node_of = {var: name
+                        for name, var in encoding.var_of.items()}
     return encoding
 
 

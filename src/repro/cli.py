@@ -173,30 +173,15 @@ def _cmd_solve(args) -> int:
         lift = pre.lift_model
         formula = pre.formula
     if args.portfolio:
-        from repro.solvers.portfolio import solve_portfolio
-        race_dir = None
-        ephemeral_dir = None
-        if args.certify:
-            race_dir = args.proof_dir
-            if race_dir is None:
-                import shutil
-                import tempfile
-                ephemeral_dir = tempfile.mkdtemp(prefix="repro-solve-")
-                race_dir = ephemeral_dir
-        try:
-            result = solve_portfolio(formula, processes=args.portfolio,
-                                     max_conflicts=args.max_conflicts,
-                                     budget=budget, tracer=tracer,
-                                     proof_dir=race_dir,
-                                     inprocess=inprocess_config)
-        finally:
-            if ephemeral_dir is not None:
-                shutil.rmtree(ephemeral_dir, ignore_errors=True)
+        from repro.solvers.portfolio import race_portfolio
+        result = race_portfolio(formula, args.certify, args.proof_dir,
+                                processes=args.portfolio,
+                                max_conflicts=args.max_conflicts,
+                                budget=budget, tracer=tracer,
+                                inprocess=inprocess_config)
         if result.winner:
             print(f"c portfolio winner: {result.winner}")
         result = result.result
-        if ephemeral_dir is not None and result.certificate is not None:
-            result.certificate.proof_path = None
     elif args.certify:
         import os
         from repro.verify.certificate import certified_solve
@@ -703,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(subsumption, vivification, bounded "
                             "variable elimination, equivalent-literal "
                             "substitution) on the clause arena")
-    solve.add_argument("--inprocess-interval", type=int, default=2000,
-                       metavar="CONFLICTS",
+    solve.add_argument("--inprocess-interval", type=_at_least(1),
+                       default=2000, metavar="CONFLICTS",
                        help="conflicts between inprocessing runs "
                             "(default: 2000)")
     solve.add_argument("--portfolio", type=_at_least(0), default=0,
@@ -765,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     delay = commands.add_parser("delay",
                                 help="sensitizable-delay analysis")
     delay.add_argument("file")
-    delay.add_argument("--max-paths", type=int, default=1000)
+    delay.add_argument("--max-paths", type=_at_least(1), default=1000)
     delay.set_defaults(handler=_cmd_delay)
 
     info = commands.add_parser("info", help="netlist statistics")

@@ -28,6 +28,8 @@ configuration the remaining wall-clock budget.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -340,3 +342,26 @@ def solve_portfolio(formula: CNFFormula,
                            winner_index=report.winner_index,
                            processes_used=len(configs),
                            finished=finished, report=report)
+
+
+def race_portfolio(formula: CNFFormula, certify: bool,
+                   proof_dir: Optional[str], **options) -> PortfolioResult:
+    """:func:`solve_portfolio` for a caller's ``certify``/``proof_dir``
+    pair (the CLI, CEC and ATPG races).
+
+    Without *certify*, *proof_dir* is ignored.  A certified race
+    streams its proofs into *proof_dir* or, when that is ``None``,
+    into a temporary directory removed after the race; the result's
+    certificate then names no proof file.
+    """
+    if not certify:
+        return solve_portfolio(formula, **options)
+    if proof_dir is not None:
+        return solve_portfolio(formula, proof_dir=proof_dir, **options)
+    race_dir = tempfile.mkdtemp(prefix="repro-race-")
+    try:
+        outcome = solve_portfolio(formula, proof_dir=race_dir, **options)
+    finally:
+        shutil.rmtree(race_dir, ignore_errors=True)
+    outcome.result.certificate.proof_path = None
+    return outcome

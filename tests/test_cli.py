@@ -314,6 +314,9 @@ class TestBadFlags:
         "cec a.bench b.bench --portfolio -2",
         "solve x.cnf --max-conflicts -3",
         "bmc x.bench --depth -1",
+        "solve x.cnf --inprocess --inprocess-interval 0",
+        "solve x.cnf --inprocess --inprocess-interval -5",
+        "delay x.bench --max-paths 0",
         "serve --workers 0",
         "serve --queue-depth 0",
     ] + [f"{command} --timeout -1" for command in BUDGETED]

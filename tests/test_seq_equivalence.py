@@ -93,3 +93,27 @@ class TestInterfaces:
             initial_a={"q0": True, "q1": True})
         report = checker.check(max_depth=4)
         assert report.failure_depth == 0
+
+    def test_divergence_replays_from_the_checked_initial_states(self):
+        """The replay starts each machine where the check started it,
+        not from all-zero."""
+        left, right = binary_counter(2), binary_counter(2)
+        checker = SequentialEquivalenceChecker(
+            left, right, initial_a={"q0": True, "q1": True})
+        report = checker.check(max_depth=4)
+        assert report.failure_depth == 0
+        assert verify_divergence(left, right, report)
+
+
+class TestUndecidedDepths:
+    def test_capped_depth_is_not_proved(self):
+        """A depth the solver gives up on stops the sweep: it is
+        neither a divergence nor counted as equal."""
+        checker = SequentialEquivalenceChecker(
+            binary_counter(2), binary_counter(3),
+            max_conflicts_per_depth=1)
+        report = checker.check(max_depth=8)
+        assert report.aborted
+        assert report.failure_depth is None
+        assert report.equivalent_through < 3
+        assert not report.bounded_equivalent

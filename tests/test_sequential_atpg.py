@@ -13,6 +13,7 @@ from repro.circuits.gates import GateType
 from repro.circuits.generators import binary_counter, shift_register
 from repro.circuits.library import half_adder
 from repro.circuits.netlist import Circuit
+from repro.circuits.simulate import next_state, simulate
 
 
 class TestShiftRegister:
@@ -75,6 +76,17 @@ class TestCounter:
         assert result.outcome is SequenceOutcome.DETECTED
         assert result.detect_frame == 3
 
+    def test_conflict_cap_aborts_a_deep_fault(self):
+        """rollover stuck-at-0 on a 3-bit counter needs frame 7; one
+        conflict per depth cannot get there, and the undecided depth
+        is reported ABORTED, never as a bound result."""
+        circuit = binary_counter(3)
+        result = SequentialATPG(circuit, StuckAtFault("rollover", False),
+                                max_conflicts_per_depth=1).solve(12)
+        assert result.outcome is SequenceOutcome.ABORTED
+        assert result.detect_frame is None
+        assert result.sequence == []
+
     def test_depth_bound_respected(self):
         circuit = binary_counter(2)
         result = SequentialATPG(
@@ -126,3 +138,50 @@ class TestUndetectable:
         result = SequentialATPG(
             circuit, StuckAtFault("rollover", False)).solve(1)
         assert not validate_sequence(circuit, result)
+
+
+def earliest_detect_frame(circuit, fault, max_depth):
+    """Reference by explicit product-machine search: the first frame
+    at which some input sequence makes the good and the faulty
+    machine (simulated with the fault forced) differ at an output."""
+    inputs = circuit.inputs
+    reset = tuple(False for _ in circuit.dffs)
+    states = {(reset, reset)}
+    for frame in range(max_depth + 1):
+        successors = set()
+        for good_state, bad_state in states:
+            for bits in range(2 ** len(inputs)):
+                vector = {name: bool(bits >> i & 1)
+                          for i, name in enumerate(inputs)}
+                good = simulate(circuit, vector,
+                                dict(zip(circuit.dffs, good_state)))
+                bad = simulate(circuit, vector,
+                               dict(zip(circuit.dffs, bad_state)),
+                               faults={fault.node: fault.value})
+                if any(good[out] != bad[out] for out in circuit.outputs):
+                    return frame
+                successors.add(
+                    (tuple(next_state(circuit, good).values()),
+                     tuple(next_state(circuit, bad).values())))
+        states = successors
+    return None
+
+
+class TestShortestSequences:
+    @pytest.mark.parametrize("circuit, depth", [
+        (shift_register(3), 8), (binary_counter(3), 12)],
+        ids=["shift3", "cnt3"])
+    def test_detect_frame_is_the_first_distinguishing_frame(
+            self, circuit, depth):
+        """Every stuck-at fault, DFF outputs included: SAT finds a
+        sequence exactly at the first frame where one exists, and the
+        sequence replays."""
+        for fault in full_fault_list(circuit, include_state=True):
+            result = SequentialATPG(circuit, fault).solve(depth)
+            expected = earliest_detect_frame(circuit, fault, depth)
+            assert result.detect_frame == expected, str(fault)
+            if expected is None:
+                assert result.outcome is \
+                    SequenceOutcome.UNDETECTABLE_WITHIN_BOUND
+            else:
+                assert validate_sequence(circuit, result), str(fault)

@@ -598,6 +598,45 @@ class TestCertifiedApplications:
                               ripple_carry_adder(4),
                               use_preprocessing=True, certify=True)
 
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        """An empty directory standing in for the system temp root."""
+        import tempfile
+        root = tmp_path / "temp-root"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def test_atpg_race_without_proof_dir(self, temp_root):
+        from repro.apps.atpg import TestOutcome, solve_fault
+        from repro.circuits.faults import StuckAtFault
+        from repro.circuits.library import redundant_or_chain
+
+        result = solve_fault(redundant_or_chain(),
+                             StuckAtFault("ab", False),
+                             method="portfolio", certify=True)
+        assert result.outcome is TestOutcome.REDUNDANT
+        cert = result.certificate
+        assert cert.kind == "proof" and cert.valid
+        assert cert.proof_path is None
+        assert list(temp_root.iterdir()) == []
+
+    def test_cec_race_without_proof_dir(self, temp_root):
+        from repro.apps.equivalence import check_equivalence
+        from repro.circuits.generators import (
+            carry_select_adder,
+            ripple_carry_adder,
+        )
+
+        report = check_equivalence(ripple_carry_adder(4),
+                                   carry_select_adder(4),
+                                   backend="portfolio", certify=True)
+        assert report.equivalent is True
+        cert = report.certificate
+        assert cert.kind == "proof" and cert.valid
+        assert cert.proof_path is None
+        assert list(temp_root.iterdir()) == []
+
     def test_bmc_per_depth_proofs(self, tmp_path):
         from repro.apps.bmc import check_safety
         from repro.circuits.generators import binary_counter
