@@ -5,8 +5,14 @@ ATPG is the paper's canonical iterative consumer [25]: one SAT
 instance per fault, all sharing the good-circuit logic.  Compares a
 fresh solver per fault against the persistent incremental engine
 (clauses learned on earlier faults prune later ones).  Expected
-shape: identical outcomes, lower total conflicts/decisions and wall
-time for the incremental engine.
+shape: identical outcomes and far fewer total conflicts for the
+incremental engine.  It does *not* save time: every fault's cone
+clauses stay in the one solver, so later faults likely propagate over
+the earlier cones, and the incremental engine takes about 1.4-1.6x
+the CPU of a fresh solver per fault (every fault, no dropping,
+process CPU, best of 3, on a 2-vCPU VM with CPython 3.11.7: rca4
+0.42 s vs 0.66 s, alu4 2.02 s vs 3.30 s).  Both engines' times are
+reported; only the conflict claim is asserted.
 """
 
 import time
@@ -62,8 +68,9 @@ def test_claim_incremental(benchmark, show):
     # Identical verdict per fault.
     for left, right in zip(one_report.results, inc_report.results):
         assert left.outcome == right.outcome, left.fault
-    # Shape: shared learning does not increase search effort.
-    assert inc_conf <= max(one_conf, 1) * 2
+    # Shape: clauses learned on earlier faults save search (the
+    # EXPERIMENTS.md row's ~10x fewer conflicts).
+    assert inc_conf < one_conf
 
     small = ripple_carry_adder(2)
     small_faults = full_fault_list(small)

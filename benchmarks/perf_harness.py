@@ -59,8 +59,7 @@ independent checker must accept (every inprocessing transformation is
 proof-logged, so a checker rejection here is a soundness bug).  The
 JSON also records the kernel capability probe
 (:func:`repro.solvers.kernels.capability`), which says whether the
-numpy or the stdlib kernels ran; the CI matrix legs (numpy present /
-absent) must reach the same verdicts.  The probe runs exactly once
+numpy or the stdlib kernels ran.  The probe runs exactly once
 per invocation (a probe failure is recorded as an error string under
 ``kernels``, never an omitted key).  On the full suite the run
 **gates** on inprocessing beating the plain engine on ``php-7`` (the
@@ -71,7 +70,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/perf_harness.py            # full
     PYTHONPATH=src python benchmarks/perf_harness.py --smoke    # <60 s
-    PYTHONPATH=src python benchmarks/perf_harness.py --tiny     # CI
     PYTHONPATH=src python benchmarks/perf_harness.py -o out.json
 """
 
@@ -120,22 +118,15 @@ def _mutant_miter(width: int, seed: int):
     return encode_miter(rca, mutate_circuit(rca, seed=seed)).formula
 
 
-def build_suite(smoke: bool, tiny: bool = False):
+def build_suite(smoke: bool):
     """The fixed instance list: (name, formula) pairs.
 
     The mix spans the regimes the engines see in practice: large
     underconstrained instances (BCP/decide bound, the paper notes BCP
     dominates EDA workloads), circuit miters at growing width, and
     near-threshold / combinatorial refutations (conflict-analysis
-    bound).  ``tiny`` keeps just two small instances -- one SAT, one
-    deletion-heavy UNSAT -- for the CI perf-smoke job.
+    bound).
     """
-    if tiny:
-        return [
-            ("rksat-sat-120", random_ksat_at_ratio(120, 4.27, 3,
-                                                   seed=100)),
-            ("php-6", pigeonhole(6)),
-        ]
     suite = [
         ("rksat-sat-120", random_ksat_at_ratio(120, 4.27, 3, seed=100)),
         ("rksat-unsat-150", random_ksat_at_ratio(150, 4.27, 3, seed=102)),
@@ -222,7 +213,7 @@ def _run_certified(formula):
     import tempfile
 
     from repro.verify.checker import check_proof_file
-    from repro.verify.drat import FileProofSink, attach_proof_stream
+    from repro.verify.drat import FileProofSink
 
     handle, proof_path = tempfile.mkstemp(suffix=".drup",
                                           prefix="repro-bench-")
@@ -231,7 +222,7 @@ def _run_certified(formula):
         formula, heuristic=VSIDSHeuristic(seed=0),
         restart_policy=make_restart_policy("luby", 64),
         phase_saving=True)
-    sink = attach_proof_stream(solver, FileProofSink(proof_path))
+    sink = solver.proof = FileProofSink(proof_path)
     try:
         wall, cpu, result = _timed(solver)
         sink.close()
@@ -264,19 +255,19 @@ def _run_certified(formula):
 INPROCESS_INTERVAL = 1000
 
 
-def _inprocess_config(interval: int = INPROCESS_INTERVAL):
+def _inprocess_config():
     from repro.solvers.inprocess import InprocessConfig
-    return InprocessConfig(interval=interval)
+    return InprocessConfig(interval=INPROCESS_INTERVAL)
 
 
-def _run_inprocess(formula, interval: int = INPROCESS_INTERVAL):
+def _run_inprocess(formula):
     """The live engine with the inprocessing engine enabled.  Returns
     the timing, the result, and the per-pass totals of the run's
     :class:`~repro.solvers.inprocess.Inprocessor`."""
     solver = CDCLSolver(
         formula, heuristic=VSIDSHeuristic(seed=0),
         restart_policy=make_restart_policy("luby", 64),
-        phase_saving=True, inprocess=_inprocess_config(interval))
+        phase_saving=True, inprocess=_inprocess_config())
     wall, cpu, result = _timed(solver)
     inprocessor = solver._inprocessor
     totals = ({name: dict(counters) for name, counters
@@ -285,14 +276,14 @@ def _run_inprocess(formula, interval: int = INPROCESS_INTERVAL):
     return wall, cpu, result, totals
 
 
-def _run_inprocess_certified(formula, interval: int = INPROCESS_INTERVAL):
+def _run_inprocess_certified(formula):
     """One inprocessing run streaming a DRUP proof, validated by the
     independent checker: every inprocessing transformation is
     proof-logged, so a rejection here is a soundness bug, not noise."""
     import tempfile
 
     from repro.verify.checker import check_proof_file
-    from repro.verify.drat import FileProofSink, attach_proof_stream
+    from repro.verify.drat import FileProofSink
 
     handle, proof_path = tempfile.mkstemp(suffix=".drup",
                                           prefix="repro-bench-inp-")
@@ -301,8 +292,8 @@ def _run_inprocess_certified(formula, interval: int = INPROCESS_INTERVAL):
         formula, heuristic=VSIDSHeuristic(seed=0),
         restart_policy=make_restart_policy("luby", 64),
         phase_saving=True,
-        inprocess=_inprocess_config(interval=interval))
-    sink = attach_proof_stream(solver, FileProofSink(proof_path))
+        inprocess=_inprocess_config())
+    sink = solver.proof = FileProofSink(proof_path)
     try:
         result = solver.solve()
         sink.close()
@@ -339,11 +330,8 @@ def _verify_model(formula, result, engine: str, name: str) -> None:
                 f"{engine} returned a non-model on {name}")
 
 
-def bench_instance(name, formula, repeats: int, tiny: bool = False):
+def bench_instance(name, formula, repeats: int):
     """Race both engines on one instance; returns the result record."""
-    # The tiny CI instances conflict a few hundred times at most, so
-    # the inprocessing cadence drops to keep the passes exercised.
-    inp_interval = 100 if tiny else INPROCESS_INTERVAL
     best_new = best_old = best_traced = best_cert = best_inp = None
     for _ in range(repeats):
         # Best repetition is picked on CPU seconds: wall clock on a
@@ -361,8 +349,7 @@ def bench_instance(name, formula, repeats: int, tiny: bool = False):
         wall, cpu, result, info = _run_certified(formula)
         if best_cert is None or cpu < best_cert[1]:
             best_cert = (wall, cpu, result, info)
-        wall, cpu, result, totals = _run_inprocess(
-            formula, interval=inp_interval)
+        wall, cpu, result, totals = _run_inprocess(formula)
         if best_inp is None or cpu < best_inp[1]:
             best_inp = (wall, cpu, result, totals)
     new_wall, new_time, new_result = best_new
@@ -379,8 +366,7 @@ def bench_instance(name, formula, repeats: int, tiny: bool = False):
     _verify_model(formula, inp_result, "inprocessing engine", name)
     inp_proof_info = {}
     if inp_result.status is Status.UNSATISFIABLE:
-        _, inp_proof_info = _run_inprocess_certified(
-            formula, interval=inp_interval)
+        _, inp_proof_info = _run_inprocess_certified(formula)
     if cert_result.status is not new_result.status:
         raise AssertionError(
             f"proof streaming changed the verdict on {name}: "
@@ -492,13 +478,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small suite + 1 repeat, finishes in <60 s")
-    parser.add_argument("--tiny", action="store_true",
-                        help="two tiny instances + 1 repeat (the CI "
-                             "perf-smoke job); exits non-zero on any "
-                             "verdict mismatch")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repetitions per engine per "
-                             "instance (default: 3, smoke/tiny: 1)")
+                             "instance (default: 3, smoke: 1)")
     parser.add_argument("-o", "--output", default=None,
                         help="output JSON path (default: BENCH_PR9.json "
                              "in the repo root; '-' for stdout only)")
@@ -514,10 +496,10 @@ def main(argv=None) -> int:
     except Exception as exc:
         kernels_info = {"error": f"{type(exc).__name__}: {exc}"}
 
-    repeats = args.repeats or (1 if (args.smoke or args.tiny) else 3)
+    repeats = args.repeats or (1 if args.smoke else 3)
     records = []
-    for name, formula in build_suite(args.smoke, tiny=args.tiny):
-        record = bench_instance(name, formula, repeats, tiny=args.tiny)
+    for name, formula in build_suite(args.smoke):
+        record = bench_instance(name, formula, repeats)
         records.append(record)
         deletion = record["deletion"]
         gc_note = (f"gc {deletion['gc_runs']} "
@@ -555,7 +537,6 @@ def main(argv=None) -> int:
         "kernels": kernels_info,
         "repeats": repeats,
         "smoke": args.smoke,
-        "tiny": args.tiny,
         "median_speedup": round(statistics.median(speedups), 3),
         "min_speedup": round(min(speedups), 3),
         "max_speedup": round(max(speedups), 3),
@@ -601,10 +582,10 @@ def main(argv=None) -> int:
         out_path.write_text(json.dumps(summary, indent=2) + "\n")
         print(f"wrote {out_path}")
 
-    # The tracing gate is judged on the full suite only: smoke/tiny
+    # The tracing gate is judged on the full suite only: smoke
     # instances solve in milliseconds, where the ratio is dominated
     # by tracer setup rather than steady-state per-event cost.
-    if not (args.smoke or args.tiny) \
+    if not args.smoke \
             and summary["median_tracing_overhead"] \
             > summary["tracing_gate"]:
         print(f"FAIL: median tracing overhead "
@@ -624,7 +605,7 @@ def main(argv=None) -> int:
               f"php-7 (x{summary['php7_inprocess_vs_off']:.2f})",
               file=sys.stderr)
         return 1
-    if not (args.smoke or args.tiny) and summary["median_speedup"] \
+    if not args.smoke and summary["median_speedup"] \
             < summary["legacy_speedup_floor"]:
         print(f"FAIL: median speedup x{summary['median_speedup']:.2f} "
               f"fell below the PR6 floor "

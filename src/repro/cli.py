@@ -786,19 +786,20 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential fuzzing of the solver stack "
              "(CDCL vs DPLL vs recursive learning, proofs checked)")
-    fuzz.add_argument("--iterations", type=int, default=100)
+    fuzz.add_argument("--iterations", type=_at_least(1), default=100)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--out-dir", default=None, metavar="DIR",
                       help="write shrunk reproducers (DIMACS + JSON) "
                            "here on failure")
-    fuzz.add_argument("--max-vars", type=int, default=26,
-                      help="instance size cap")
-    fuzz.add_argument("--portfolio-every", type=int, default=0,
+    fuzz.add_argument("--max-vars", type=_at_least(5), default=26,
+                      help="instance size cap (instances draw 5 to N "
+                           "variables)")
+    fuzz.add_argument("--portfolio-every", type=_at_least(0), default=0,
                       metavar="K",
                       help="every K rounds, race a certified "
                            "supervised portfolio under a random "
                            "fault plan (0 = never)")
-    fuzz.add_argument("--progress-every", type=int, default=100,
+    fuzz.add_argument("--progress-every", type=_at_least(0), default=100,
                       metavar="N",
                       help="print a progress line every N rounds "
                            "(0 = silent)")

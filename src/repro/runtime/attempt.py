@@ -106,7 +106,8 @@ def worker_main(spec: AttemptSpec, heartbeat, channel) -> None:
     Runs the scripted fault, or builds the solver -- warm from
     ``spec.resume_blob`` when that loads -- and solves, heartbeating
     into *heartbeat* and sending the payloads of the module docstring
-    over *channel*.  A non-UNSAT outcome removes its partial proof.
+    over *channel*.  A non-UNSAT outcome leaves no proof file (see
+    :class:`repro.verify.drat.FileProofSink`).
     """
     key, attempt, plan = spec.key, spec.attempt, spec.fault_plan
     action = None if plan is None else plan.action(key, attempt)
@@ -153,10 +154,9 @@ def worker_main(spec: AttemptSpec, heartbeat, channel) -> None:
                         context={"job": key, "attempt": attempt + 1})
         tracer.emit_meta()
         solver.tracer = tracer
-    sink = None
     if spec.proof_path is not None:
-        from repro.verify.drat import FileProofSink, attach_proof_stream
-        sink = attach_proof_stream(solver, FileProofSink(spec.proof_path))
+        from repro.verify.drat import FileProofSink
+        solver.proof = FileProofSink(spec.proof_path)
 
     def send_snapshot(now: float) -> None:
         arena = solver.arena
@@ -197,13 +197,8 @@ def worker_main(spec: AttemptSpec, heartbeat, channel) -> None:
 
     solver.on_checkpoint = on_checkpoint
     result = solver.solve()
-    if sink is not None:
-        sink.close()
-        if result.status is not Status.UNSATISFIABLE:
-            try:
-                os.remove(spec.proof_path)
-            except OSError:
-                pass
+    if solver.proof is not None:
+        solver.proof.close()
     heartbeat.value = time.monotonic()
     if tracer is not None:
         tracer.close()

@@ -54,6 +54,7 @@ The failure contract, end to end:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import os
 import random
 import shutil
@@ -174,9 +175,9 @@ class SolveServer:
         ``service.shutdown`` events.
     worker_trace_dir:
         optional directory; when set, every worker attempt writes its
-        own JSONL trace (``<job>-a<attempt>.jsonl``) there, stamped
-        with ``job``/``attempt`` context so ``repro profile`` can
-        merge them with the server's trace.
+        own JSONL trace there (``<job prefix>-<id digest>-a<attempt>
+        .jsonl``), stamped with ``job``/``attempt`` context so
+        ``repro profile`` can merge them with the server's trace.
     journal:
         optional path to the append-only JSONL job journal.  Accepted
         submissions and terminal results are written ahead; on
@@ -717,10 +718,18 @@ class SolveServer:
         trace_path = None
         if self.worker_trace_dir is not None:
             os.makedirs(self.worker_trace_dir, exist_ok=True)
-            safe = "".join(c if c.isalnum() or c in "-_" else "_"
-                           for c in request.job_id)[:80]
-            trace_path = os.path.join(self.worker_trace_dir,
-                                      f"{safe}-a{attempt}.jsonl")
+            # A readable prefix of the id plus a digest of all of it:
+            # ids that read alike after the cut must not share a file,
+            # since the worker's sink truncates it.
+            job_id = request.job_id
+            readable = "".join(
+                c if c.isascii() and (c.isalnum() or c in "-_") else "_"
+                for c in job_id[:40])
+            digest = hashlib.sha256(
+                job_id.encode("utf-8", "surrogatepass")).hexdigest()[:16]
+            trace_path = os.path.join(
+                self.worker_trace_dir,
+                f"{readable}-{digest}-a{attempt}.jsonl")
         worker = WorkerAttempt(AttemptSpec(
             key=request.job_id, attempt=attempt,
             clause_lits=request.clause_lits, num_vars=request.num_vars,

@@ -113,7 +113,7 @@ class CDCLSolver:
         the defaults, or ``None``/``False`` (default) for none.  The
         engine runs every ``interval`` conflicts at decision level 0;
         its work is charged to the same budget meter, and its clause
-        rewrites stream through the proof hooks so certification keeps
+        rewrites are written to ``proof`` so certification keeps
         working.  Variables removed by elimination/equivalence must
         not reappear in later assumptions or added clauses
         (incremental users pass ``InprocessConfig(bve=False,
@@ -121,10 +121,9 @@ class CDCLSolver:
     resume_from:
         a :class:`repro.runtime.checkpoint.SearchCheckpoint` from a
         dead attempt on the *same formula* (warm restart).  Applied
-        lazily at the start of the first ``solve`` call -- after any
-        proof stream has been attached -- so the imported learned
-        clauses flow through the (possibly instrumented) ``_attach``
-        and become the DRUP add-prefix of the resumed proof, in
+        lazily at the start of the first ``solve`` call, so a ``proof``
+        sink set before that call receives the imported units and
+        learned clauses as the DRUP add-prefix of the resumed proof, in
         derivation order.  Imports are admitted only when RUP against
         the formula plus prior imports (checker propagation), which
         keeps resumed certificates checkable and makes the import
@@ -211,19 +210,16 @@ class CDCLSolver:
         #: one ``is not None`` test per propagate call / per conflict
         #: when absent; the snapshot lands in ``stats.metrics``.
         self.metrics = None
-        #: Proof hook: called by ``_reduce_learned`` with the literal
-        #: lists of the clauses a collection is about to drop, *before*
-        #: the arena compaction invalidates their ids.  The streaming
-        #: proof writer (``repro.verify``) turns these into DRUP
-        #: deletion lines so checker-side propagation stays bounded.
-        self.on_proof_delete: \
-            Optional[Callable[[List[List[int]]], None]] = None
-        #: Proof hook: called with a literal list when the inprocessing
-        #: engine derives a clause that does not flow through
-        #: ``_attach(learned=True)`` -- strengthened *original* clauses,
-        #: BVE resolvents, root units.  ``attach_proof_stream`` points
-        #: it at the sink's ``add``.
-        self.on_proof_add: Optional[Callable[[Sequence[int]], None]] = None
+        #: Optional :class:`repro.verify.drat.ProofSink`: the engine
+        #: writes its own DRUP derivation into it, at the points where
+        #: it derives or drops a clause -- every learned clause
+        #: (``_attach``, which also carries checkpoint imports and
+        #: inprocessing's learned rewrites), every unit implicate,
+        #: inprocessing's original-clause adds, every collected clause
+        #: (``_drop_clauses``), and the empty clause when a solve
+        #: without assumptions ends UNSAT.  Set it before the first
+        #: ``solve`` call.
+        self.proof = None
 
         self._num_vars = formula.num_vars
         n = self._num_vars + 1
@@ -272,12 +268,19 @@ class CDCLSolver:
         self._attach(self.arena.add(lits, learned=False), learned=False)
 
     def _attach(self, cid: int, learned: bool) -> None:
-        """Register arena clause *cid* with the watch machinery."""
-        (self._learned if learned else self._clauses).append(cid)
+        """Register arena clause *cid* with the watch machinery; a
+        learned clause is also the proof's next add step."""
         arena = self.arena
         lits = arena.lits
         base = arena.off[cid]
-        if arena.end[cid] - base == 2:
+        end = arena.end[cid]
+        if learned:
+            self._learned.append(cid)
+            if self.proof is not None:
+                self.proof.add(lits[base:end])
+        else:
+            self._clauses.append(cid)
+        if end - base == 2:
             a, b = lits[base], lits[base + 1]
             self._bins[_lit_index(a)].append((b, cid))
             self._bins[_lit_index(b)].append((a, cid))
@@ -740,8 +743,9 @@ class CDCLSolver:
 
         This is the shared GC protocol (used by the deletion policy in
         ``_reduce_learned`` and by the inprocessing engine's commits):
-        proof-delete the doomed literals while their ids still mean
-        something, compact the arena, rewrite every stored id --
+        write the doomed clauses' deletion lines to the proof while
+        their ids still mean something (checker-side propagation then
+        stays bounded), compact the arena, rewrite every stored id --
         registries, antecedent slots -- through the remap, and rebuild
         the watch tables, so the hot path never sees a dead id.
         Unlike the deletion policy, inprocessing may drop *original*
@@ -757,11 +761,12 @@ class CDCLSolver:
         aoff = arena.off
         aend = arena.end
         alits = arena.lits
-        if self.on_proof_delete is not None:
-            # Snapshot literals now: compact() recycles the buffer and
-            # renumbers ids, after which these cids mean nothing.
-            self.on_proof_delete(
-                [list(alits[aoff[cid]:aend[cid]]) for cid in doomed])
+        proof = self.proof
+        if proof is not None:
+            # Before compact(): it recycles the buffer and renumbers
+            # ids, after which these cids mean nothing.
+            for cid in doomed:
+                proof.delete(alits[aoff[cid]:aend[cid]])
         self.stats.deleted_clauses += len(doomed)
         reclaimed = sum(aend[cid] - aoff[cid] for cid in doomed)
         remap = arena.compact(doomed)
@@ -969,6 +974,11 @@ class CDCLSolver:
                 self.stats.arena_peak_lits = self.arena.peak_lits
             if self.metrics is not None:
                 self.stats.metrics = self.metrics.snapshot()
+        if (status is Status.UNSATISFIABLE and not assumptions
+                and self.proof is not None):
+            # A refutation under assumptions refutes only them, so it
+            # does not conclude a proof of the formula.
+            self.proof.conclude()
         model = self._model() if status is Status.SATISFIABLE else None
         self._cancel_until(0)
         return SolverResult(status, model, self.stats)
@@ -1014,11 +1024,10 @@ class CDCLSolver:
     def _import_checkpoint(self, checkpoint) -> None:
         """Warm-restart: re-attach a dead attempt's search state.
 
-        Runs at the start of the first solve call, *after* proof
-        instrumentation, so every admitted clause streams its DRUP add
-        line through ``_attach`` / ``on_proof_add`` -- the resumed
-        proof is the imported prefix plus new derivations and the
-        forward checker accepts it unchanged.  The RUP admission gate
+        Runs at the start of the first solve call, so every admitted
+        unit and clause becomes a DRUP add line of ``proof`` -- the
+        resumed proof is the imported prefix plus new derivations and
+        the forward checker accepts it unchanged.  The RUP admission gate
         (:func:`repro.runtime.checkpoint.filter_rup_imports`) drops
         anything unverifiable; a checkpoint for a different formula
         size is ignored wholesale.
@@ -1031,7 +1040,7 @@ class CDCLSolver:
         stats = self.stats
         stats.warm_resumes += 1
         stats.checkpoint_dropped_clauses += dropped
-        on_proof_add = self.on_proof_add
+        proof = self.proof
         pending = set(self._pending_units)
         new_units = 0
         for lit in units:
@@ -1040,8 +1049,8 @@ class CDCLSolver:
             pending.add(lit)
             self._pending_units.append(lit)
             new_units += 1
-            if on_proof_add is not None:
-                on_proof_add([lit])
+            if proof is not None:
+                proof.add((lit,))
         arena = self.arena
         for lits, lbd, activity in clauses:
             cid = arena.add(list(lits), learned=True, lbd=lbd)
@@ -1224,6 +1233,8 @@ class CDCLSolver:
             self._cancel_until(0)
             self.stats.learned_clauses += 1
             self._pending_units.append(asserting)
+            if self.proof is not None:
+                self.proof.add((asserting,))
             self._enqueue(asserting, None)
         else:
             # Learning disabled: the derived clause is still a valid

@@ -23,15 +23,16 @@ directly on the arena's flat literal buffer and registries:
   clause growth), with model reconstruction restoring eliminated
   variables in SAT answers.
 
-Every transformation is DRUP-logged through the solver's proof hooks
+Every transformation is DRUP-logged into the solver's ``proof`` sink
 in **add-before-delete** order: a strengthened clause or resolvent is
 emitted as an add (it is a RUP consequence of the database *at that
 moment* -- one resolution step, or a reproduced propagation conflict)
 before the clause it replaces is emitted as a deletion, so the
 independent checker in :mod:`repro.verify.checker` accepts the whole
-stream.  Deletions ride the same ``on_proof_delete`` hook as the GC;
-adds use ``on_proof_add`` (original clauses) or the instrumented
-``_attach`` (learned clauses).
+stream.  Deletions are written by the solver's ``_drop_clauses`` (the
+GC protocol), learned rewrites by its ``_attach``; this module writes
+only the adds the solver cannot see -- original clauses, resolvents
+and root units.
 
 Work is charged to the solver's :class:`~repro.runtime.budget.
 BudgetMeter` (candidate checks, resolvent products, and every probe
@@ -279,9 +280,9 @@ class Inprocessor:
         self._reclaimed += self.solver.arena.size(cid)
 
     def _emit_add(self, literals: Sequence[int]) -> None:
-        hook = self.solver.on_proof_add
-        if hook is not None:
-            hook(list(literals))
+        proof = self.solver.proof
+        if proof is not None:
+            proof.add(literals)
 
     def _add_unit(self, lit: int) -> None:
         """Install a derived root unit: proof add, pending-unit entry,
@@ -315,8 +316,8 @@ class Inprocessor:
             self._add_unit(new_lits[0])
             return
         if learned:
-            # The instrumented ``_attach`` (repro.verify.drat) emits
-            # the proof add for learned clauses.
+            # The solver's ``_attach`` writes the proof add of a
+            # learned clause.
             cid = arena.add(list(new_lits), learned=True,
                             lbd=min(len(new_lits),
                                     arena.lbd[old_cid] or len(new_lits)))

@@ -32,7 +32,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
@@ -72,11 +72,13 @@ class PortfolioConfig:
     inprocess: bool = False
     inprocess_interval: int = 2000
 
-    def build_solver(self, formula: CNFFormula,
-                     max_conflicts: Optional[int] = None,
-                     budget: Optional[Budget] = None,
-                     resume_from=None) -> CDCLSolver:
-        """Instantiate the configured engine on *formula*.
+    def engine_kwargs(self, max_conflicts: Optional[int] = None,
+                      budget: Optional[Budget] = None,
+                      resume_from=None) -> Dict[str, Any]:
+        """The :class:`CDCLSolver` keyword arguments of this
+        configuration (a fresh heuristic and restart policy on every
+        call), for :meth:`build_solver` and for
+        :func:`repro.verify.certificate.certified_solve`.
 
         *resume_from* (a ``repro.runtime.checkpoint.SearchCheckpoint``)
         warm-starts the engine from a dead attempt's search state.
@@ -85,8 +87,7 @@ class PortfolioConfig:
         if self.inprocess:
             from repro.solvers.inprocess import InprocessConfig
             inprocess = InprocessConfig(interval=self.inprocess_interval)
-        return CDCLSolver(
-            formula,
+        return dict(
             heuristic=make_heuristic(self.heuristic, seed=self.seed,
                                      random_freq=self.random_freq),
             restart_policy=make_restart_policy(self.restart,
@@ -97,6 +98,15 @@ class PortfolioConfig:
             inprocess=inprocess,
             resume_from=resume_from,
         )
+
+    def build_solver(self, formula: CNFFormula,
+                     max_conflicts: Optional[int] = None,
+                     budget: Optional[Budget] = None,
+                     resume_from=None) -> CDCLSolver:
+        """Instantiate the configured engine on *formula* (arguments
+        as for :meth:`engine_kwargs`)."""
+        return CDCLSolver(formula, **self.engine_kwargs(
+            max_conflicts, budget, resume_from))
 
     def perturbed(self, attempt: int) -> "PortfolioConfig":
         """This configuration jittered for respawn *attempt*.
@@ -191,16 +201,15 @@ def _solve_sequential(formula: CNFFormula,
     configuration receives only the remaining time, and once the
     deadline passes the scan stops with UNKNOWN instead of starting
     the next engine.  With a *proof_dir* the scan certifies in
-    process: each configuration streams its proof there and its
-    result goes through
-    :func:`repro.verify.certificate.certify_result` (a failed check
-    demotes that configuration's answer to UNKNOWN and the scan
-    continues).  A certified scan without a decisive verdict returns
-    UNKNOWN carrying the first failed certificate, or a ``none`` one.
+    process: each configuration runs as
+    :func:`repro.verify.certificate.certified_solve` with its proof
+    in *proof_dir* (a failed check demotes that configuration's
+    answer to UNKNOWN and the scan continues).  A certified scan
+    without a decisive verdict returns UNKNOWN carrying the first
+    failed certificate, or a ``none`` one.
     """
     if proof_dir is not None:
-        from repro.verify.certificate import certify_result
-        from repro.verify.drat import FileProofSink, attach_proof_stream
+        from repro.verify.certificate import certified_solve, certify_result
         os.makedirs(proof_dir, exist_ok=True)
     started = time.monotonic()
     wall = budget.wall_seconds if budget is not None else None
@@ -214,25 +223,17 @@ def _solve_sequential(formula: CNFFormula,
             if remaining <= 0:
                 break
             call_budget = replace(budget, wall_seconds=remaining)
-        solver = config.build_solver(formula, max_conflicts,
-                                     budget=call_budget)
-        solver.tracer = tracer
         if proof_dir is None:
+            solver = config.build_solver(formula, max_conflicts,
+                                         budget=call_budget)
+            solver.tracer = tracer
             last = solver.solve()
         else:
             proof_path = os.path.join(proof_dir,
                                       f"seq{index}-{config.name}.drup")
-            sink = attach_proof_stream(solver, FileProofSink(proof_path))
-            try:
-                last = solver.solve()
-            finally:
-                sink.close()
-            if last.status is not Status.UNSATISFIABLE:
-                try:                    # partial proofs certify nothing
-                    os.remove(proof_path)
-                except OSError:
-                    pass
-            last = certify_result(formula, last, proof_path, tracer)
+            last = certified_solve(formula, proof_path, tracer=tracer,
+                                   **config.engine_kwargs(
+                                       max_conflicts, call_budget))
             if failed is None and last.certificate.valid is False:
                 failed = last.certificate
         finished.append(config.name)

@@ -4,9 +4,9 @@ checker, certificates, and a differential fuzzer.
 An answer from a SAT engine is only as trustworthy as the engine; this
 package makes answers *checkable* instead:
 
-* :mod:`repro.verify.drat` streams DRUP proof lines (clause additions,
-  GC deletions, the final empty clause) to a file with O(1)
-  solver-side memory;
+* :mod:`repro.verify.drat` holds the proof sinks the CDCL engine
+  writes its DRUP derivation into (clause additions, GC deletions,
+  the final empty clause), to a file with O(1) solver-side memory;
 * :mod:`repro.verify.checker` validates such a proof by forward RUP
   checking with its own unit propagation -- it shares no code with the
   solvers it audits;
@@ -39,7 +39,6 @@ from repro.verify.drat import (
     FileProofSink,
     MemoryProofSink,
     ProofSink,
-    attach_proof_stream,
     solve_with_proof_stream,
 )
 from repro.verify.fuzz import (
@@ -62,7 +61,6 @@ __all__ = [
     "ProofSink",
     "FileProofSink",
     "MemoryProofSink",
-    "attach_proof_stream",
     "solve_with_proof_stream",
     "Discrepancy",
     "FuzzReport",

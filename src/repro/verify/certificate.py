@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.verify.checker import CheckOutcome, check_proof_file
-from repro.verify.drat import FileProofSink, attach_proof_stream
+from repro.verify.drat import FileProofSink
 
 #: Certificate kinds.
 MODEL = "model"
@@ -161,10 +161,10 @@ def certified_solve(formula, proof_path: Optional[str] = None,
     ``certificate``: an UNSAT proof the checker validated, an audited
     SAT model, or a ``none`` certificate on UNKNOWN -- and an answer
     whose evidence fails is *demoted* to UNKNOWN with the diagnostic
-    in ``certificate.reason``.  A proof file stays at *proof_path*
-    when one was given (an invalid one too, for post-mortem); a
-    temporary file is cleaned up, and so is any partial proof of a
-    non-UNSAT run.
+    in ``certificate.reason``.  An UNSAT run's proof file stays at
+    *proof_path* when one was given (an invalid one too, for
+    post-mortem); a temporary file is cleaned up, and a non-UNSAT
+    run's partial proof never survives its sink's ``close``.
 
     ``preprocess=True`` runs the proof-logged preprocessing subset
     (:func:`repro.cnf.simplify.simplify_with_proof`) into the same
@@ -200,9 +200,8 @@ def certified_solve(formula, proof_path: Optional[str] = None,
         result = SolverResult(Status.UNSATISFIABLE, None, SolverStats())
     else:
         solver = CDCLSolver(target, **cdcl_kwargs)
-        if tracer is not None:
-            solver.tracer = tracer
-        attach_proof_stream(solver, sink)
+        solver.tracer = tracer
+        solver.proof = sink
         try:
             result = solver.solve()
         finally:
@@ -216,17 +215,10 @@ def certified_solve(formula, proof_path: Optional[str] = None,
                 result.assignment.assign(var, value)
 
     result = certify_result(formula, result, proof_path, tracer)
-    certificate = result.certificate
-    if certificate.kind == PROOF:
-        certificate.deletions = sink.deletes
-    if ephemeral or certificate.kind != PROOF:
-        _remove(proof_path)        # partial proofs are not certificates
-        certificate.proof_path = None
+    if ephemeral:
+        try:
+            os.remove(proof_path)
+        except OSError:
+            pass
+        result.certificate.proof_path = None
     return result
-
-
-def _remove(path: str) -> None:
-    try:
-        os.remove(path)
-    except OSError:
-        pass

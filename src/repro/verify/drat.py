@@ -1,4 +1,4 @@
-"""Streaming DRUP/DRAT proof emission for the CDCL engine.
+"""DRUP proof sinks: where the CDCL engine writes its derivation.
 
 The paper's clause-recording property (Section 4.1) means an UNSAT run
 *is* a proof: every learned clause is a resolution implicate, so
@@ -6,19 +6,23 @@ logging the clauses in derivation order -- plus the clauses the GC
 deletes, so a checker's propagation stays bounded -- yields a standard
 DRUP file any independent tool can validate.
 
-The file sink is O(1) solver-side: each step is formatted and handed
-to the sink immediately, and :class:`FileProofSink` appends it to a
-file through a bounded buffer.  :class:`MemoryProofSink` keeps the
-steps as events instead -- O(all-learned-clauses) in RAM, so for unit
-tests, the fuzzer and small ablations only -- which
-:func:`repro.verify.checker.check_proof_steps` validates directly;
-:func:`solve_with_proof_stream` wires either sink to a fresh solver.
+The engine writes the stream itself: a
+:class:`~repro.solvers.cdcl.CDCLSolver` whose ``proof`` attribute holds
+a :class:`ProofSink` adds every clause it learns, imports or rewrites
+and every unit implicate, deletes every clause it collects, and
+concludes with the empty clause when a solve without assumptions ends
+UNSAT.  Each step is handed over as the literals stand at that moment,
+so later compactions -- which renumber ids and recycle buffer space --
+can never corrupt an already-emitted step.
 
-Attachment monkey-patches the solver instance (the engine is never
-modified) and uses the engine's ``on_proof_delete`` hook for GC
-deletion lines.  Literals are snapshotted at attach time
-(``arena.lits_of``), so later compactions -- which renumber ids and
-recycle buffer space -- can never corrupt an already-emitted step.
+:class:`FileProofSink` appends the steps to a file through a bounded
+buffer (O(1) solver-side memory), and keeps the file only when the
+proof concluded: a partial derivation certifies nothing.
+:class:`MemoryProofSink` keeps the steps as events instead --
+O(all-learned-clauses) in RAM, so for unit tests, the fuzzer and small
+ablations only -- which :func:`repro.verify.checker.check_proof_steps`
+validates directly; :func:`solve_with_proof_stream` gives either sink
+to a fresh solver.
 
 DRUP line format (checker-facing contract):
 
@@ -30,6 +34,7 @@ DRUP line format (checker-facing contract):
 from __future__ import annotations
 
 import io
+import os
 from typing import List, Optional, Sequence, Tuple
 
 #: Flush threshold for :class:`FileProofSink`'s line buffer (bytes).
@@ -91,7 +96,9 @@ class FileProofSink(ProofSink):
 
     Lines are buffered up to ``_FLUSH_BYTES`` and written in batches;
     ``flush``/``close`` force everything to disk, so a checker reading
-    the file after ``close`` sees the complete stream.
+    the file after ``close`` sees the complete stream.  ``close`` is
+    also where the one rule for partial proofs lives: the file
+    survives only a concluded (UNSAT) run, and is removed otherwise.
     """
 
     def __init__(self, path: str) -> None:
@@ -120,6 +127,11 @@ class FileProofSink(ProofSink):
             self.flush()
             self._file.close()
             super().close()
+            if not self.concluded:
+                try:
+                    os.remove(self.path)
+                except OSError:
+                    pass
 
     def __enter__(self) -> "FileProofSink":
         return self
@@ -168,55 +180,6 @@ class MemoryProofSink(ProofSink):
         return out.getvalue()
 
 
-def attach_proof_stream(solver, sink: ProofSink) -> ProofSink:
-    """Stream *solver*'s derivation into *sink* (returns the sink).
-
-    Instruments a :class:`~repro.solvers.cdcl.CDCLSolver` without
-    modifying it: learned clauses via ``_attach`` (literals snapshotted
-    from the arena at attach time), unit implicates via the
-    pending-unit diff around ``_handle_conflict``, GC deletions via the
-    engine's ``on_proof_delete`` hook, and the concluding empty clause
-    when ``_search`` returns UNSATISFIABLE with no assumptions (an
-    assumption-relative UNSAT is not a proof of the formula).  The
-    engine's ``on_proof_add`` hook is pointed at ``sink.add`` so the
-    inprocessing engine can log strengthened *original* clauses and
-    derived units (its learned-clause rewrites already flow through
-    the instrumented ``_attach``).
-    """
-    original_attach = solver._attach
-    original_handle = solver._handle_conflict
-    original_search = solver._search
-
-    def streaming_attach(cid, learned):
-        if learned:
-            sink.add(solver.arena.lits_of(cid))
-        original_attach(cid, learned)
-
-    def streaming_handle(conflict):
-        before = len(solver._pending_units)
-        original_handle(conflict)
-        for lit in solver._pending_units[before:]:
-            sink.add((lit,))
-
-    def streaming_search(assumptions):
-        from repro.solvers.result import Status
-        status = original_search(assumptions)
-        if status is Status.UNSATISFIABLE and not assumptions:
-            sink.conclude()
-        return status
-
-    def streaming_delete(clauses):
-        for lits in clauses:
-            sink.delete(lits)
-
-    solver._attach = streaming_attach
-    solver._handle_conflict = streaming_handle
-    solver._search = streaming_search
-    solver.on_proof_delete = streaming_delete
-    solver.on_proof_add = sink.add
-    return sink
-
-
 def solve_with_proof_stream(formula, sink: Optional[ProofSink] = None,
                             proof_path: Optional[str] = None,
                             **cdcl_kwargs):
@@ -224,7 +187,8 @@ def solve_with_proof_stream(formula, sink: Optional[ProofSink] = None,
 
     Exactly one of *sink* / *proof_path* selects the destination
     (default: an in-memory sink).  The sink is closed before return,
-    so a file proof is immediately checkable.
+    so a file proof is immediately checkable -- and, like every
+    :class:`FileProofSink`, kept only when the run was UNSAT.
     """
     from repro.solvers.cdcl import CDCLSolver
 
@@ -234,7 +198,7 @@ def solve_with_proof_stream(formula, sink: Optional[ProofSink] = None,
         sink = (FileProofSink(proof_path) if proof_path is not None
                 else MemoryProofSink())
     solver = CDCLSolver(formula, **cdcl_kwargs)
-    attach_proof_stream(solver, sink)
+    solver.proof = sink
     try:
         result = solver.solve()
     finally:

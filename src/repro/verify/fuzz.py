@@ -44,7 +44,7 @@ from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_ksat
 from repro.solvers.result import SolverResult, Status
 from repro.verify.checker import check_proof_steps
-from repro.verify.drat import MemoryProofSink, attach_proof_stream
+from repro.verify.drat import MemoryProofSink
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +117,9 @@ class CDCLEngine(Engine):
             phase_saving=p["phase_saving"],
             max_conflicts=p["max_conflicts"],
             inprocess=inprocess)
-        sink = attach_proof_stream(solver, MemoryProofSink())
+        solver.proof = MemoryProofSink()
         result = solver.solve()
-        self.proof_events = sink.events
+        self.proof_events = solver.proof.events
         return result
 
     def describe(self) -> Dict[str, object]:

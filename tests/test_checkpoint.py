@@ -30,7 +30,7 @@ from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.portfolio import PortfolioConfig
 from repro.solvers.result import Status
 from repro.verify.checker import check_proof_steps
-from repro.verify.drat import MemoryProofSink, attach_proof_stream
+from repro.verify.drat import MemoryProofSink
 
 
 def _sample() -> SearchCheckpoint:
@@ -166,7 +166,7 @@ class TestSolverExportResume:
         ckpt = try_load_checkpoint(blob)
         assert ckpt is not None
         second = CDCLSolver(formula, resume_from=ckpt)
-        sink = attach_proof_stream(second, MemoryProofSink())
+        sink = second.proof = MemoryProofSink()
         result = second.solve()
         assert result.status is Status.UNSATISFIABLE
         assert second.stats.warm_resumes == 1

@@ -319,6 +319,11 @@ class TestBadFlags:
         "delay x.bench --max-paths 0",
         "serve --workers 0",
         "serve --queue-depth 0",
+        "fuzz --max-vars 4",
+        "fuzz --iterations 0",
+        "fuzz --iterations -3",
+        "fuzz --portfolio-every -1",
+        "fuzz --progress-every -1",
     ] + [f"{command} --timeout -1" for command in BUDGETED]
       + [f"{command} --max-memory-mb -5" for command in BUDGETED])
     def test_out_of_range_is_usage_error(self, capsys, argv):

@@ -15,7 +15,7 @@ from repro.solvers.dpll import solve_dpll
 from repro.solvers.inprocess import InprocessConfig, Inprocessor, PASSES
 from repro.solvers.result import Status
 from repro.verify.checker import check_proof_steps
-from repro.verify.drat import MemoryProofSink, attach_proof_stream
+from repro.verify.drat import MemoryProofSink
 
 HAS_NUMPY = kernels.active_kernel() == "numpy"
 
@@ -62,7 +62,7 @@ def check_round_trip(formula, config, kernel_events=False):
     and UNSAT proofs must pass the independent checker."""
     reference = solve_dpll(formula)
     solver = CDCLSolver(formula, inprocess=config)
-    sink = attach_proof_stream(solver, MemoryProofSink())
+    sink = solver.proof = MemoryProofSink()
     result = solver.solve()
     assert result.status == reference.status
     if result.status is Status.SATISFIABLE:
@@ -227,7 +227,7 @@ class TestCompactionInterleaving:
                 formula, deletion="size", deletion_bound=3,
                 deletion_interval=25,
                 inprocess=InprocessConfig(interval=3))
-            sink = attach_proof_stream(solver, MemoryProofSink())
+            sink = solver.proof = MemoryProofSink()
             result = solver.solve()
             assert result.status == reference.status
             if result.status is Status.SATISFIABLE:

@@ -955,6 +955,39 @@ class TestWorkerTraceCorrelation:
         basename = os.path.basename(worker_files[0])
         assert f"[{basename}]" in text
 
+    def test_alike_job_ids_keep_separate_traces(self, tmp_path):
+        """Ids that read alike after the file-name cut (a dot vs an
+        underscore, or equal first 80 characters) must not share one
+        trace file: the later attempt would erase the earlier job's
+        trace."""
+        import os
+
+        worker_dir = str(tmp_path / "workers")
+        ids = ["job.1", "job_1", "x" * 80 + "a", "x" * 80 + "b"]
+        formula = random_ksat(20, 85, seed=6)
+
+        async def scenario():
+            server = SolveServer(fast_config(),
+                                 worker_trace_dir=worker_dir)
+            await server.start()
+            for job_id in ids:
+                response = await server.handle_message(
+                    {"op": "submit", "id": job_id, "use_cache": False,
+                     **clause_payload(formula)})
+                assert response["kind"] == "result", response
+            await server.shutdown(grace=2.0)
+
+        asyncio.run(scenario())
+        jobs = []
+        for name in sorted(os.listdir(worker_dir)):
+            with open(os.path.join(worker_dir, name)) as handle:
+                meta = [event for event in map(json.loads, handle)
+                        if event["name"] == "trace.meta"]
+            assert len(meta) == 1, name
+            jobs.append(meta[0]["attrs"]["job"])
+        # A retried attempt adds a file; every job keeps its own.
+        assert set(jobs) == set(ids)
+
 
 class TestTopDashboard:
     STATUS = {"kind": "status", "draining": False,

@@ -89,6 +89,39 @@ class TestProofStreaming:
                                     require_empty=False)
         assert outcome.valid, outcome.error
 
+    def test_proof_file_survives_only_a_concluded_run(self, tmp_path):
+        sat, unsat = str(tmp_path / "sat.drup"), str(tmp_path / "u.drup")
+        result, sink = solve_with_proof_stream(
+            random_ksat_at_ratio(60, 4.0, 3, seed=7), proof_path=sat)
+        assert result.status is Status.SATISFIABLE
+        assert sink.closed and sink.adds > 0
+        assert not os.path.exists(sat)
+        result, _ = solve_with_proof_stream(pigeonhole(4),
+                                            proof_path=unsat)
+        assert result.status is Status.UNSATISFIABLE
+        assert os.path.exists(unsat)
+
+    def test_unsat_under_assumptions_leaves_the_proof_open(self):
+        """A refutation under assumptions refutes only them: the sink
+        stays unconcluded.  The next solve without assumptions proves
+        the formula UNSAT and concludes the sink exactly once."""
+        formula = pigeonhole(4)
+        solver = CDCLSolver(formula)
+        sink = solver.proof = MemoryProofSink()
+        assert solver.solve([1]).status is Status.UNSATISFIABLE
+        assert not sink.concluded
+        assert ("a", ()) not in sink.events
+        partial = check_proof_steps(formula, sink.events,
+                                    require_empty=False)
+        assert partial.valid and not partial.concluded, partial.error
+        for _ in range(2):
+            assert solver.solve().status is Status.UNSATISFIABLE
+            assert sink.concluded
+            assert sink.events.count(("a", ())) == 1
+        outcome = check_proof_steps(formula, sink.events)
+        assert outcome.valid, outcome.error
+        assert outcome.concluded
+
     def test_proof_valid_across_gc_compactions(self):
         """Deletion lines keep the proof checkable across arena GC:
         the checker's database mirrors the solver's, shrinking in
@@ -96,9 +129,7 @@ class TestProofStreaming:
         formula = pigeonhole(5)
         solver = CDCLSolver(formula, deletion="size",
                             deletion_bound=3, deletion_interval=20)
-        sink = MemoryProofSink()
-        from repro.verify import attach_proof_stream
-        attach_proof_stream(solver, sink)
+        sink = solver.proof = MemoryProofSink()
         result = solver.solve()
         assert result.status is Status.UNSATISFIABLE
         assert result.stats.gc_runs >= 2, \
