@@ -4,15 +4,18 @@
 ATPG is the paper's canonical iterative consumer [25]: one SAT
 instance per fault, all sharing the good-circuit logic.  Compares a
 fresh solver per fault against the persistent incremental engine
-(clauses learned on earlier faults prune later ones).  Expected
-shape: identical outcomes and far fewer total conflicts for the
-incremental engine.  It does *not* save time: every fault's cone
-clauses stay in the one solver, so later faults likely propagate over
-the earlier cones, and the incremental engine takes about 1.4-1.6x
-the CPU of a fresh solver per fault (every fault, no dropping,
-process CPU, best of 3, on a 2-vCPU VM with CPython 3.11.7: rca4
-0.42 s vs 0.66 s, alu4 2.02 s vs 3.30 s).  Both engines' times are
-reported; only the conflict claim is asserted.
+(clauses learned on earlier faults prune later ones).  Both engines
+encode each fault on its cones with the same step
+(``encode_fault_cone``).  Expected shape: identical outcomes and
+fewer total conflicts for the incremental engine.  It does *not* save
+time: every fault's cone stays in the one solver and each SAT answer
+assigns all of their variables, so a call's propagations grow with
+the faults already processed (alu4: 108 at fault 0, 1,299 at fault
+135, with 8 decisions), and the incremental engine takes 4-7x the
+CPU of a fresh solver per fault (every fault, no dropping, process
+CPU, best of 3, on a 2-vCPU VM with CPython 3.11.7: rca4 0.14 s vs
+0.62 s, alu4 0.39 s vs 2.79 s).  Both engines' times are reported;
+only the conflict claim is asserted.
 """
 
 import time
@@ -69,7 +72,7 @@ def test_claim_incremental(benchmark, show):
     for left, right in zip(one_report.results, inc_report.results):
         assert left.outcome == right.outcome, left.fault
     # Shape: clauses learned on earlier faults save search (the
-    # EXPERIMENTS.md row's ~10x fewer conflicts).
+    # EXPERIMENTS.md row's 2.3x fewer conflicts on rca4).
     assert inc_conf < one_conf
 
     small = ripple_carry_adder(2)

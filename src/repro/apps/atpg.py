@@ -6,12 +6,17 @@ vector exists iff some primary output can differ, i.e. the miter output
 can be raised.  Satisfying assignments are test vectors; UNSAT proofs
 certify the fault *redundant* (undetectable).
 
-Three solving paths are provided:
+Every clausal path encodes that miter on the fault's cones
+(:func:`encode_fault_cone`): only the fault's transitive fanout can
+differ and only the outputs it reaches can show it, so the good
+circuit's fanin of those outputs is encoded once, the faulty machine
+adds only the fanout, and the difference runs over the reached
+outputs.  Three solving paths are provided:
 
-* plain CDCL on the miter CNF,
-* the Section 5 circuit layer (justification frontier + backtracing),
-  which returns *partial* test cubes instead of fully specified
-  vectors,
+* plain CDCL (or a portfolio race) on the fault-cone CNF,
+* the Section 5 circuit layer (justification frontier + backtracing)
+  on the whole-circuit miter, which returns *partial* test cubes
+  instead of fully specified vectors,
 * the incremental engine of Section 6 / [25], which keeps one solver
   alive across the whole fault list so recorded clauses about the good
   circuit are reused (experiment C8).
@@ -25,7 +30,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.faults import (
     FAULT_NODE,
@@ -40,11 +45,12 @@ from repro.circuits.parallel_sim import (
     parallel_fault_simulate,
 )
 from repro.circuits.tseitin import (
+    CircuitEncoding,
     add_difference,
     encode_circuit,
-    encode_miter,
     encode_nodes,
 )
+from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.circuit_sat import CircuitSATSolver
@@ -111,6 +117,45 @@ class ATPGReport:
         return covered / total
 
 
+def encode_fault_cone(circuit: Circuit, fault: StuckAtFault,
+                      new_var: Callable[[str], int],
+                      add_clause: Callable[[List[int]], object],
+                      good: Optional[Dict[str, int]] = None
+                      ) -> Tuple[Dict[str, int], int]:
+    """The test condition of *fault*, encoded on the fault's cones.
+
+    Only the fault's transitive fanout can differ between the good and
+    the faulty machine, and only the primary outputs it reaches can
+    show a difference.  The good circuit's fanin of those outputs is
+    encoded once (skipped when *good* already maps every node to its
+    variable, as in :class:`IncrementalATPG`'s persistent solver); the
+    faulty machine adds only that fanout, with the fault site a
+    constant and every side input its good variable; and
+    :func:`~repro.circuits.tseitin.add_difference` runs over the
+    reached outputs.  Returns the good variables and the difference
+    variable: asserting it is satisfiable exactly when the
+    whole-circuit miter is, and a model restricted to the inputs is a
+    test.  When no output is reached the difference is fixed false.
+    """
+    fanout = circuit.transitive_fanout([fault.node])
+    reached = [out for out in circuit.outputs if out in fanout]
+    cone = circuit.transitive_fanin(reached)
+    order = [name for name in circuit.topological_order() if name in cone]
+    if good is None:
+        good = encode_nodes(circuit, new_var, add_clause, nodes=order)
+    faulty = [name for name in order
+              if name in fanout and name != fault.node]
+    given = {fanin: good[fanin] for name in faulty
+             for fanin in circuit.fanin(name) if fanin not in fanout}
+    stuck = given[fault.node] = new_var(FAULT_NODE)
+    add_clause([stuck if fault.value else -stuck])
+    bad = encode_nodes(circuit, new_var, add_clause, given=given,
+                       nodes=faulty)
+    diff = add_difference([(good[out], bad[out]) for out in reached],
+                          new_var, add_clause)
+    return good, diff
+
+
 def solve_fault(circuit: Circuit, fault: StuckAtFault,
                 method: str = "cdcl",
                 max_conflicts: Optional[int] = 20000,
@@ -120,14 +165,16 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
                 proof_dir: Optional[str] = None) -> FaultResult:
     """Generate a test for one fault (or prove it redundant).
 
-    *method*: ``"cdcl"`` solves the miter CNF directly;
-    ``"circuit"`` runs the Section 5 structural layer on the miter,
-    producing a partial test cube; ``"portfolio"`` races diversified
-    CDCL configurations on the miter CNF
-    (:mod:`repro.solvers.portfolio`).  *budget* bounds the solver
-    call (deadline / counters / memory); exhaustion yields ABORTED.
-    *tracer* is handed to the underlying CDCL/portfolio solve (the
-    ``"circuit"`` path has no engine-level tracing).
+    *method*: ``"cdcl"`` solves the fault-cone formula
+    (:func:`encode_fault_cone`) directly; ``"portfolio"`` races
+    diversified CDCL configurations on it
+    (:mod:`repro.solvers.portfolio`); ``"circuit"`` runs the Section 5
+    structural layer on the whole-circuit miter, producing a partial
+    test cube.  A clausal vector sets the inputs outside the cone to
+    0.  *budget* bounds the solver call (deadline / counters /
+    memory); exhaustion yields ABORTED.  *tracer* is handed to the
+    underlying CDCL/portfolio solve (the ``"circuit"`` path has no
+    engine-level tracing).
 
     With *certify*, a REDUNDANT verdict must carry a DRUP proof that
     passes the independent checker and a DETECTED vector's underlying
@@ -136,17 +183,19 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
     word alone.  Proof files land in *proof_dir* (named per fault)
     when given, else in cleaned-up temporaries.  The structural
     ``"circuit"`` method records no clausal derivation and cannot
-    certify: asking for both raises ``ValueError``.
+    certify: asking for both raises ``ValueError``, as does a
+    sequential *circuit*.
     """
+    if circuit.is_sequential():
+        raise ValueError("combinational ATPG only")
     if certify and method == "circuit":
         raise ValueError(
             "certify=True needs a clausal proof; the structural "
             "'circuit' method records none -- use 'cdcl' or "
             "'portfolio'")
-    faulty = inject_fault(circuit, fault)
     if method == "circuit":
         from repro.circuits.tseitin import build_miter
-        miter, _ = build_miter(circuit, faulty)
+        miter, _ = build_miter(circuit, inject_fault(circuit, fault))
         solver = CircuitSATSolver(miter, {"miter_out": True},
                                   max_conflicts=max_conflicts,
                                   budget=budget)
@@ -159,7 +208,10 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
                                stats=result.stats)
         return FaultResult(fault, TestOutcome.ABORTED, stats=result.stats)
 
-    encoding = encode_miter(circuit, faulty)
+    formula = CNFFormula()
+    good, diff = encode_fault_cone(circuit, fault, formula.new_var,
+                                   formula.add_clause)
+    formula.add_clause([diff])
     proof_path = None
     if certify and proof_dir is not None:
         import os
@@ -168,23 +220,24 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
             proof_dir, f"atpg-{fault.node}-sa{int(fault.value)}.drup")
     if method == "portfolio":
         from repro.solvers.portfolio import race_portfolio
-        result = race_portfolio(encoding.formula, certify, proof_dir,
+        result = race_portfolio(formula, certify, proof_dir,
                                 max_conflicts=max_conflicts,
                                 budget=budget, tracer=tracer).result
     elif certify:
         from repro.verify.certificate import certified_solve
-        result = certified_solve(encoding.formula,
+        result = certified_solve(formula,
                                  proof_path=proof_path, tracer=tracer,
                                  max_conflicts=max_conflicts,
                                  budget=budget)
     else:
-        solver = CDCLSolver(encoding.formula, max_conflicts=max_conflicts,
+        solver = CDCLSolver(formula, max_conflicts=max_conflicts,
                             budget=budget)
         solver.tracer = tracer
         result = solver.solve()
     certificate = result.certificate
     if result.is_sat:
-        vector = encoding.input_vector(result.assignment, default=False)
+        vector = CircuitEncoding(circuit, formula, good).input_vector(
+            result.assignment, default=False)
         return FaultResult(fault, TestOutcome.DETECTED, vector,
                            result.stats, certificate=certificate)
     if result.is_unsat:
@@ -213,8 +266,20 @@ class ATPGEngine:
         earlier vector covers (the iterated-SAT usage of Section 6).
     collapse:
         apply structural fault collapsing before generation.
+    random_patterns:
+        number of random input vectors graded by bit-parallel fault
+        simulation before any SAT call; the vectors that detect some
+        fault are kept and their faults are reported
+        DETECTED_BY_SIMULATION (0 skips the phase).
     max_conflicts:
         per-fault solver budget.
+    seed:
+        seeds the generator behind the random-pattern vectors and the
+        don't-care fill of ``"circuit"``-method cubes, and nothing
+        else: clausal vectors leave no don't-cares (inputs outside
+        the fault's cone read 0), so without random patterns the
+        ``"cdcl"`` and ``"portfolio"`` runs are the same for every
+        seed.
     budget:
         run-wide :class:`~repro.runtime.budget.Budget`: the whole
         fault list shares one deadline / memory ceiling, and each
@@ -377,15 +442,16 @@ class IncrementalATPG:
     """Iterative ATPG on a single persistent solver (Section 6, [25]).
 
     The good circuit is encoded once.  For each target fault the
-    faulty copy (:func:`~repro.circuits.faults.inject_fault`) is
-    encoded with every node outside the fault's fanout given its
-    good-circuit variable, so only the faulty *fanout cone* gets fresh
-    variables; a per-fault difference literal over the outputs the
-    cone reaches (:func:`~repro.circuits.tseitin.add_difference`) is
-    passed as the solve assumption.  Clauses recorded while
+    shared step of :func:`solve_fault`, :func:`encode_fault_cone`,
+    adds the faulty *fanout cone* on the good circuit's variables and
+    a per-fault difference literal over the outputs the cone reaches,
+    which is passed as the solve assumption.  Clauses recorded while
     processing one fault remain valid -- they reference good-circuit
     and cone variables whose definitions never change -- so later
-    faults start with a primed clause database.
+    faults start with a primed clause database.  Every earlier cone
+    also stays, and each model assigns all of their variables, so a
+    call's propagation work grows with the faults already processed
+    (experiment C8).
     """
 
     def __init__(self, circuit: Circuit,
@@ -407,25 +473,12 @@ class IncrementalATPG:
     def solve_fault(self, fault: StuckAtFault,
                     budget: Optional[Budget] = None) -> FaultResult:
         """Target one fault through the shared solver."""
-        faulty = inject_fault(self.circuit, fault)
-        cone = faulty.transitive_fanout([FAULT_NODE])
-        if cone.isdisjoint(faulty.outputs):
-            return FaultResult(fault, TestOutcome.REDUNDANT)
-
         def new_var(name: str) -> int:
             return self.solver.new_var()
 
-        good = self.encoding.var_of
-        bad = encode_nodes(faulty, new_var, self.solver.add_clause,
-                           given={name: var for name, var in good.items()
-                                  if name not in cone})
-        diff = add_difference(
-            [(good[out], bad[faulty_out])
-             for out, faulty_out in zip(self.circuit.outputs,
-                                        faulty.outputs)
-             if faulty_out in cone],
-            new_var, self.solver.add_clause)
-
+        _, diff = encode_fault_cone(self.circuit, fault, new_var,
+                                    self.solver.add_clause,
+                                    good=self.encoding.var_of)
         result = self.solver.solve(assumptions=[diff], budget=budget)
         if result.is_sat:
             vector = self.encoding.input_vector(result.assignment,

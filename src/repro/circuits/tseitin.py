@@ -13,10 +13,12 @@ node variables.
 :func:`encode_nodes` is the only code that turns a netlist into those
 clauses.  :func:`encode_circuit` wraps it for one frame in a formula;
 bounded model checking and the sequential product machine call it per
-time frame, and incremental ATPG per fault on the faulty copy with the
-good circuit's variables given outside the fault's fanout.  Next to it
-are the one XOR/OR difference output (:func:`add_difference`) and the
-per-frame input-trace reader (:func:`input_trace`).
+time frame, and ATPG per fault on the fault's cones
+(:func:`repro.apps.atpg.encode_fault_cone`: the good fanin of the
+reached outputs, then the faulty fanout with the good circuit's
+variables given for its side inputs).  Next to it are the one XOR/OR
+difference output (:func:`add_difference`) and the per-frame
+input-trace reader (:func:`input_trace`).
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ class CircuitEncoding:
                      ) -> Dict[str, Optional[bool]]:
         """Extract primary-input values from a CNF assignment.
 
-        Unassigned inputs map to *default* (``None`` keeps them as
-        don't-cares, which is what the overspecification experiment C5
-        measures).
+        Unassigned inputs, and inputs a cone encoding leaves out, map
+        to *default* (``None`` keeps them as don't-cares, which is what
+        the overspecification experiment C5 measures).
         """
         vector: Dict[str, Optional[bool]] = {}
         for name in self.circuit.inputs:
-            value = assignment.value_of(self.var_of[name])
+            var = self.var_of.get(name)
+            value = None if var is None else assignment.value_of(var)
             vector[name] = default if value is None else value
         return vector
 
@@ -83,25 +86,27 @@ def encode_nodes(circuit: Circuit,
                  add_clause: Callable[[List[int]], object],
                  given: Optional[Dict[str, int]] = None,
                  previous: Optional[Dict[str, int]] = None,
-                 initial: Optional[Dict[str, bool]] = None
+                 initial: Optional[Dict[str, bool]] = None,
+                 nodes: Optional[Iterable[str]] = None
                  ) -> Dict[str, int]:
     """Table 1 over *circuit*: the one netlist-to-clauses construction.
 
-    Walks the topological order.  A node named in *given* keeps that
-    variable and contributes no clauses (inputs shared by two machines,
-    or good-circuit signals outside a fault's fanout); every other node
+    Walks the topological order, or only *nodes* when given (a cone,
+    listed in topological order, whose fanins outside it are named in
+    *given*).  A node named in *given* keeps that variable and
+    contributes no clauses (inputs shared by two machines, or
+    good-circuit signals feeding a fault's fanout); every other node
     gets ``new_var(name)``, and each gate sends its Table 1 clauses to
     ``add_clause``.  A DFF output is a copy of its data input's
     variable in the *previous* frame when one is given, else fixed to
     its *initial* value when those are given, else a free
     pseudo-input (the single-frame view).  Returns node name ->
-    variable.
+    variable for every given and walked node.
     """
-    given = given or {}
-    var_of: Dict[str, int] = {}
-    for name in circuit.topological_order():
-        if name in given:
-            var_of[name] = given[name]
+    var_of: Dict[str, int] = dict(given or {})
+    for name in (circuit.topological_order() if nodes is None
+                 else nodes):
+        if name in var_of:
             continue
         var = var_of[name] = new_var(name)
         node = circuit.node(name)
@@ -129,7 +134,8 @@ def add_difference(pairs: Iterable[Tuple[int, int]],
 
     The miter output of Section 3 built directly on two encoded
     machines: it is true exactly when some pair differs, so assuming
-    it asks for a distinguishing input.
+    it asks for a distinguishing input.  Over no pairs it is fixed
+    false (nothing can differ), so assuming it is refuted at once.
     """
     xor_vars = []
     for index, (left, right) in enumerate(pairs):
@@ -139,6 +145,9 @@ def add_difference(pairs: Iterable[Tuple[int, int]],
             add_clause(clause)
         xor_vars.append(xor_var)
     diff = new_var("diff")
+    if not xor_vars:
+        add_clause([-diff])
+        return diff
     for clause in gate_cnf_clauses(GateType.OR, diff, xor_vars):
         add_clause(clause)
     return diff

@@ -291,6 +291,12 @@ class WorkerAttempt:
     mid-write must not leave a held lock behind for the caller's
     reads.  Per-attempt pipes, never a shared queue, so a kill can
     only ever tear the victim's own channel.
+
+    An attempt that never delivers a ``result`` (killed, crashed,
+    hung, cut off or cancelled) leaves no proof file: :meth:`stop`
+    removes ``spec.proof_path``, which a worker that dies mid-solve
+    never closes.  The proof of an attempt that delivered a result
+    stays for the caller to check.
     """
 
     def __init__(self, spec: AttemptSpec):
@@ -298,6 +304,8 @@ class WorkerAttempt:
         self.key = spec.key
         self.attempt = spec.attempt
         self._clause_lits = spec.clause_lits
+        self._proof_path = spec.proof_path
+        self._delivered = False
         self._died_at: Optional[float] = None
         self._stopped = False
         self.heartbeat = ctx.Value("d", time.monotonic(), lock=False)
@@ -326,7 +334,9 @@ class WorkerAttempt:
                 message = audit_payload(conn.recv(), self.key,
                                         self.attempt, self._clause_lits)
                 messages.append(message)
-                if message[0] == MALFORMED:
+                if message[0] == "result":
+                    self._delivered = True
+                elif message[0] == MALFORMED:
                     self.process.terminate()
                     done = True
         except (EOFError, OSError):
@@ -356,7 +366,8 @@ class WorkerAttempt:
         return None
 
     def stop(self) -> None:
-        """Terminate (kill if need be), reap and close; idempotent."""
+        """Terminate (kill if need be), reap and close; idempotent.
+        Removes the proof file unless a result was delivered."""
         if self._stopped:
             return
         self._stopped = True
@@ -371,3 +382,8 @@ class WorkerAttempt:
         if self.conn is not None:
             self.conn.close()
             self.conn = None
+        if self._proof_path is not None and not self._delivered:
+            try:
+                os.remove(self._proof_path)
+            except FileNotFoundError:
+                pass          # the worker died before opening it

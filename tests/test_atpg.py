@@ -10,14 +10,35 @@ from repro.apps.atpg import (
     TestOutcome,
     solve_fault,
 )
-from repro.circuits.faults import StuckAtFault, detects, full_fault_list
+from repro.circuits.faults import (
+    StuckAtFault,
+    detects,
+    full_fault_list,
+    inject_fault,
+)
+from repro.circuits.gates import GateType
 from repro.circuits.library import c17, half_adder, redundant_or_chain
 from repro.circuits.generators import (
     alu,
     array_multiplier,
     mux_tree,
+    random_circuit,
     ripple_carry_adder,
 )
+from repro.circuits.netlist import Circuit
+from repro.circuits.tseitin import encode_miter
+from repro.solvers.cdcl import CDCLSolver
+
+
+def _dead_gate_circuit() -> Circuit:
+    """A gate feeding no output: its faults' fanout reaches no
+    primary output."""
+    circuit = Circuit()
+    circuit.add_input("a")
+    circuit.add_gate("dead", GateType.NOT, ["a"])
+    circuit.add_gate("y", GateType.BUFFER, ["a"])
+    circuit.set_output("y")
+    return circuit
 
 
 class TestSolveFault:
@@ -52,6 +73,11 @@ class TestSolveFault:
                       for k, v in result.vector.items()}
             assert detects(circuit, fault, vector)
 
+    def test_sequential_rejected(self):
+        from repro.circuits.generators import binary_counter
+        with pytest.raises(ValueError):
+            solve_fault(binary_counter(2), StuckAtFault("en", True))
+
     def test_all_c17_faults_testable(self):
         """c17 is known fully testable: every stuck-at fault has a
         test."""
@@ -59,6 +85,45 @@ class TestSolveFault:
         for fault in full_fault_list(circuit):
             result = solve_fault(circuit, fault)
             assert result.outcome is TestOutcome.DETECTED, fault
+
+
+class TestFaultCones:
+    """``solve_fault`` encodes each fault on its cones; the answers
+    must be the whole-circuit miter's."""
+
+    @pytest.mark.parametrize("method", ["cdcl", "portfolio"])
+    def test_fault_reaching_no_output_is_redundant(self, method):
+        result = solve_fault(_dead_gate_circuit(),
+                             StuckAtFault("dead", True), method=method)
+        assert result.outcome is TestOutcome.REDUNDANT
+
+    @pytest.mark.parametrize("method", ["cdcl", "portfolio"])
+    def test_fault_reaching_no_output_is_certified(self, method,
+                                                   tmp_path):
+        result = solve_fault(_dead_gate_circuit(),
+                             StuckAtFault("dead", False), method=method,
+                             certify=True, proof_dir=str(tmp_path))
+        assert result.outcome is TestOutcome.REDUNDANT
+        assert result.certificate.kind == "proof"
+        assert result.certificate.valid, result.certificate.reason
+
+    @pytest.mark.parametrize("factory", [
+        c17, lambda: alu(3), lambda: mux_tree(3),
+        lambda: array_multiplier(3), redundant_or_chain,
+        lambda: random_circuit(6, 25, seed=4),
+    ], ids=["c17", "alu3", "mux3", "mul3", "redundant-or", "rand6x25"])
+    def test_cone_formula_agrees_with_whole_miter(self, factory):
+        circuit = factory()
+        for fault in full_fault_list(circuit):
+            result = solve_fault(circuit, fault)
+            miter = encode_miter(circuit, inject_fault(circuit, fault))
+            expected = CDCLSolver(miter.formula).solve()
+            if expected.is_sat:
+                assert result.outcome is TestOutcome.DETECTED, fault
+                assert detects(circuit, fault, result.vector), fault
+            else:
+                assert expected.is_unsat
+                assert result.outcome is TestOutcome.REDUNDANT, fault
 
 
 class TestATPGEngine:
@@ -163,15 +228,7 @@ class TestIncrementalATPG:
         assert result.outcome is TestOutcome.REDUNDANT
 
     def test_structurally_undetectable(self):
-        # A gate feeding no output: fanout cone has no outputs.
-        from repro.circuits.netlist import Circuit
-        from repro.circuits.gates import GateType
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_gate("dead", GateType.NOT, ["a"])
-        circuit.add_gate("y", GateType.BUFFER, ["a"])
-        circuit.set_output("y")
-        engine = IncrementalATPG(circuit)
+        engine = IncrementalATPG(_dead_gate_circuit())
         result = engine.solve_fault(StuckAtFault("dead", True))
         assert result.outcome is TestOutcome.REDUNDANT
 

@@ -21,6 +21,7 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.supervisor import Supervisor, WorkerOutcome
 from repro.solvers.portfolio import default_portfolio, solve_portfolio
 from repro.solvers.result import Status
+from repro.verify.certificate import check_unsat_proof
 
 from conftest import assert_model_satisfies
 
@@ -329,6 +330,25 @@ class TestCertifiedRace:
         assert report.status is Status.UNSATISFIABLE
         assert report.result.certificate is not None
         assert report.result.certificate.valid
+        assert _no_orphans()
+
+    def test_killed_attempts_leave_no_proof_file(self, tmp_path):
+        """A worker killed mid-solve never closes its proof sink; the
+        attempt's handle removes the orphan, so the proof directory
+        holds only the proofs of attempts that delivered a verdict."""
+        formula = pigeonhole(7)
+        result = solve_portfolio(formula, processes=2,
+                                 proof_dir=str(tmp_path),
+                                 fault_plan=FaultPlan(kills={0: 1, 1: 1}))
+        assert result.status is Status.UNSATISFIABLE
+        assert result.report.total_respawns >= 1
+        left = sorted(path.name for path in tmp_path.iterdir())
+        assert left, "the winning proof must stay"
+        assert not [name for name in left if "attempt0" in name]
+        for name in left:
+            certificate = check_unsat_proof(formula,
+                                            str(tmp_path / name))
+            assert certificate.valid, (name, certificate.reason)
         assert _no_orphans()
 
     def test_false_unsat_goes_discrepant_and_race_continues(
