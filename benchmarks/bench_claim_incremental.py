@@ -3,31 +3,33 @@
 
 ATPG is the paper's canonical iterative consumer [25]: one SAT
 instance per fault, all sharing the good-circuit logic.  Compares a
-fresh solver per fault against the persistent incremental engine
-(clauses learned on earlier faults prune later ones).  Both engines
-encode each fault on its cones with the same step
-(``encode_fault_cone``).  Expected shape: identical outcomes and
-fewer total conflicts for the incremental engine.  It does *not* save
-time: every fault's cone stays in the one solver and each SAT answer
-assigns all of their variables, so a call's propagations grow with
-the faults already processed (alu4: 108 at fault 0, 1,299 at fault
-135, with 8 decisions), and the incremental engine takes 4-7x the
-CPU of a fresh solver per fault (every fault, no dropping, process
-CPU, best of 3, on a 2-vCPU VM with CPython 3.11.7: rca4 0.14 s vs
-0.62 s, alu4 0.39 s vs 2.79 s).  Both engines' times are reported;
-only the conflict claim is asserted.
+fresh solver per fault (``ATPGEngine``'s ``"cdcl"`` method) against
+the persistent solver of its ``"incremental"`` method (clauses
+learned on earlier faults prune later ones), both without fault
+dropping and both totalled from the per-fault stats.  Both encode
+each fault on its cones with the same step (``encode_fault_cone``).
+Expected shape: identical outcomes and fewer total conflicts for the
+incremental engine.  It does *not* save time: every fault's cone
+stays in the one solver and each SAT answer assigns all of their
+variables, so a call's propagations grow with the faults already
+processed (alu4: 108 at fault 0, 1,299 at fault 135, with 8
+decisions), and the incremental engine takes 3-9x the CPU of a fresh
+solver per fault (every fault, no dropping, process CPU, best of 3,
+on a 2-vCPU VM with CPython 3.11.7: rca4 0.10 s vs 0.34 s, alu4
+0.25 s vs 2.13 s).  Both engines' times are reported; only the
+conflict claim is asserted.
 """
 
 import time
 
-from repro.apps.atpg import ATPGEngine, IncrementalATPG, TestOutcome
+from repro.apps.atpg import ATPGEngine, TestOutcome
 from repro.circuits.faults import full_fault_list
 from repro.circuits.generators import ripple_carry_adder
 from repro.experiments.tables import format_table
 
 
-def run_oneshot(circuit, faults):
-    engine = ATPGEngine(circuit, fault_dropping=False)
+def run(circuit, faults, method):
+    engine = ATPGEngine(circuit, method=method, fault_dropping=False)
     started = time.perf_counter()
     report = engine.run(faults)
     elapsed = time.perf_counter() - started
@@ -36,23 +38,14 @@ def run_oneshot(circuit, faults):
     return report, conflicts, decisions, elapsed
 
 
-def run_incremental(circuit, faults):
-    engine = IncrementalATPG(circuit)
-    started = time.perf_counter()
-    report = engine.run(faults)
-    elapsed = time.perf_counter() - started
-    stats = engine.solver.total_stats
-    return report, stats.conflicts, stats.decisions, elapsed
-
-
 def test_claim_incremental(benchmark, show):
     circuit = ripple_carry_adder(4)
     faults = full_fault_list(circuit)
 
-    one_report, one_conf, one_dec, one_time = run_oneshot(circuit,
-                                                          faults)
-    inc_report, inc_conf, inc_dec, inc_time = run_incremental(circuit,
-                                                              faults)
+    one_report, one_conf, one_dec, one_time = run(circuit, faults,
+                                                  "cdcl")
+    inc_report, inc_conf, inc_dec, inc_time = run(circuit, faults,
+                                                  "incremental")
 
     rows = [
         ["fresh solver per fault", len(faults),
@@ -77,5 +70,7 @@ def test_claim_incremental(benchmark, show):
 
     small = ripple_carry_adder(2)
     small_faults = full_fault_list(small)
-    report = benchmark(lambda: IncrementalATPG(small).run(small_faults))
+    report = benchmark(lambda: ATPGEngine(
+        small, method="incremental",
+        fault_dropping=False).run(small_faults))
     assert report.fault_coverage == 1.0

@@ -44,7 +44,7 @@ def test_x2_delay_fault(benchmark, show):
                 assert result.status is PathTestability.TESTABLE
         rows.append([circuit.name, len(faults), nonrobust, robust,
                      untestable,
-                     nonrobust_engine.solver.learned_clause_count()])
+                     len(nonrobust_engine.solver.learned_clauses())])
     show(format_table(
         ["circuit", "path faults", "non-robust testable",
          "robust testable", "untestable", "clauses retained"], rows,

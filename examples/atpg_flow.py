@@ -10,7 +10,7 @@ simulation-based fault dropping, the incremental-solver variant of
 Run:  python examples/atpg_flow.py
 """
 
-from repro import ATPGEngine, IncrementalATPG
+from repro import ATPGEngine
 from repro.apps.atpg import TestOutcome
 from repro.apps.redundancy import optimize
 from repro.circuits.generators import ripple_carry_adder
@@ -47,13 +47,14 @@ def main():
 
     print("\n=== Incremental ATPG (one persistent solver, [25]) ===\n")
     circuit = ripple_carry_adder(3)
-    engine = IncrementalATPG(circuit)
+    engine = ATPGEngine(circuit, method="incremental",
+                        fault_dropping=False)
     report = engine.run()
     print(f"rca3: {len(report.results)} faults, "
           f"{len(report.vectors)} vectors, "
           f"coverage {report.fault_coverage:.1%}")
-    print(f"solver calls: {engine.solver.calls}, learned clauses "
-          f"retained: {engine.solver.learned_clause_count()}")
+    print(f"solver calls: {len(report.results)}, learned clauses "
+          f"retained: {len(engine.solver.learned_clauses())}")
 
     print("\n=== Redundancy removal (RID-GRASP style, [17]) ===\n")
     circuit = redundant_or_chain()

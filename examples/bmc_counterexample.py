@@ -40,7 +40,7 @@ def shift_register_demo():
     print("serial input trace:",
           [frame["sin"] for frame in result.trace])
     print("frames encoded:", len(checker.frames),
-          "| incremental solver calls:", checker.solver.calls)
+          "| depths solved on one solver:", result.failure_depth + 1)
     print()
 
 

@@ -47,7 +47,8 @@ def delay_fault_demo():
     circuit = c17()
     engine = DelayFaultATPG(circuit)
     faults = enumerate_path_faults(circuit, max_paths=6)
-    for fault in faults[:4]:
+    queried = faults[:4]
+    for fault in queried:
         result = engine.test_path(fault)
         if result.status is PathTestability.TESTABLE:
             vector1, vector2 = result.vector_pair
@@ -56,8 +57,9 @@ def delay_fault_demo():
             print(f"{str(fault):28s} test: {v1} -> {v2}")
         else:
             print(f"{str(fault):28s} {result.status.value}")
-    print(f"(one persistent solver, {engine.solver.calls} queries, "
-          f"{engine.solver.learned_clause_count()} clauses retained)\n")
+    print(f"(one persistent solver, {len(queried)} queries, "
+          f"{len(engine.solver.learned_clauses())} clauses "
+          f"retained)\n")
 
 
 def optimization_demo():

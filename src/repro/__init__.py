@@ -39,8 +39,7 @@ from repro.solvers import (
     solve_walksat,
 )
 from repro.solvers.circuit_sat import CircuitSATSolver, solve_circuit
-from repro.solvers.incremental import IncrementalSolver
-from repro.apps.atpg import ATPGEngine, IncrementalATPG
+from repro.apps.atpg import ATPGEngine
 from repro.apps.bmc import BoundedModelChecker, check_safety
 from repro.apps.equivalence import check_equivalence
 
@@ -57,8 +56,6 @@ __all__ = [
     "Clause",
     "DPLLSolver",
     "GateType",
-    "IncrementalATPG",
-    "IncrementalSolver",
     "SolverResult",
     "Status",
     "build_miter",

@@ -20,7 +20,7 @@ One module per application domain the paper surveys:
   optimization.
 """
 
-from repro.apps.atpg import ATPGEngine, IncrementalATPG, TestOutcome
+from repro.apps.atpg import ATPGEngine, TestOutcome
 from repro.apps.bmc import BoundedModelChecker, check_safety
 from repro.apps.covering import minimum_size_implicant, solve_covering
 from repro.apps.crosstalk import CouplingScenario, CrosstalkAnalyzer
@@ -39,7 +39,6 @@ __all__ = [
     "CouplingScenario",
     "CrosstalkAnalyzer",
     "DelayFaultATPG",
-    "IncrementalATPG",
     "Net",
     "PBProblem",
     "PathDelayFault",

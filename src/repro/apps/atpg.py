@@ -11,13 +11,14 @@ Every clausal path encodes that miter on the fault's cones
 differ and only the outputs it reaches can show it, so the good
 circuit's fanin of those outputs is encoded once, the faulty machine
 adds only the fanout, and the difference runs over the reached
-outputs.  Three solving paths are provided:
+outputs.  Four solving paths are provided:
 
 * plain CDCL (or a portfolio race) on the fault-cone CNF,
 * the Section 5 circuit layer (justification frontier + backtracing)
   on the whole-circuit miter, which returns *partial* test cubes
   instead of fully specified vectors,
-* the incremental engine of Section 6 / [25], which keeps one solver
+* the incremental method of Section 6 / [25]
+  (``ATPGEngine(method="incremental")``), which keeps one solver
   alive across the whole fault list so recorded clauses about the good
   circuit are reused (experiment C8).
 
@@ -54,8 +55,7 @@ from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.circuit_sat import CircuitSATSolver
-from repro.solvers.incremental import IncrementalSolver
-from repro.solvers.result import SolverStats, Status
+from repro.solvers.result import SolverResult, SolverStats, Status
 
 
 class TestOutcome(enum.Enum):
@@ -128,7 +128,8 @@ def encode_fault_cone(circuit: Circuit, fault: StuckAtFault,
     the faulty machine, and only the primary outputs it reaches can
     show a difference.  The good circuit's fanin of those outputs is
     encoded once (skipped when *good* already maps every node to its
-    variable, as in :class:`IncrementalATPG`'s persistent solver); the
+    variable, as in the persistent solver of
+    ``ATPGEngine(method="incremental")``); the
     faulty machine adds only that fanout, with the fault site a
     constant and every side input its good variable; and
     :func:`~repro.circuits.tseitin.add_difference` runs over the
@@ -154,6 +155,51 @@ def encode_fault_cone(circuit: Circuit, fault: StuckAtFault,
     diff = add_difference([(good[out], bad[out]) for out in reached],
                           new_var, add_clause)
     return good, diff
+
+
+#: The per-fault paths :func:`solve_fault` takes.  An
+#: :class:`ATPGEngine` also takes ``"incremental"``, which needs the
+#: engine's persistent solver.
+_SOLVE_METHODS = ("cdcl", "portfolio", "circuit")
+
+
+def _check_method(method: str, certify: bool,
+                  methods: Tuple[str, ...]) -> None:
+    """Reject a *method* outside *methods*, and *certify* with a method
+    whose UNSAT answers carry no proof of the fault's formula."""
+    if method not in methods:
+        raise ValueError(
+            f"unknown ATPG method {method!r}; expected one of "
+            + ", ".join(repr(name) for name in methods)
+            + (" ('incremental' needs an ATPGEngine's persistent "
+               "solver)" if method == "incremental" else ""))
+    if certify and method == "circuit":
+        raise ValueError(
+            "certify=True needs a clausal proof; the structural "
+            "'circuit' method records none -- use 'cdcl' or "
+            "'portfolio'")
+    if certify and method == "incremental":
+        raise ValueError(
+            "certify=True needs a proof per fault; the 'incremental' "
+            "method refutes an assumption, which concludes none -- use "
+            "'cdcl' or 'portfolio'")
+
+
+def _fault_result(fault: StuckAtFault, result: SolverResult,
+                  encoding: CircuitEncoding) -> FaultResult:
+    """Classify one clausal solve of *fault*: a model's input values
+    are the test (inputs outside the fault's cones read 0), UNSAT is
+    redundancy, and UNKNOWN -- including a certified UNSAT demoted by
+    a failed proof check, whose diagnostic travels in the
+    certificate -- aborts."""
+    if result.is_sat:
+        vector = encoding.input_vector(result.assignment, default=False)
+        return FaultResult(fault, TestOutcome.DETECTED, vector,
+                           result.stats, certificate=result.certificate)
+    outcome = (TestOutcome.REDUNDANT if result.is_unsat
+               else TestOutcome.ABORTED)
+    return FaultResult(fault, outcome, stats=result.stats,
+                       certificate=result.certificate)
 
 
 def solve_fault(circuit: Circuit, fault: StuckAtFault,
@@ -184,15 +230,12 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
     when given, else in cleaned-up temporaries.  The structural
     ``"circuit"`` method records no clausal derivation and cannot
     certify: asking for both raises ``ValueError``, as does a
-    sequential *circuit*.
+    sequential *circuit* or an unknown *method* (``"incremental"``
+    included: it needs an :class:`ATPGEngine`'s persistent solver).
     """
     if circuit.is_sequential():
         raise ValueError("combinational ATPG only")
-    if certify and method == "circuit":
-        raise ValueError(
-            "certify=True needs a clausal proof; the structural "
-            "'circuit' method records none -- use 'cdcl' or "
-            "'portfolio'")
+    _check_method(method, certify, _SOLVE_METHODS)
     if method == "circuit":
         from repro.circuits.tseitin import build_miter
         miter, _ = build_miter(circuit, inject_fault(circuit, fault))
@@ -234,19 +277,8 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
                             budget=budget)
         solver.tracer = tracer
         result = solver.solve()
-    certificate = result.certificate
-    if result.is_sat:
-        vector = CircuitEncoding(circuit, formula, good).input_vector(
-            result.assignment, default=False)
-        return FaultResult(fault, TestOutcome.DETECTED, vector,
-                           result.stats, certificate=certificate)
-    if result.is_unsat:
-        return FaultResult(fault, TestOutcome.REDUNDANT,
-                           stats=result.stats, certificate=certificate)
-    # UNKNOWN -- including a certified UNSAT demoted by a failed proof
-    # check (its diagnostic travels in the certificate).
-    return FaultResult(fault, TestOutcome.ABORTED, stats=result.stats,
-                       certificate=certificate)
+    return _fault_result(fault, result,
+                         CircuitEncoding(circuit, formula, good))
 
 
 class ATPGEngine:
@@ -257,7 +289,18 @@ class ATPGEngine:
     circuit:
         combinational circuit under test.
     method:
-        per-fault solving path (see :func:`solve_fault`).
+        per-fault solving path: ``"cdcl"``, ``"portfolio"`` or
+        ``"circuit"`` (see :func:`solve_fault`), or ``"incremental"``
+        (Section 6, [25]; experiment C8): the good circuit is encoded
+        once into one persistent :class:`~repro.solvers.cdcl.CDCLSolver`,
+        each targeted fault adds its faulty cone
+        (:func:`encode_fault_cone`) and is solved under its difference
+        literal as the assumption, and clauses learned on earlier
+        faults prune later ones.  Every earlier cone also stays, and
+        each model assigns all of their variables, so a call's
+        propagation work grows with the faults already targeted.
+        The engine's ``encoding`` and ``solver`` hold that encoding
+        and solver.
     fault_dropping:
         simulate each SAT-generated vector once against every fault
         not yet detected -- fault-parallel, one machine per bit
@@ -272,14 +315,13 @@ class ATPGEngine:
         fault are kept and their faults are reported
         DETECTED_BY_SIMULATION (0 skips the phase).
     max_conflicts:
-        per-fault solver budget.
+        per-fault conflict cap.
     seed:
         seeds the generator behind the random-pattern vectors and the
         don't-care fill of ``"circuit"``-method cubes, and nothing
         else: clausal vectors leave no don't-cares (inputs outside
         the fault's cone read 0), so without random patterns the
-        ``"cdcl"`` and ``"portfolio"`` runs are the same for every
-        seed.
+        clausal runs are the same for every seed.
     budget:
         run-wide :class:`~repro.runtime.budget.Budget`: the whole
         fault list shares one deadline / memory ceiling, and each
@@ -295,7 +337,7 @@ class ATPGEngine:
         certify every per-fault answer (see :func:`solve_fault`):
         REDUNDANT requires a checker-validated DRUP proof, DETECTED an
         audited model; failed checks degrade to ABORTED.  Incompatible
-        with ``method="circuit"``.
+        with ``method="circuit"`` and ``method="incremental"``.
     proof_dir:
         where certified proof files are kept (per-fault names);
         ``None`` uses cleaned-up temporaries.
@@ -313,11 +355,7 @@ class ATPGEngine:
         circuit.validate()
         if circuit.is_sequential():
             raise ValueError("combinational ATPG only")
-        if certify and method == "circuit":
-            raise ValueError(
-                "certify=True needs a clausal proof; the structural "
-                "'circuit' method records none -- use 'cdcl' or "
-                "'portfolio'")
+        _check_method(method, certify, _SOLVE_METHODS + ("incremental",))
         self.circuit = circuit
         self.method = method
         self.fault_dropping = fault_dropping
@@ -329,6 +367,10 @@ class ATPGEngine:
         self.certify = certify
         self.proof_dir = proof_dir
         self.rng = random.Random(seed)
+        if method == "incremental":
+            self.encoding = encode_circuit(circuit)
+            self.solver = CDCLSolver(self.encoding.formula,
+                                     max_conflicts=max_conflicts)
 
     def fault_list(self) -> List[StuckAtFault]:
         """The target fault universe (optionally collapsed)."""
@@ -402,11 +444,7 @@ class ATPGEngine:
                 break
             fault_budget = meter.remaining_budget() \
                 if meter is not None else None
-            result = solve_fault(self.circuit, fault, self.method,
-                                 self.max_conflicts,
-                                 budget=fault_budget, tracer=tracer,
-                                 certify=self.certify,
-                                 proof_dir=self.proof_dir)
+            result = self.solve_fault(fault, budget=fault_budget)
             report.results.append(result)
             if tracer is not None:
                 tracer.event("atpg.fault", node=fault.node,
@@ -429,6 +467,27 @@ class ATPGEngine:
                         detected_early[other] = True
         return report
 
+    def solve_fault(self, fault: StuckAtFault,
+                    budget: Optional[Budget] = None) -> FaultResult:
+        """Target one fault with this engine's method and settings
+        (see :func:`solve_fault`); the ``"incremental"`` method adds
+        the fault's cones to the engine's persistent solver and solves
+        under the fault's difference literal."""
+        if self.method != "incremental":
+            return solve_fault(self.circuit, fault, self.method,
+                               self.max_conflicts, budget=budget,
+                               tracer=self.tracer, certify=self.certify,
+                               proof_dir=self.proof_dir)
+        solver = self.solver
+        _, diff = encode_fault_cone(self.circuit, fault,
+                                    lambda name: solver.new_var(),
+                                    solver.add_clause,
+                                    good=self.encoding.var_of)
+        solver.budget = budget
+        solver.tracer = self.tracer
+        return _fault_result(fault, solver.solve(assumptions=[diff]),
+                             self.encoding)
+
     def _complete_vector(self, cube: Dict[str, Optional[bool]]
                          ) -> Dict[str, bool]:
         """Fill don't-care positions with random values (the usual
@@ -437,107 +496,3 @@ class ATPGEngine:
                        else bool(value))
                 for name, value in cube.items()}
 
-
-class IncrementalATPG:
-    """Iterative ATPG on a single persistent solver (Section 6, [25]).
-
-    The good circuit is encoded once.  For each target fault the
-    shared step of :func:`solve_fault`, :func:`encode_fault_cone`,
-    adds the faulty *fanout cone* on the good circuit's variables and
-    a per-fault difference literal over the outputs the cone reaches,
-    which is passed as the solve assumption.  Clauses recorded while
-    processing one fault remain valid -- they reference good-circuit
-    and cone variables whose definitions never change -- so later
-    faults start with a primed clause database.  Every earlier cone
-    also stays, and each model assigns all of their variables, so a
-    call's propagation work grows with the faults already processed
-    (experiment C8).
-    """
-
-    def __init__(self, circuit: Circuit,
-                 max_conflicts_per_fault: Optional[int] = 20000,
-                 budget: Optional[Budget] = None,
-                 tracer=None):
-        circuit.validate()
-        if circuit.is_sequential():
-            raise ValueError("combinational ATPG only")
-        self.circuit = circuit
-        self.budget = budget
-        self.tracer = tracer
-        self.encoding = encode_circuit(circuit)
-        self.solver = IncrementalSolver(
-            self.encoding.formula,
-            max_conflicts_per_call=max_conflicts_per_fault)
-        self.solver.tracer = tracer
-
-    def solve_fault(self, fault: StuckAtFault,
-                    budget: Optional[Budget] = None) -> FaultResult:
-        """Target one fault through the shared solver."""
-        def new_var(name: str) -> int:
-            return self.solver.new_var()
-
-        _, diff = encode_fault_cone(self.circuit, fault, new_var,
-                                    self.solver.add_clause,
-                                    good=self.encoding.var_of)
-        result = self.solver.solve(assumptions=[diff], budget=budget)
-        if result.is_sat:
-            vector = self.encoding.input_vector(result.assignment,
-                                                default=False)
-            return FaultResult(fault, TestOutcome.DETECTED, vector,
-                               result.stats)
-        if result.is_unsat:
-            return FaultResult(fault, TestOutcome.REDUNDANT,
-                               stats=result.stats)
-        return FaultResult(fault, TestOutcome.ABORTED, stats=result.stats)
-
-    def run(self, faults: Optional[Sequence[StuckAtFault]] = None
-            ) -> ATPGReport:
-        """Process the fault list through the shared solver.
-
-        Under a run-wide budget the report degrades gracefully:
-        unattempted faults are ABORTED, ``budget_exhausted`` is set.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._run(faults)
-        with tracer.span("atpg.run", method="incremental") as end:
-            report = self._run(faults)
-            end["faults"] = len(report.results)
-            end["detected"] = report.count(TestOutcome.DETECTED)
-            end["redundant"] = report.count(TestOutcome.REDUNDANT)
-            end["aborted"] = report.count(TestOutcome.ABORTED)
-            end["budget_exhausted"] = report.budget_exhausted
-            return report
-
-    def _run(self, faults: Optional[Sequence[StuckAtFault]] = None
-             ) -> ATPGReport:
-        tracer = self.tracer
-        report = ATPGReport()
-        meter = self.budget.meter() if self.budget is not None else None
-        targets = list(faults if faults is not None
-                       else full_fault_list(self.circuit))
-        for position, fault in enumerate(targets):
-            if meter is not None and meter.expired():
-                report.budget_exhausted = True
-                if tracer is not None:
-                    tracer.event("atpg.budget_exhausted",
-                                 attempted=position,
-                                 leftover=len(targets) - position)
-                report.results.extend(
-                    FaultResult(leftover, TestOutcome.ABORTED)
-                    for leftover in targets[position:])
-                break
-            fault_budget = meter.remaining_budget() \
-                if meter is not None else None
-            result = self.solve_fault(fault, budget=fault_budget)
-            report.results.append(result)
-            if tracer is not None:
-                tracer.event("atpg.fault", node=fault.node,
-                             stuck_at=bool(fault.value),
-                             outcome=result.outcome.value,
-                             conflicts=result.stats.conflicts,
-                             decisions=result.stats.decisions)
-            if result.outcome is TestOutcome.DETECTED:
-                report.vectors.append({k: bool(v)
-                                       for k, v in result.vector.items()})
-        return report

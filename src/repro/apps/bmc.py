@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from repro.circuits.netlist import Circuit
 from repro.circuits.tseitin import encode_nodes, input_trace
 from repro.runtime.budget import Budget
-from repro.solvers.incremental import IncrementalSolver
+from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import SolverStats
 
 
@@ -58,7 +58,7 @@ class BMCResult:
 
 
 class BoundedModelChecker:
-    """Frame-by-frame unrolling with a persistent incremental solver.
+    """Frame-by-frame unrolling on one persistent solver.
 
     Parameters
     ----------
@@ -73,8 +73,8 @@ class BoundedModelChecker:
         per-depth solver spans nested inside.
     certify:
         certify every depth: each frame's query runs as a fresh
-        certified solve over a mirror of the accumulated unrolling
-        (the incremental solver's learned-clause reuse cannot be kept
+        certified solve over the persistent solver's formula, the
+        accumulated unrolling (its learned-clause reuse cannot be kept
         -- a depth-t proof must derive from depth-t clauses alone), an
         UNSAT depth only counts as proved once its DRUP proof passes
         the independent checker, and the failing frame's model is
@@ -95,29 +95,19 @@ class BoundedModelChecker:
         self.initial_state = {dff: False for dff in circuit.dffs}
         if initial_state:
             self.initial_state.update(initial_state)
-        self.solver = IncrementalSolver()
+        self.solver = CDCLSolver()
         self.tracer = tracer
         self.solver.tracer = tracer
         self.certify = certify
         self.proof_dir = proof_dir
         #: var_of[frame][node]
         self.frames: List[Dict[str, int]] = []
-        #: Certified sweeps mirror every clause fed to the incremental
-        #: solver, so each depth can be re-posed as a standalone
-        #: formula whose proof stands on its own.
-        self._mirror: List[List[int]] = []
-
-    def _post(self, clause: List[int]) -> None:
-        """Add *clause* to the incremental solver (and the certified
-        mirror)."""
-        self.solver.add_clause(clause)
-        if self.certify:
-            self._mirror.append(list(clause))
 
     def _add_frame(self) -> Dict[str, int]:
         """Encode one more time frame and link the DFFs."""
         var_of = encode_nodes(
-            self.circuit, lambda name: self.solver.new_var(), self._post,
+            self.circuit, lambda name: self.solver.new_var(),
+            self.solver.add_clause,
             previous=self.frames[-1] if self.frames else None,
             initial=self.initial_state)
         self.frames.append(var_of)
@@ -174,8 +164,8 @@ class BoundedModelChecker:
                                              call_budget)
                 result.certificates.append(call.certificate)
             else:
-                call = self.solver.solve(assumptions=[assumption],
-                                         budget=call_budget)
+                self.solver.budget = call_budget
+                call = self.solver.solve(assumptions=[assumption])
             result.stats.merge(call.stats)
             if tracer is not None:
                 # call.stats is already the per-call delta, so these
@@ -208,21 +198,20 @@ class BoundedModelChecker:
                          budget: Optional[Budget]):
         """One depth as a standalone certified solve.
 
-        The accumulated unrolling plus the depth's property literal is
-        re-posed as a fresh formula, so the streamed DRUP proof
-        derives from exactly the clauses it certifies -- an
-        incremental solver's cross-call learned clauses would poison
-        the derivation.  UNSAT means *this* depth is unreachable; the
-        proof file (``depth{t}.drup``) certifies it independently.
+        The accumulated unrolling (the persistent solver's formula)
+        plus the depth's property literal is re-posed as a fresh
+        formula, so the streamed DRUP proof derives from exactly the
+        clauses it certifies -- the persistent solver's cross-call
+        learned clauses would poison the derivation.  UNSAT means
+        *this* depth is unreachable; the proof file
+        (``depth{t}.drup``) certifies it independently.
         """
         import os
 
-        from repro.cnf.formula import CNFFormula
         from repro.verify.certificate import certified_solve
 
-        formula = CNFFormula(
-            num_vars=self.solver.num_vars,
-            clauses=self._mirror + [[assumption]])
+        formula = self.solver.formula.copy()
+        formula.add_clause([assumption])
         proof_path = None
         if self.proof_dir is not None:
             os.makedirs(self.proof_dir, exist_ok=True)

@@ -33,7 +33,7 @@ from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import simulate
 from repro.circuits.tseitin import encode_circuit
 from repro.cnf.formula import CNFFormula
-from repro.solvers.incremental import IncrementalSolver
+from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import SolverStats
 
 
@@ -95,8 +95,8 @@ class DelayFaultATPG:
         formula = CNFFormula()
         self.frame1 = encode_circuit(circuit, formula, var_prefix="t1_")
         self.frame2 = encode_circuit(circuit, formula, var_prefix="t2_")
-        self.solver = IncrementalSolver(
-            formula, max_conflicts_per_call=max_conflicts_per_path)
+        self.solver = CDCLSolver(formula,
+                                 max_conflicts=max_conflicts_per_path)
 
     # ------------------------------------------------------------------
 

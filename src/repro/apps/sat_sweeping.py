@@ -30,7 +30,7 @@ from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 from repro.circuits.parallel_sim import pack_vectors, simulate_parallel
 from repro.circuits.tseitin import encode_circuit
-from repro.solvers.incremental import IncrementalSolver
+from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import SolverStats
 
 
@@ -59,9 +59,8 @@ class SATSweeper:
         self.patterns = patterns
         self.seed = seed
         self.encoding = encode_circuit(circuit)
-        self.solver = IncrementalSolver(
-            self.encoding.formula,
-            max_conflicts_per_call=max_conflicts_per_pair)
+        self.solver = CDCLSolver(self.encoding.formula,
+                                 max_conflicts=max_conflicts_per_pair)
 
     def _signatures(self, vectors) -> Dict[str, int]:
         words = simulate_parallel(self.circuit,

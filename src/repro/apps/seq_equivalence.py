@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.netlist import Circuit
 from repro.circuits.tseitin import add_difference, encode_nodes, input_trace
-from repro.solvers.incremental import IncrementalSolver
+from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import SolverStats
 
 
@@ -63,7 +63,7 @@ def _reset_state(circuit: Circuit,
 
 
 class SequentialEquivalenceChecker:
-    """Product-machine unrolling on one incremental solver.
+    """Product-machine unrolling on one persistent solver.
 
     ``max_conflicts_per_depth`` caps each depth's solve (``None``:
     unbounded); a depth that hits the cap ends the check ``aborted``.
@@ -83,8 +83,7 @@ class SequentialEquivalenceChecker:
         self.circuit_b = circuit_b
         self.initial_a = _reset_state(circuit_a, initial_a)
         self.initial_b = _reset_state(circuit_b, initial_b)
-        self.solver = IncrementalSolver(
-            max_conflicts_per_call=max_conflicts_per_depth)
+        self.solver = CDCLSolver(max_conflicts=max_conflicts_per_depth)
         #: per frame: (vars_a, vars_b, diff); vars_a holds the shared
         #: input variables too
         self.frames: List[Tuple[Dict[str, int], Dict[str, int], int]] = []

@@ -205,31 +205,12 @@ class Circuit:
     def topological_order(self) -> List[str]:
         """Node names with every combinational fanin before its fanout.
 
-        DFF outputs are sources (their fanin crosses a clock edge), so
-        insertion order already works for circuits built bottom-up; for
-        circuits parsed with forward references we recompute via DFS.
+        This is the insertion order: :meth:`add_gate` accepts only
+        fanins that already exist, and a DFF output is a source (its
+        fanin crosses a clock edge), so no gate can reference a later
+        node.
         """
-        visited: Set[str] = set()
-        order: List[str] = []
-
-        def visit(name: str, stack: Set[str]) -> None:
-            if name in visited:
-                return
-            if name in stack:
-                raise CircuitError(
-                    f"combinational cycle through node {name!r}")
-            node = self._nodes[name]
-            if node.is_gate:
-                stack.add(name)
-                for fanin in node.fanins:
-                    visit(fanin, stack)
-                stack.remove(name)
-            visited.add(name)
-            order.append(name)
-
-        for name in self._order:
-            visit(name, set())
-        return order
+        return list(self._order)
 
     def levelize(self) -> Dict[str, int]:
         """Logic level of every node: inputs/DFFs/constants at 0, each
@@ -282,8 +263,9 @@ class Circuit:
         """Check structural well-formedness; raises :class:`CircuitError`.
 
         Verifies that every fanin reference resolves, every DFF has a
-        connected data input, every output exists, and the combinational
-        part is acyclic.
+        connected data input, and every output exists.  The
+        combinational part is acyclic by construction (see
+        :meth:`topological_order`).
         """
         for node in self:
             for fanin in node.fanins:
@@ -297,7 +279,6 @@ class Circuit:
         for output in self._outputs:
             if output not in self._nodes:
                 raise CircuitError(f"unknown output {output!r}")
-        self.topological_order()  # raises on combinational cycles
 
     # ------------------------------------------------------------------
     # Transformation

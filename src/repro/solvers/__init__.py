@@ -4,7 +4,8 @@
   with chronological backtracking (DPLL baseline).
 * :mod:`repro.solvers.cdcl` -- GRASP-style conflict-driven search:
   non-chronological backtracking, clause recording, bounded deletion,
-  relevance-based learning, restarts with randomization.
+  relevance-based learning, restarts with randomization; also the one
+  persistent solver for incremental/iterative SAT (Section 6).
 * :mod:`repro.solvers.heuristics` -- pluggable decision heuristics.
 * :mod:`repro.solvers.local_search` -- GSAT / WalkSAT baselines.
 * :mod:`repro.solvers.recursive_learning` -- recursive learning on CNF
@@ -12,8 +13,6 @@
 * :mod:`repro.solvers.preprocess` -- the ``Preprocess()`` step including
   equivalency reasoning (Section 6).
 * :mod:`repro.solvers.circuit_sat` -- the structural layer of Section 5.
-* :mod:`repro.solvers.incremental` -- incremental/iterative SAT
-  (Section 6).
 * :mod:`repro.solvers.portfolio` -- parallel racing of diversified
   CDCL configurations (the Section 6 randomization theme taken to
   multiple cores).

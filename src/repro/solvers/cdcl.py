@@ -32,6 +32,16 @@ remapped) -- so no ``deleted``-flag test survives anywhere on the hot
 path.  See DESIGN.md ("Clause-DB memory layout") for the layout and
 the GC remap protocol.
 
+The engine is also the library's one persistent solver (paper
+Section 6, "used iteratively and/or incrementally"): between solve
+calls it takes new variables (``new_var``) and clauses
+(``add_clause``), keeps its learned clauses, and answers each call
+under that call's assumptions, budget and conflict caps, returning
+that call's own stats.  It keeps its own formula, which grows with
+every added clause and variable: the decision heuristic is seeded
+from it on every call, and certified callers re-pose it as a
+standalone formula.
+
 Decisions are delegated to the pluggable heuristics of
 :mod:`repro.solvers.heuristics` (heap-backed since PR 1); restarts to
 :mod:`repro.solvers.restarts`.  Hook points (``on_assign``,
@@ -43,6 +53,7 @@ engine, which is precisely the architectural claim of the paper.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple, Union)
 
@@ -74,6 +85,10 @@ class CDCLSolver:
 
     Parameters
     ----------
+    formula:
+        the starting formula (default: an empty one).  It is never
+        mutated: the first ``new_var``/``add_clause`` call copies it
+        into the engine's own ``formula``, which then grows.
     heuristic:
         branching policy (default VSIDS).
     restart_policy:
@@ -99,9 +114,9 @@ class CDCLSolver:
     phase_saving:
         re-decide variables with their last assigned polarity.
     max_conflicts, max_decisions:
-        effort budgets; exceeding either yields ``Status.UNKNOWN``.
-        These legacy caps are cumulative across solve calls (the
-        incremental layer relies on that); prefer ``budget``.
+        effort caps of each solve call, counted from the start of the
+        call like ``Budget``'s; reaching either yields
+        ``Status.UNKNOWN``.
     budget:
         a :class:`repro.runtime.budget.Budget`: wall-clock deadline,
         per-call counter caps, soft memory ceiling.  Enforced through
@@ -115,8 +130,8 @@ class CDCLSolver:
         its work is charged to the same budget meter, and its clause
         rewrites are written to ``proof`` so certification keeps
         working.  Variables removed by elimination/equivalence must
-        not reappear in later assumptions or added clauses
-        (incremental users pass ``InprocessConfig(bve=False,
+        not reappear in later assumptions or added clauses, which
+        raise (incremental users pass ``InprocessConfig(bve=False,
         equivalence=False)``).
     resume_from:
         a :class:`repro.runtime.checkpoint.SearchCheckpoint` from a
@@ -131,7 +146,7 @@ class CDCLSolver:
         counted in ``stats.checkpoint_dropped_clauses``.
     """
 
-    def __init__(self, formula: CNFFormula,
+    def __init__(self, formula: Optional[CNFFormula] = None,
                  heuristic: Optional[DecisionHeuristic] = None,
                  restart_policy: Optional[RestartPolicy] = None,
                  backtrack_mode: str = "nonchronological",
@@ -154,7 +169,11 @@ class CDCLSolver:
         if deletion not in ("keep", "size", "relevance"):
             raise ValueError(f"bad deletion policy {deletion!r}")
 
-        self.formula = formula
+        #: The formula this engine solves: the caller's until the
+        #: first ``new_var``/``add_clause``, then the engine's own copy
+        #: (``_owns_formula``), grown by every later call.
+        self.formula = formula if formula is not None else CNFFormula()
+        self._owns_formula = formula is None
         self.heuristic = heuristic or VSIDSHeuristic()
         self.restart_policy = restart_policy or NoRestarts()
         self.backtrack_mode = backtrack_mode
@@ -176,7 +195,12 @@ class CDCLSolver:
         #: (first ``_solve`` call); holds the reconstruction stack for
         #: eliminated variables, so it persists across solve calls.
         self._inprocessor = None
+        #: Cumulative effort over every solve call; each call's
+        #: result carries its own share (``SolverStats.since``).
         self.stats = SolverStats()
+        #: ``stats`` at the start of the current call: the baseline of
+        #: the per-call caps and of the per-call result stats.
+        self._call_start = SolverStats()
         self._saved_phase: Dict[int, bool] = {}
         #: Pending warm-restart state; consumed (set to None) by the
         #: first ``_solve`` call, see :meth:`_import_checkpoint`.
@@ -221,7 +245,7 @@ class CDCLSolver:
         #: ``solve`` call.
         self.proof = None
 
-        self._num_vars = formula.num_vars
+        self._num_vars = self.formula.num_vars
         n = self._num_vars + 1
         self._values: List[Optional[bool]] = [None] * n
         self._level: List[int] = [0] * n
@@ -248,7 +272,7 @@ class CDCLSolver:
         self._root_conflict = False
         self._pending_units: List[int] = []
 
-        for clause in formula.clauses:
+        for clause in self.formula.clauses:
             self._attach_input_clause(clause)
 
     # ------------------------------------------------------------------
@@ -288,18 +312,33 @@ class CDCLSolver:
             self._watches[_lit_index(lits[base])].append(cid)
             self._watches[_lit_index(lits[base + 1])].append(cid)
 
+    def _grown_formula(self) -> CNFFormula:
+        """The engine's own formula, copied from the caller's on first
+        use so the caller's object is never mutated."""
+        if not self._owns_formula:
+            self.formula = self.formula.copy()
+            self._owns_formula = True
+        return self.formula
+
+    def new_var(self) -> int:
+        """Allocate a fresh variable for later clauses and assumptions
+        (incremental interface).  The search tables grow when a clause
+        first mentions it."""
+        return self._grown_formula().new_var()
+
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause between solve calls (incremental interface).
 
         Only legal at decision level 0; raises otherwise.  The clause
-        is appended to the arena and, like every original clause,
-        survives all later GC compactions.
+        joins the engine's formula and the arena and, like every
+        original clause, survives all later GC compactions.
         """
         if self._trail_lim:
             raise RuntimeError("add_clause only allowed at level 0")
         clause = Clause(literals)
         if self._inprocessor is not None:
             self._inprocessor.check_literals(list(clause), "added clauses")
+        self._grown_formula().add_clause(clause)
         for lit in clause:
             var = abs(lit)
             if var > self._num_vars:
@@ -884,6 +923,8 @@ class CDCLSolver:
         With assumptions the result is relative to them: UNSATISFIABLE
         means "unsatisfiable under the assumptions"; recorded clauses
         remain valid for later calls (incremental SAT, Section 6).
+        The result's stats are this call's effort alone; ``stats``
+        keeps the running total.
         """
         tracer = self.tracer
         if tracer is None:
@@ -956,6 +997,7 @@ class CDCLSolver:
 
     def _solve(self, assumptions: Sequence[int]) -> SolverResult:
         started = time.perf_counter()
+        self._call_start = replace(self.stats)
         if self.inprocess_config is not None and self._inprocessor is None:
             from repro.solvers.inprocess import Inprocessor
             self._inprocessor = Inprocessor(self, self.inprocess_config)
@@ -981,7 +1023,8 @@ class CDCLSolver:
             self.proof.conclude()
         model = self._model() if status is Status.SATISFIABLE else None
         self._cancel_until(0)
-        return SolverResult(status, model, self.stats)
+        return SolverResult(status, model,
+                            self.stats.since(self._call_start))
 
     # ------------------------------------------------------------------
     # Crash-recovery checkpoints (repro.runtime.checkpoint)
@@ -1080,13 +1123,16 @@ class CDCLSolver:
         return model
 
     def _budget_blown(self) -> bool:
+        stats = self.stats
+        start = self._call_start
         if ((self.max_conflicts is not None
-             and self.stats.conflicts >= self.max_conflicts)
+             and stats.conflicts - start.conflicts >= self.max_conflicts)
                 or (self.max_decisions is not None
-                    and self.stats.decisions >= self.max_decisions)):
+                    and stats.decisions - start.decisions
+                    >= self.max_decisions)):
             return True
         meter = self._meter
-        return meter is not None and meter.blown(self.stats)
+        return meter is not None and meter.blown(stats)
 
     def _search(self, assumptions: List[int]) -> Status:
         if self._root_conflict:

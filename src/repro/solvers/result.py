@@ -28,7 +28,8 @@ class Status(enum.Enum):
 
 @dataclass
 class SolverStats:
-    """Search-effort counters accumulated during one solve call."""
+    """Search-effort counters of one solve call (or, on an engine's
+    ``stats``, accumulated over all of its calls)."""
 
     decisions: int = 0
     propagations: int = 0
@@ -98,6 +99,23 @@ class SolverStats:
                     self.metrics = merge_snapshots(mine, theirs)
             else:
                 setattr(self, f.name, mine + theirs)
+
+    def since(self, before: "SolverStats") -> "SolverStats":
+        """The effort spent since the snapshot *before* (one call of a
+        persistent engine), field-generically like :meth:`merge`:
+        counters subtract, while ``max_decision_level``,
+        ``arena_peak_lits`` (state readings) and the ``metrics``
+        snapshot (a merged histogram cannot be split per call) report
+        this object's current state."""
+        delta = SolverStats()
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if f.name in ("max_decision_level", "arena_peak_lits",
+                          "metrics"):
+                setattr(delta, f.name, mine)
+            else:
+                setattr(delta, f.name, mine - getattr(before, f.name))
+        return delta
 
     def as_dict(self) -> Dict[str, Any]:
         """Every field as a JSON-serializable dict (pipe/JSON safe)."""

@@ -77,8 +77,14 @@ class TestCheckerInternals:
 
     def test_incremental_solver_reused_across_depths(self):
         checker = BoundedModelChecker(binary_counter(2))
-        checker.check_output("rollover", True, max_depth=3)
-        assert checker.solver.calls == 4
+        solver = checker.solver
+        result = checker.check_output("rollover", True, max_depth=3)
+        assert result.failure_depth == 3
+        # One engine served all four depths: its running totals are
+        # the sums of the per-depth calls.
+        assert checker.solver is solver
+        assert solver.stats.decisions == result.stats.decisions > 0
+        assert solver.stats.propagations == result.stats.propagations
 
     def test_unknown_output_rejected(self):
         checker = BoundedModelChecker(binary_counter(2))

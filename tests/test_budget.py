@@ -25,7 +25,6 @@ from repro.runtime.budget import (
 )
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.dpll import DPLLSolver
-from repro.solvers.incremental import IncrementalSolver
 from repro.solvers.local_search import solve_gsat, solve_walksat
 from repro.solvers.recursive_learning import recursive_learn
 from repro.solvers.result import SolverStats, Status
@@ -232,19 +231,21 @@ class TestEngineIntegration:
         assert result.status is Status.UNKNOWN
 
     def test_incremental_budget_is_per_call(self):
-        solver = IncrementalSolver()
+        solver = CDCLSolver()
         formula = pigeonhole(6)
         for _ in range(formula.num_vars):
             solver.new_var()
         for clause in formula:
             solver.add_clause(list(clause))
-        first = solver.solve(budget=Budget(max_conflicts=10))
+        solver.budget = Budget(max_conflicts=10)
+        first = solver.solve()
         assert first.status is Status.UNKNOWN
         # The second call gets a fresh 10-conflict allowance despite
         # the conflicts already accumulated on the persistent engine.
-        second = solver.solve(budget=Budget(max_conflicts=10))
+        second = solver.solve()
         assert second.status is Status.UNKNOWN
         # And an unbudgeted call still finishes the proof.
+        solver.budget = None
         assert solver.solve().status is Status.UNSATISFIABLE
 
     def test_recursive_learning_budget_partial_but_sound(self):

@@ -103,6 +103,33 @@ class TestCanonicalKey:
         formula = _formula([(9, -5), (5,)], 9)
         assert normal_form(formula) == [(-1, 2), (1,)]
 
+    # Digests computed by the formula-object implementation this one
+    # replaced: keys persisted in service journals must stay valid.
+    PINNED = [
+        ([], 0,
+         "300ac9a54d53f3a1a86de98473439d8175d900403476888961324261986df6f8"),
+        ([()], 3,
+         "baa0ae3e5260d5c9893b80b6d5d292326207c496b799d050fd9c6245bbe8e4eb"),
+        ([(1,), (-2,)], 2,
+         "6f547af2b49faacf34ffcecf756267df230f6c47023797f76a279e0ef25fb202"),
+        ([(9, -5, 9), (5,), (-5, 9)], 12,
+         "e8a6c769aca9b6082724839617e61b563b6221dcd814dfa90f6dc7486e3454e2"),
+        ([(3, -3, 7), (-7,)], 7,
+         "a77913c1be28178fdf356b1a4d02d6637973ed3c8fe2cd6f91ceaa37f2b6fc2f"),
+        ([(1, 2), (2, 1), (-1, -2)], 2,
+         "77d2291acff33ea3a4c6fd8a236c07f4fbc52526347490683eb82d7f8605b73c"),
+        ([(4, -8, 15), (-4,), (8, 15), (), (-15, 4, 8, -8)], 20,
+         "ed613d38fe6aa92e56e83156ccb8fd74d7409acc4e230ce54fd9f5de0fd1a20d"),
+    ]
+
+    @pytest.mark.parametrize("clauses,num_vars,digest", PINNED,
+                             ids=["empty", "empty-clause", "units",
+                                  "duplicates-gaps", "tautology",
+                                  "multiplicity", "mixed"])
+    def test_pinned_digests(self, clauses, num_vars, digest):
+        assert clauses_key(clauses, num_vars) == digest
+        assert canonical_key(_formula(clauses, num_vars)) == digest
+
 
 class TestFuzzerUsesRenumber:
     def test_shrinker_compacts_variables(self):

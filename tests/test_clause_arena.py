@@ -35,7 +35,6 @@ from repro.cnf.generators import pigeonhole, random_ksat_at_ratio
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.clause_arena import ClauseArena
 from repro.solvers.dpll import solve_dpll
-from repro.solvers.incremental import IncrementalSolver
 from repro.solvers.result import Status
 
 
@@ -226,8 +225,8 @@ class TestIncrementalAcrossCompactions:
         batches = [list(c) for c in extra]
         third = len(batches) // 3
 
-        inc = IncrementalSolver(base, deletion="size", deletion_bound=3,
-                                deletion_interval=15)
+        inc = CDCLSolver(base, deletion="size", deletion_bound=3,
+                         deletion_interval=15)
         reference = base.copy()
         gc_total = 0
         for batch in (batches[:third], batches[third:2 * third],

@@ -108,9 +108,17 @@ class TestTestGeneration:
         """The shared solver accumulates clauses across paths."""
         circuit = c17()
         engine = DelayFaultATPG(circuit)
+        solver = engine.solver
         faults = enumerate_path_faults(circuit, max_paths=10)
-        engine.run(faults)
-        assert engine.solver.calls == len(faults)
+        results = engine.run(faults)
+        assert len(results) == len(faults)
+        # One engine served every path: its running totals are the
+        # sums of the per-path calls.
+        assert engine.solver is solver
+        assert solver.stats.decisions == \
+            sum(r.stats.decisions for r in results) > 0
+        assert solver.stats.propagations == \
+            sum(r.stats.propagations for r in results)
 
 
 class TestValidation:

@@ -259,15 +259,6 @@ class TestGuards:
         with pytest.raises(RuntimeError, match="eliminated"):
             solver.add_clause([var, 2])
 
-    def test_incremental_disables_eliminating_passes(self):
-        from repro.solvers.incremental import IncrementalSolver
-        inc = IncrementalSolver(inprocess=True)
-        config = inc._solver.inprocess_config
-        assert config is not None
-        assert config.bve is False
-        assert config.equivalence is False
-        assert config.subsumption is True
-
     def test_frozen_assumption_variables_survive(self):
         rng = random.Random(21)
         for _ in range(15):

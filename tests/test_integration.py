@@ -3,7 +3,6 @@
 from repro import (
     ATPGEngine,
     CDCLSolver,
-    IncrementalATPG,
     check_equivalence,
     check_safety,
     encode_with_objective,
@@ -143,7 +142,8 @@ class TestIncrementalVsOneShotATPG:
         circuit = ripple_carry_adder(2)
         faults = full_fault_list(circuit)
         one_shot = ATPGEngine(circuit, fault_dropping=False).run(faults)
-        incremental = IncrementalATPG(circuit).run(faults)
+        incremental = ATPGEngine(circuit, method="incremental",
+                                 fault_dropping=False).run(faults)
         for left, right in zip(one_shot.results, incremental.results):
             assert left.outcome == right.outcome, left.fault
         for result, vector in [

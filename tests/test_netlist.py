@@ -123,20 +123,60 @@ class TestSequential:
         with pytest.raises(CircuitError):
             circuit.connect_dff("g1", "a")
 
-    def test_combinational_cycle_detected(self):
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_dff("q")         # placeholder to smuggle a name in
-        circuit.add_gate("g1", GateType.AND, ["a", "q"])
-        # Rewire the DFF into a gate-level cycle is impossible through
-        # the API; instead check validate() raises for a cycle formed
-        # via nodes dict manipulation (defensive path).
-        from repro.circuits.netlist import Node
-        circuit._nodes["g2"] = Node("g2", GateType.NOT, ("g3",))
-        circuit._nodes["g3"] = Node("g3", GateType.NOT, ("g2",))
-        circuit._order.extend(["g2", "g3"])
-        with pytest.raises(CircuitError):
-            circuit.topological_order()
+
+def _circuit_panel():
+    """Every library and generator circuit, plus their ``.bench``
+    round-trips (in file order and with the definitions reversed, so
+    the parser must resolve forward references), a fault injection
+    and, for the combinational ones, a self-miter."""
+    from repro.circuits import generators as gen
+    from repro.circuits import library as lib
+    from repro.circuits.bench_format import parse_bench, write_bench
+    from repro.circuits.faults import StuckAtFault, inject_fault
+    from repro.circuits.tseitin import build_miter
+
+    base = [
+        lib.figure1_circuit(), lib.figure3_circuit(), lib.c17(),
+        lib.half_adder(), lib.majority3(), lib.redundant_or_chain(),
+        lib.two_level_example(), gen.ripple_carry_adder(4),
+        gen.carry_select_adder(4), gen.array_multiplier(3),
+        gen.parity_tree(5), gen.comparator(4), gen.mux_tree(3),
+        gen.random_circuit(6, 25, seed=3), gen.alu(3),
+        gen.binary_counter(3), gen.binary_counter(3, with_reset=True),
+        gen.shift_register(4),
+    ]
+    panel = list(base)
+    for circuit in base:
+        text = write_bench(circuit)
+        panel.append(parse_bench(text))
+        lines = text.splitlines()
+        header = [line for line in lines if "=" not in line]
+        body = [line for line in lines if "=" in line]
+        panel.append(parse_bench("\n".join(header + body[::-1])))
+        panel.append(inject_fault(
+            circuit, StuckAtFault(circuit.gate_names()[0], True)))
+        if not circuit.is_sequential():
+            panel.append(build_miter(circuit, circuit.copy())[0])
+    return panel
+
+
+class TestTopologicalOrder:
+    def test_fanins_precede_every_gate(self):
+        for circuit in _circuit_panel():
+            order = circuit.topological_order()
+            assert sorted(order) == sorted(circuit.nodes), circuit.name
+            position = {name: index for index, name in enumerate(order)}
+            for name in order:
+                node = circuit.node(name)
+                if node.is_gate:
+                    assert all(position[fanin] < position[name]
+                               for fanin in node.fanins), \
+                        (circuit.name, name)
+
+    def test_returns_a_copy(self):
+        circuit = simple_circuit()
+        circuit.topological_order().append("ghost")
+        assert circuit.topological_order() == ["a", "b", "g1", "g2"]
 
 
 class TestTransforms:

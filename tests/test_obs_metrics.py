@@ -15,7 +15,6 @@ from repro.obs import (
     merge_snapshots,
 )
 from repro.solvers.cdcl import CDCLSolver
-from repro.solvers.incremental import IncrementalSolver
 from repro.solvers.result import SolverStats
 
 
@@ -190,7 +189,7 @@ class TestStatsMergePaths:
         assert a.metrics["c"]["value"] == 3
 
     def test_incremental_delta_keeps_metrics(self):
-        solver = IncrementalSolver()
+        solver = CDCLSolver()
         x, y = solver.new_var(), solver.new_var()
         solver.add_clause([x, y])
         solver.add_clause([-x, y])

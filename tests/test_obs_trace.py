@@ -424,8 +424,7 @@ class TestSolverEmission:
         assert traced.necessary == plain.necessary
 
     def test_incremental_solver_traces_each_call(self):
-        from repro.solvers.incremental import IncrementalSolver
-        solver = IncrementalSolver()
+        solver = CDCLSolver()
         x, y = solver.new_var(), solver.new_var()
         solver.add_clause([x, y])
         sink = ListSink()

@@ -46,7 +46,6 @@ PUBLIC_MODULES = [
     "repro.solvers.recursive_learning",
     "repro.solvers.preprocess",
     "repro.solvers.circuit_sat",
-    "repro.solvers.incremental",
     "repro.solvers.portfolio",
     "repro.solvers.forward_implication",
     "repro.runtime",

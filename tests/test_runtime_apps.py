@@ -54,11 +54,12 @@ class TestATPGDegradation:
                 == [r.outcome for r in budgeted.results])
 
     def test_incremental_atpg_degrades(self):
-        from repro.apps.atpg import IncrementalATPG, TestOutcome
+        from repro.apps.atpg import ATPGEngine, TestOutcome
 
         circuit = ripple_carry_adder(3)
-        engine = IncrementalATPG(circuit,
-                                 budget=Budget(wall_seconds=0.0))
+        engine = ATPGEngine(circuit, method="incremental",
+                            fault_dropping=False,
+                            budget=Budget(wall_seconds=0.0))
         report = engine.run()
         assert report.budget_exhausted
         assert all(r.outcome is TestOutcome.ABORTED
