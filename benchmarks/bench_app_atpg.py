@@ -16,6 +16,16 @@ from repro.circuits.generators import (
 from repro.circuits.library import c17, redundant_or_chain
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["c17", 22, 6, 16, 0, 0, 6, "100.0%"],
+    ["rca3", 52, 6, 46, 0, 0, 6, "100.0%"],
+    ["parity5", 20, 6, 14, 0, 0, 6, "100.0%"],
+    ["redundant_or", 8, 2, 3, 3, 0, 2, "100.0%"],
+    ["rand6x25", 62, 4, 29, 29, 0, 4, "100.0%"],
+]
+
 
 def suite():
     return [c17(), ripple_carry_adder(3), parity_tree(5),
@@ -43,6 +53,7 @@ def test_app_atpg(benchmark, show):
          "aborted", "vectors", "efficiency"], rows,
         title="A1 -- SAT-based ATPG (Larrabee encoding, fault "
               "dropping)"))
+    assert rows == EXPECTED
 
     report = benchmark(lambda: ATPGEngine(c17()).run())
     assert report.fault_coverage == 1.0

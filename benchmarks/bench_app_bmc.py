@@ -12,6 +12,17 @@ from repro.apps.bmc import BoundedModelChecker, check_safety, verify_trace
 from repro.circuits.generators import binary_counter, shift_register
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["counter2 rollover", 3, 3, "yes", 4],
+    ["counter3 rollover", 7, 7, "yes", 19],
+    ["counter4 rollover", 15, 15, "yes", 81],
+    ["shift3 sout", 3, 3, "yes", 2],
+    ["shift5 sout", 5, 5, "yes", 4],
+    ["counter4 rollover (bound 8)", ">8", "none (proved)", "-", 23],
+]
+
 
 def test_app_bmc(benchmark, show):
     rows = []
@@ -49,6 +60,7 @@ def test_app_bmc(benchmark, show):
          "conflicts"], rows,
         title="A4 -- bounded model checking with incremental "
               "unrolling"))
+    assert rows == EXPECTED
 
     def run():
         checker = BoundedModelChecker(binary_counter(3))

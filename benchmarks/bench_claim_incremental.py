@@ -1,76 +1,98 @@
 """Experiment C8 -- Section 6: iterative/incremental SAT pays off when
 "SAT solvers tend to be used iteratively and/or incrementally".
 
-ATPG is the paper's canonical iterative consumer [25]: one SAT
-instance per fault, all sharing the good-circuit logic.  Compares a
-fresh solver per fault (``ATPGEngine``'s ``"cdcl"`` method) against
-the persistent solver of its ``"incremental"`` method (clauses
-learned on earlier faults prune later ones), both without fault
-dropping and both totalled from the per-fault stats.  Both encode
-each fault on its cones with the same step (``encode_fault_cone``).
-Expected shape: identical outcomes and fewer total conflicts for the
-incremental engine.  It does *not* save time: every fault's cone
-stays in the one solver and each SAT answer assigns all of their
-variables, so a call's propagations grow with the faults already
-processed (alu4: 108 at fault 0, 1,299 at fault 135, with 8
-decisions), and the incremental engine takes 3-9x the CPU of a fresh
-solver per fault (every fault, no dropping, process CPU, best of 3,
-on a 2-vCPU VM with CPython 3.11.7: rca4 0.10 s vs 0.34 s, alu4
-0.25 s vs 2.13 s).  Both engines' times are reported; only the
-conflict claim is asserted.
+Bounded model checking [5] asks one query per depth of a growing
+unrolling, each instance the previous one plus a frame.  Compares
+``check_safety(binary_counter(w), "rollover")`` on its one persistent
+solver (frames added lazily, each depth asked under one assumption
+literal, clauses learned at depth t kept for depth t+1) with a fresh
+``CDCLSolver`` per depth over the same unrolling: the same frames,
+encoded by ``tseitin.encode_nodes`` onto one growing ``CNFFormula``
+in the same variable order, and the same assumption per depth.
+Expected shape: both find the first failure at depth 2^w - 1, and
+the persistent solver takes fewer conflicts.  Process CPU is
+reported for both, not asserted.
+
+BMC, not ATPG: one persistent solver across an ATPG fault list saves
+conflicts too, but takes 3-9x the CPU of a fresh solver per fault,
+because every earlier fault's cone stays in the solver and each model
+must assign its variables (EXPERIMENTS.md keeps that measurement
+under C8).
 """
 
 import time
 
-from repro.apps.atpg import ATPGEngine, TestOutcome
-from repro.circuits.faults import full_fault_list
-from repro.circuits.generators import ripple_carry_adder
+from repro.apps.bmc import check_safety
+from repro.circuits.generators import binary_counter
+from repro.circuits.tseitin import encode_nodes
+from repro.cnf.formula import CNFFormula
 from repro.experiments.tables import format_table
+from repro.solvers.cdcl import CDCLSolver
+from repro.solvers.result import SolverStats
+
+#: The deterministic columns of the table (counter, solver, first
+#: failure depth, conflicts, decisions, propagations); a change that
+#: moves the search re-pins them and reports the rows it moved.
+EXPECTED = [
+    ["cnt4", "persistent", 15, 81, 215, 5735],
+    ["cnt4", "fresh per depth", 15, 251, 466, 12391],
+    ["cnt5", "persistent", 31, 378, 2178, 40697],
+    ["cnt5", "fresh per depth", 31, 3373, 8198, 185968],
+]
 
 
-def run(circuit, faults, method):
-    engine = ATPGEngine(circuit, method=method, fault_dropping=False)
-    started = time.perf_counter()
-    report = engine.run(faults)
-    elapsed = time.perf_counter() - started
-    conflicts = sum(r.stats.conflicts for r in report.results)
-    decisions = sum(r.stats.decisions for r in report.results)
-    return report, conflicts, decisions, elapsed
+def fresh_per_depth(circuit, output, max_depth):
+    """The first depth at which *output* can be raised, asking a new
+    solver at every depth; returns it (``None`` within the bound) and
+    the summed stats."""
+    formula = CNFFormula()
+    initial = {dff: False for dff in circuit.dffs}
+    frames = []
+    total = SolverStats()
+    for depth in range(max_depth + 1):
+        frames.append(encode_nodes(
+            circuit, formula.new_var, formula.add_clause,
+            previous=frames[-1] if frames else None, initial=initial))
+        result = CDCLSolver(formula).solve(
+            assumptions=[frames[depth][output]])
+        total.merge(result.stats)
+        if result.is_sat:
+            return depth, total
+    return None, total
+
+
+def row(width, solver, depth, stats, seconds):
+    return [f"cnt{width}", solver, depth, stats.conflicts,
+            stats.decisions, stats.propagations, round(seconds, 3)]
 
 
 def test_claim_incremental(benchmark, show):
-    circuit = ripple_carry_adder(4)
-    faults = full_fault_list(circuit)
+    rows = []
+    for width in (4, 5):
+        circuit = binary_counter(width)
+        bound = 1 << width
+        started = time.process_time()
+        persistent = check_safety(circuit, "rollover", max_depth=bound)
+        persistent_time = time.process_time() - started
+        started = time.process_time()
+        depth, fresh = fresh_per_depth(circuit, "rollover", bound)
+        fresh_time = time.process_time() - started
+        rows.append(row(width, "persistent", persistent.failure_depth,
+                        persistent.stats, persistent_time))
+        rows.append(row(width, "fresh per depth", depth, fresh,
+                        fresh_time))
 
-    one_report, one_conf, one_dec, one_time = run(circuit, faults,
-                                                  "cdcl")
-    inc_report, inc_conf, inc_dec, inc_time = run(circuit, faults,
-                                                  "incremental")
-
-    rows = [
-        ["fresh solver per fault", len(faults),
-         one_report.count(TestOutcome.DETECTED), one_conf, one_dec,
-         round(one_time, 3)],
-        ["incremental (shared solver)", len(faults),
-         inc_report.count(TestOutcome.DETECTED), inc_conf, inc_dec,
-         round(inc_time, 3)],
-    ]
+        # Both find the counter's rollover exactly; the clauses kept
+        # across depths save search.
+        assert persistent.failure_depth == depth == bound - 1
+        assert persistent.stats.conflicts < fresh.conflicts
     show(format_table(
-        ["mode", "faults", "detected", "total conflicts",
-         "total decisions", "seconds"], rows,
-        title="C8 -- iterative ATPG, fresh vs incremental solver "
-              "(Section 6, [25]) on rca4"))
+        ["counter", "solver", "first failure", "conflicts",
+         "decisions", "propagations", "CPU s"], rows,
+        title="C8 -- BMC on one persistent solver vs a fresh solver "
+              "per depth (Section 6)"))
+    assert [line[:-1] for line in rows] == EXPECTED
 
-    # Identical verdict per fault.
-    for left, right in zip(one_report.results, inc_report.results):
-        assert left.outcome == right.outcome, left.fault
-    # Shape: clauses learned on earlier faults save search (the
-    # EXPERIMENTS.md row's 2.3x fewer conflicts on rca4).
-    assert inc_conf < one_conf
-
-    small = ripple_carry_adder(2)
-    small_faults = full_fault_list(small)
-    report = benchmark(lambda: ATPGEngine(
-        small, method="incremental",
-        fault_dropping=False).run(small_faults))
-    assert report.fault_coverage == 1.0
+    result = benchmark(lambda: check_safety(binary_counter(4),
+                                            "rollover", max_depth=16))
+    assert result.failure_depth == 15

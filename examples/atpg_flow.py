@@ -4,8 +4,8 @@
 The application the paper's Section 3 opens with [20, 25, 38]: for
 every stuck-at fault of a circuit, either generate a detecting input
 vector or prove the fault redundant.  Demonstrates fault collapsing,
-simulation-based fault dropping, the incremental-solver variant of
-[25], and redundancy identification feeding logic optimization [17].
+simulation-based fault dropping, and redundancy identification feeding
+logic optimization [17].
 
 Run:  python examples/atpg_flow.py
 """
@@ -44,17 +44,6 @@ def main():
         ["circuit", "faults", "SAT-detected", "sim-detected",
          "redundant", "aborted", "vectors", "coverage"],
         rows))
-
-    print("\n=== Incremental ATPG (one persistent solver, [25]) ===\n")
-    circuit = ripple_carry_adder(3)
-    engine = ATPGEngine(circuit, method="incremental",
-                        fault_dropping=False)
-    report = engine.run()
-    print(f"rca3: {len(report.results)} faults, "
-          f"{len(report.vectors)} vectors, "
-          f"coverage {report.fault_coverage:.1%}")
-    print(f"solver calls: {len(report.results)}, learned clauses "
-          f"retained: {len(engine.solver.learned_clauses())}")
 
     print("\n=== Redundancy removal (RID-GRASP style, [17]) ===\n")
     circuit = redundant_or_chain()

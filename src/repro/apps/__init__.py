@@ -3,7 +3,8 @@
 One module per application domain the paper surveys:
 
 * :mod:`repro.apps.atpg` -- automatic test pattern generation
-  (one-shot, incremental, random-pattern hybrid).
+  (a fresh solver per fault, portfolio, circuit layer,
+  random-pattern hybrid).
 * :mod:`repro.apps.sequential_atpg` -- non-scan sequential ATPG by
   time-frame expansion.
 * :mod:`repro.apps.delay_fault` -- path delay fault test generation.

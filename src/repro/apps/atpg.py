@@ -11,16 +11,15 @@ Every clausal path encodes that miter on the fault's cones
 differ and only the outputs it reaches can show it, so the good
 circuit's fanin of those outputs is encoded once, the faulty machine
 adds only the fanout, and the difference runs over the reached
-outputs.  Four solving paths are provided:
+outputs.  Three solving paths are provided, one per ``method``:
 
-* plain CDCL (or a portfolio race) on the fault-cone CNF,
-* the Section 5 circuit layer (justification frontier + backtracing)
-  on the whole-circuit miter, which returns *partial* test cubes
-  instead of fully specified vectors,
-* the incremental method of Section 6 / [25]
-  (``ATPGEngine(method="incremental")``), which keeps one solver
-  alive across the whole fault list so recorded clauses about the good
-  circuit are reused (experiment C8).
+* ``"cdcl"``: plain CDCL, a fresh solver per fault, on the fault-cone
+  CNF;
+* ``"portfolio"``: a race of diversified CDCL configurations on the
+  same CNF;
+* ``"circuit"``: the Section 5 circuit layer (justification frontier +
+  backtracing) on the whole-circuit miter, which returns *partial*
+  test cubes instead of fully specified vectors.
 
 The engine supports structural fault collapsing and simulation-based
 fault dropping, the standard complements of any deterministic ATPG.
@@ -48,14 +47,13 @@ from repro.circuits.parallel_sim import (
 from repro.circuits.tseitin import (
     CircuitEncoding,
     add_difference,
-    encode_circuit,
     encode_nodes,
 )
 from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.circuit_sat import CircuitSATSolver
-from repro.solvers.result import SolverResult, SolverStats, Status
+from repro.solvers.result import SolverStats, Status
 
 
 class TestOutcome(enum.Enum):
@@ -119,19 +117,15 @@ class ATPGReport:
 
 def encode_fault_cone(circuit: Circuit, fault: StuckAtFault,
                       new_var: Callable[[str], int],
-                      add_clause: Callable[[List[int]], object],
-                      good: Optional[Dict[str, int]] = None
+                      add_clause: Callable[[List[int]], object]
                       ) -> Tuple[Dict[str, int], int]:
     """The test condition of *fault*, encoded on the fault's cones.
 
     Only the fault's transitive fanout can differ between the good and
     the faulty machine, and only the primary outputs it reaches can
     show a difference.  The good circuit's fanin of those outputs is
-    encoded once (skipped when *good* already maps every node to its
-    variable, as in the persistent solver of
-    ``ATPGEngine(method="incremental")``); the
-    faulty machine adds only that fanout, with the fault site a
-    constant and every side input its good variable; and
+    encoded once; the faulty machine adds only that fanout, with the
+    fault site a constant and every side input its good variable; and
     :func:`~repro.circuits.tseitin.add_difference` runs over the
     reached outputs.  Returns the good variables and the difference
     variable: asserting it is satisfiable exactly when the
@@ -142,8 +136,7 @@ def encode_fault_cone(circuit: Circuit, fault: StuckAtFault,
     reached = [out for out in circuit.outputs if out in fanout]
     cone = circuit.transitive_fanin(reached)
     order = [name for name in circuit.topological_order() if name in cone]
-    if good is None:
-        good = encode_nodes(circuit, new_var, add_clause, nodes=order)
+    good = encode_nodes(circuit, new_var, add_clause, nodes=order)
     faulty = [name for name in order
               if name in fanout and name != fault.node]
     given = {fanin: good[fanin] for name in faulty
@@ -157,49 +150,22 @@ def encode_fault_cone(circuit: Circuit, fault: StuckAtFault,
     return good, diff
 
 
-#: The per-fault paths :func:`solve_fault` takes.  An
-#: :class:`ATPGEngine` also takes ``"incremental"``, which needs the
-#: engine's persistent solver.
+#: The per-fault solving paths, the values of ``method``.
 _SOLVE_METHODS = ("cdcl", "portfolio", "circuit")
 
 
-def _check_method(method: str, certify: bool,
-                  methods: Tuple[str, ...]) -> None:
-    """Reject a *method* outside *methods*, and *certify* with a method
+def _check_method(method: str, certify: bool) -> None:
+    """Reject an unknown *method*, and *certify* with the one method
     whose UNSAT answers carry no proof of the fault's formula."""
-    if method not in methods:
+    if method not in _SOLVE_METHODS:
         raise ValueError(
             f"unknown ATPG method {method!r}; expected one of "
-            + ", ".join(repr(name) for name in methods)
-            + (" ('incremental' needs an ATPGEngine's persistent "
-               "solver)" if method == "incremental" else ""))
+            + ", ".join(repr(name) for name in _SOLVE_METHODS))
     if certify and method == "circuit":
         raise ValueError(
             "certify=True needs a clausal proof; the structural "
             "'circuit' method records none -- use 'cdcl' or "
             "'portfolio'")
-    if certify and method == "incremental":
-        raise ValueError(
-            "certify=True needs a proof per fault; the 'incremental' "
-            "method refutes an assumption, which concludes none -- use "
-            "'cdcl' or 'portfolio'")
-
-
-def _fault_result(fault: StuckAtFault, result: SolverResult,
-                  encoding: CircuitEncoding) -> FaultResult:
-    """Classify one clausal solve of *fault*: a model's input values
-    are the test (inputs outside the fault's cones read 0), UNSAT is
-    redundancy, and UNKNOWN -- including a certified UNSAT demoted by
-    a failed proof check, whose diagnostic travels in the
-    certificate -- aborts."""
-    if result.is_sat:
-        vector = encoding.input_vector(result.assignment, default=False)
-        return FaultResult(fault, TestOutcome.DETECTED, vector,
-                           result.stats, certificate=result.certificate)
-    outcome = (TestOutcome.REDUNDANT if result.is_unsat
-               else TestOutcome.ABORTED)
-    return FaultResult(fault, outcome, stats=result.stats,
-                       certificate=result.certificate)
 
 
 def solve_fault(circuit: Circuit, fault: StuckAtFault,
@@ -230,12 +196,11 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
     when given, else in cleaned-up temporaries.  The structural
     ``"circuit"`` method records no clausal derivation and cannot
     certify: asking for both raises ``ValueError``, as does a
-    sequential *circuit* or an unknown *method* (``"incremental"``
-    included: it needs an :class:`ATPGEngine`'s persistent solver).
+    sequential *circuit* or an unknown *method*.
     """
     if circuit.is_sequential():
         raise ValueError("combinational ATPG only")
-    _check_method(method, certify, _SOLVE_METHODS)
+    _check_method(method, certify)
     if method == "circuit":
         from repro.circuits.tseitin import build_miter
         miter, _ = build_miter(circuit, inject_fault(circuit, fault))
@@ -277,8 +242,19 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
                             budget=budget)
         solver.tracer = tracer
         result = solver.solve()
-    return _fault_result(fault, result,
-                         CircuitEncoding(circuit, formula, good))
+    # A model's input values are the test (inputs outside the fault's
+    # cones read 0), UNSAT is redundancy, and UNKNOWN -- including a
+    # certified UNSAT demoted by a failed proof check, whose
+    # diagnostic travels in the certificate -- aborts.
+    if result.is_sat:
+        vector = CircuitEncoding(circuit, formula, good).input_vector(
+            result.assignment, default=False)
+        return FaultResult(fault, TestOutcome.DETECTED, vector,
+                           result.stats, certificate=result.certificate)
+    outcome = (TestOutcome.REDUNDANT if result.is_unsat
+               else TestOutcome.ABORTED)
+    return FaultResult(fault, outcome, stats=result.stats,
+                       certificate=result.certificate)
 
 
 class ATPGEngine:
@@ -290,17 +266,7 @@ class ATPGEngine:
         combinational circuit under test.
     method:
         per-fault solving path: ``"cdcl"``, ``"portfolio"`` or
-        ``"circuit"`` (see :func:`solve_fault`), or ``"incremental"``
-        (Section 6, [25]; experiment C8): the good circuit is encoded
-        once into one persistent :class:`~repro.solvers.cdcl.CDCLSolver`,
-        each targeted fault adds its faulty cone
-        (:func:`encode_fault_cone`) and is solved under its difference
-        literal as the assumption, and clauses learned on earlier
-        faults prune later ones.  Every earlier cone also stays, and
-        each model assigns all of their variables, so a call's
-        propagation work grows with the faults already targeted.
-        The engine's ``encoding`` and ``solver`` hold that encoding
-        and solver.
+        ``"circuit"`` (see :func:`solve_fault`).
     fault_dropping:
         simulate each SAT-generated vector once against every fault
         not yet detected -- fault-parallel, one machine per bit
@@ -337,7 +303,7 @@ class ATPGEngine:
         certify every per-fault answer (see :func:`solve_fault`):
         REDUNDANT requires a checker-validated DRUP proof, DETECTED an
         audited model; failed checks degrade to ABORTED.  Incompatible
-        with ``method="circuit"`` and ``method="incremental"``.
+        with ``method="circuit"``.
     proof_dir:
         where certified proof files are kept (per-fault names);
         ``None`` uses cleaned-up temporaries.
@@ -355,7 +321,7 @@ class ATPGEngine:
         circuit.validate()
         if circuit.is_sequential():
             raise ValueError("combinational ATPG only")
-        _check_method(method, certify, _SOLVE_METHODS + ("incremental",))
+        _check_method(method, certify)
         self.circuit = circuit
         self.method = method
         self.fault_dropping = fault_dropping
@@ -367,10 +333,6 @@ class ATPGEngine:
         self.certify = certify
         self.proof_dir = proof_dir
         self.rng = random.Random(seed)
-        if method == "incremental":
-            self.encoding = encode_circuit(circuit)
-            self.solver = CDCLSolver(self.encoding.formula,
-                                     max_conflicts=max_conflicts)
 
     def fault_list(self) -> List[StuckAtFault]:
         """The target fault universe (optionally collapsed)."""
@@ -444,7 +406,10 @@ class ATPGEngine:
                 break
             fault_budget = meter.remaining_budget() \
                 if meter is not None else None
-            result = self.solve_fault(fault, budget=fault_budget)
+            result = solve_fault(self.circuit, fault, self.method,
+                                 self.max_conflicts, budget=fault_budget,
+                                 tracer=tracer, certify=self.certify,
+                                 proof_dir=self.proof_dir)
             report.results.append(result)
             if tracer is not None:
                 tracer.event("atpg.fault", node=fault.node,
@@ -466,27 +431,6 @@ class ATPGEngine:
                     if hit:
                         detected_early[other] = True
         return report
-
-    def solve_fault(self, fault: StuckAtFault,
-                    budget: Optional[Budget] = None) -> FaultResult:
-        """Target one fault with this engine's method and settings
-        (see :func:`solve_fault`); the ``"incremental"`` method adds
-        the fault's cones to the engine's persistent solver and solves
-        under the fault's difference literal."""
-        if self.method != "incremental":
-            return solve_fault(self.circuit, fault, self.method,
-                               self.max_conflicts, budget=budget,
-                               tracer=self.tracer, certify=self.certify,
-                               proof_dir=self.proof_dir)
-        solver = self.solver
-        _, diff = encode_fault_cone(self.circuit, fault,
-                                    lambda name: solver.new_var(),
-                                    solver.add_clause,
-                                    good=self.encoding.var_of)
-        solver.budget = budget
-        solver.tracer = self.tracer
-        return _fault_result(fault, solver.solve(assumptions=[diff]),
-                             self.encoding)
 
     def _complete_vector(self, cube: Dict[str, Optional[bool]]
                          ) -> Dict[str, bool]:

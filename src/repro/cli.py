@@ -37,8 +37,10 @@ out), extended with 30 for an UNKNOWN that exists only because a
 claimed answer failed certification (a demotion is a bug report, not
 a timeout, and scripts must be able to tell them apart); rejected or
 malformed service submissions exit 2, and 0/1 = pass/fail elsewhere.
-An input file that cannot be read or parsed, or a sequential netlist
-given to ``atpg``, is one ``error:`` line on stderr and exit 2.
+An input file that cannot be read or parsed, a sequential netlist
+given to ``atpg``, or a ``bmc`` netlist without the ``--output`` node
+named (or, unnamed, without outputs) is one ``error:`` line on stderr
+and exit 2.
 """
 
 from __future__ import annotations
@@ -327,7 +329,14 @@ def _cmd_bmc(args) -> int:
     from repro.circuits.bench_format import load_bench
 
     circuit = _read_input(load_bench, args.file)
-    output = args.output or circuit.outputs[0]
+    output = args.output
+    if output is None:
+        if not circuit.outputs:
+            raise _BadInput(f"{args.file} has no outputs; name a node "
+                            f"with --output")
+        output = circuit.outputs[0]
+    elif output not in circuit:
+        raise _BadInput(f"{args.file} has no node {output!r} to check")
     result = check_safety(circuit, output, bad_value=not args.low,
                           max_depth=args.depth,
                           budget=_budget_from_args(args),

@@ -22,7 +22,6 @@ from repro.circuits.generators import (
     array_multiplier,
     mux_tree,
     random_circuit,
-    ripple_carry_adder,
 )
 from repro.circuits.netlist import Circuit
 from repro.circuits.tseitin import encode_miter
@@ -209,77 +208,6 @@ class TestFaultDroppingDecisions:
         assert next(vectors, None) is None
 
 
-def incremental(circuit, **kwargs):
-    """The persistent-solver engine targeting every fault it is given."""
-    return ATPGEngine(circuit, method="incremental", fault_dropping=False,
-                      **kwargs)
-
-
-class TestIncrementalATPG:
-    def test_matches_oneshot_outcomes(self):
-        circuit = c17()
-        engine = incremental(circuit)
-        for fault in full_fault_list(circuit):
-            one_shot = solve_fault(circuit, fault)
-            shared = engine.solve_fault(fault)
-            assert shared.outcome == one_shot.outcome, fault
-            if shared.outcome is TestOutcome.DETECTED:
-                vector = {k: bool(v) for k, v in shared.vector.items()}
-                assert detects(circuit, fault, vector)
-
-    def test_redundant_via_incremental(self):
-        engine = incremental(redundant_or_chain())
-        result = engine.solve_fault(StuckAtFault("ab", False))
-        assert result.outcome is TestOutcome.REDUNDANT
-
-    def test_structurally_undetectable(self):
-        engine = incremental(_dead_gate_circuit())
-        result = engine.solve_fault(StuckAtFault("dead", True))
-        assert result.outcome is TestOutcome.REDUNDANT
-
-    def test_run_over_list(self):
-        report = incremental(half_adder()).run()
-        assert report.fault_coverage == 1.0
-
-    def test_adder_coverage(self):
-        circuit = ripple_carry_adder(2)
-        report = incremental(circuit).run()
-        assert report.fault_coverage == 1.0
-        assert report.count(TestOutcome.ABORTED) == 0
-
-    def test_one_solver_serves_every_fault(self):
-        engine = incremental(ripple_carry_adder(2))
-        solver = engine.solver
-        report = engine.run()
-        assert engine.solver is solver
-        assert solver.stats.decisions == \
-            sum(r.stats.decisions for r in report.results) > 0
-        assert solver.stats.propagations == \
-            sum(r.stats.propagations for r in report.results)
-
-    @pytest.mark.parametrize("factory", [
-        c17, lambda: alu(3), redundant_or_chain,
-    ], ids=["c17", "alu3", "redundant-or"])
-    def test_fault_dropping_on_the_persistent_solver(self, factory):
-        """With dropping on, the incremental method targets only the
-        faults no earlier vector detects, and finds the redundant set
-        the fresh-solver method finds."""
-        circuit = factory()
-        dropped = ATPGEngine(circuit, method="incremental").run()
-        fresh = ATPGEngine(circuit).run()
-        assert dropped.fault_coverage == fresh.fault_coverage == 1.0
-        assert dropped.count(TestOutcome.DETECTED_BY_SIMULATION) > 0
-
-        def redundant(report):
-            return {r.fault for r in report.results
-                    if r.outcome is TestOutcome.REDUNDANT}
-        assert redundant(dropped) == redundant(fresh)
-        vectors = iter(dropped.vectors)
-        for result in dropped.results:
-            if result.outcome is TestOutcome.DETECTED:
-                assert detects(circuit, result.fault, next(vectors))
-
-
 class TestMethodValidation:
     """An unknown method, or a method that cannot honour ``certify``,
     is refused up front instead of silently running another path."""
@@ -292,14 +220,13 @@ class TestMethodValidation:
             solve_fault(c17(), self.fault, method=method)
 
     def test_engine_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown ATPG method"):
-            ATPGEngine(c17(), method="bogus")
+        # A retired method name is refused like any other.
+        for method in ("bogus", "incremental"):
+            for certify in (False, True):
+                with pytest.raises(ValueError,
+                                   match="unknown ATPG method"):
+                    ATPGEngine(c17(), method=method, certify=certify)
 
-    def test_incremental_cannot_certify(self):
-        with pytest.raises(ValueError, match="incremental"):
-            ATPGEngine(c17(), method="incremental", certify=True)
-
-    @pytest.mark.parametrize("method", ["cdcl", "portfolio", "circuit",
-                                        "incremental"])
+    @pytest.mark.parametrize("method", ["cdcl", "portfolio", "circuit"])
     def test_engine_accepts_known_methods(self, method):
         assert ATPGEngine(c17(), method=method).method == method

@@ -237,6 +237,21 @@ class TestBadInput:
         assert main(["atpg", path]) == 2
         assert_one_error_line(capsys, path, "sequential")
 
+    @pytest.mark.parametrize("text, flags, needle", [
+        (None, ["--output", "ghost"], "'ghost'"),
+        ("INPUT(a)\nq = DFF(a)\n", [], "no outputs"),
+    ], ids=["unknown-output", "no-outputs"])
+    def test_bmc_rejects_missing_output(self, tmp_path, capsys, text,
+                                        flags, needle):
+        # Exit 1 would read as "counterexample found".
+        path = tmp_path / "cnt.bench"
+        if text is None:
+            save_bench(binary_counter(3), str(path))
+        else:
+            path.write_text(text)
+        assert main(["bmc", str(path)] + flags) == 2
+        assert_one_error_line(capsys, str(path), needle)
+
 
 class TestObservability:
     def sat_path(self, tmp_path):

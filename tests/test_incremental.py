@@ -4,16 +4,10 @@ stats and caps, and the search path of the apps built on it."""
 
 import pytest
 
-from repro.apps.atpg import ATPGEngine
 from repro.apps.bmc import check_safety
 from repro.apps.delay_fault import DelayFaultATPG, enumerate_path_faults
 from repro.apps.seq_equivalence import check_sequential_equivalence
-from repro.circuits.faults import full_fault_list
-from repro.circuits.generators import (
-    binary_counter,
-    carry_select_adder,
-    ripple_carry_adder,
-)
+from repro.circuits.generators import binary_counter, carry_select_adder
 from repro.cnf.clause import Clause
 from repro.cnf.generators import pigeonhole
 from repro.solvers.cdcl import CDCLSolver
@@ -137,19 +131,6 @@ class TestSearchPathPinned:
         result = check_safety(binary_counter(4), "rollover", max_depth=20)
         assert result.failure_depth == 15
         assert self.effort(result.stats) == (81, 215, 5735)
-
-    def test_incremental_atpg_rca4(self):
-        circuit = ripple_carry_adder(4)
-        faults = full_fault_list(circuit)
-        engine = ATPGEngine(circuit, method="incremental",
-                            fault_dropping=False)
-        report = engine.run(faults)
-        assert len(report.results) == len(faults) == 68
-        total = SolverStats()
-        for result in report.results:
-            total.merge(result.stats)
-        assert self.effort(total) == (66, 761, 38667)
-        assert self.effort(engine.solver.stats) == (66, 761, 38667)
 
     def test_sequential_equivalence_counters(self):
         report = check_sequential_equivalence(

@@ -13,7 +13,6 @@ from repro.apps.delay import compute_delay
 from repro.apps.fvg import generate_vectors, toggle_goals
 from repro.apps.redundancy import optimize
 from repro.circuits.bench_format import parse_bench, write_bench
-from repro.circuits.faults import detects, full_fault_list
 from repro.circuits.generators import (
     binary_counter,
     carry_select_adder,
@@ -135,19 +134,3 @@ class TestCircuitLayerAgainstPlainCNF:
                                                  {output: value})
                 plain = CDCLSolver(encoding.formula).solve()
                 assert layered.is_sat == plain.is_sat, (seed, value)
-
-
-class TestIncrementalVsOneShotATPG:
-    def test_same_coverage(self):
-        circuit = ripple_carry_adder(2)
-        faults = full_fault_list(circuit)
-        one_shot = ATPGEngine(circuit, fault_dropping=False).run(faults)
-        incremental = ATPGEngine(circuit, method="incremental",
-                                 fault_dropping=False).run(faults)
-        for left, right in zip(one_shot.results, incremental.results):
-            assert left.outcome == right.outcome, left.fault
-        for result, vector in [
-                (r, {k: bool(v) for k, v in r.vector.items()})
-                for r in incremental.results
-                if r.outcome is TestOutcome.DETECTED]:
-            assert detects(circuit, result.fault, vector)

@@ -53,18 +53,6 @@ class TestATPGDegradation:
         assert ([r.outcome for r in plain.results]
                 == [r.outcome for r in budgeted.results])
 
-    def test_incremental_atpg_degrades(self):
-        from repro.apps.atpg import ATPGEngine, TestOutcome
-
-        circuit = ripple_carry_adder(3)
-        engine = ATPGEngine(circuit, method="incremental",
-                            fault_dropping=False,
-                            budget=Budget(wall_seconds=0.0))
-        report = engine.run()
-        assert report.budget_exhausted
-        assert all(r.outcome is TestOutcome.ABORTED
-                   for r in report.results)
-
 
 class TestCECDegradation:
     def test_conflict_starved_check_reports_unknown(self):
