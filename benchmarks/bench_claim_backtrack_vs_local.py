@@ -30,6 +30,28 @@ def suite():
 
 CONFIGS = ["dpll", "cdcl", "gsat", "walksat"]
 
+#: The deterministic columns of the table (every column but
+#: ``seconds``); a change that moves the search re-pins them and
+#: reports the rows it moved.
+EXPECTED = [
+    ["dpll", "php4 (UNSAT)", "UNSATISFIABLE", 51, 52, 51, 0, 0, 0],
+    ["dpll", "parity10 (UNSAT)", "UNSATISFIABLE", 1, 2, 1, 0, 0, 0],
+    ["dpll", "rand30@3.5 (SAT)", "SATISFIABLE", 11, 1, 1, 0, 0, 0],
+    ["dpll", "rand40@3.5 (SAT)", "SATISFIABLE", 103, 94, 94, 0, 0, 0],
+    ["cdcl", "php4 (UNSAT)", "UNSATISFIABLE", 32, 29, 28, 3, 28, 0],
+    ["cdcl", "parity10 (UNSAT)", "UNSATISFIABLE", 1, 2, 1, 0, 1, 0],
+    ["cdcl", "rand30@3.5 (SAT)", "SATISFIABLE", 16, 1, 1, 1, 1, 0],
+    ["cdcl", "rand40@3.5 (SAT)", "SATISFIABLE", 16, 7, 7, 0, 7, 0],
+    ["gsat", "php4 (UNSAT)", "UNKNOWN", 0, 0, 0, 0, 0, 0],
+    ["gsat", "parity10 (UNSAT)", "UNKNOWN", 0, 0, 0, 0, 0, 0],
+    ["gsat", "rand30@3.5 (SAT)", "SATISFIABLE", 0, 0, 0, 0, 0, 0],
+    ["gsat", "rand40@3.5 (SAT)", "SATISFIABLE", 0, 0, 0, 0, 0, 0],
+    ["walksat", "php4 (UNSAT)", "UNKNOWN", 0, 0, 0, 0, 0, 0],
+    ["walksat", "parity10 (UNSAT)", "UNKNOWN", 0, 0, 0, 0, 0, 0],
+    ["walksat", "rand30@3.5 (SAT)", "SATISFIABLE", 0, 0, 0, 0, 0, 0],
+    ["walksat", "rand40@3.5 (SAT)", "SATISFIABLE", 0, 0, 0, 0, 0, 0],
+]
+
 
 def test_claim_backtrack_vs_local(benchmark, show):
     records = run_matrix(CONFIGS, suite(), max_conflicts=20000)
@@ -48,6 +70,7 @@ def test_claim_backtrack_vs_local(benchmark, show):
         else:
             assert status[("cdcl", name)] == "SATISFIABLE"
             assert status[("walksat", name)] == "SATISFIABLE"
+    assert [list(r.row()[:-1]) for r in records] == EXPECTED
 
     from repro.solvers.local_search import solve_walksat
     from repro.solvers.cdcl import solve_cdcl

@@ -4,8 +4,9 @@ formulas by variable substitution.
 Two workload families rich in the (x + y')(x' + y) pattern: explicit
 equivalence ladders and adder-architecture miters (every buffered
 signal pair is an equivalence).  Expected shape: a substantial
-fraction of variables eliminated, verdicts unchanged, and search
-effort on the reduced formula no worse.
+fraction of variables eliminated and verdicts unchanged.  Search
+effort on the reduced formula is reported, not asserted: the miter
+and ladder16 take fewer decisions after the reduction, ladder8 more.
 """
 
 from repro.apps.equivalence import check_equivalence
@@ -17,6 +18,15 @@ from repro.cnf.generators import equivalence_ladder
 from repro.experiments.tables import format_table
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.preprocess import equivalency_reduce
+
+
+#: The deterministic columns of the table; a change that moves the
+#: search re-pins them and reports the rows it moved.
+EXPECTED = [
+    ["ladder8", 16, 8, 4, 11],
+    ["ladder16", 32, 16, 12, 6],
+    ["rca3-vs-csa3 miter", "-", 32, 80, 49],
+]
 
 
 def test_claim_equivalency(benchmark, show):
@@ -57,6 +67,7 @@ def test_claim_equivalency(benchmark, show):
 
     assert all(row[2] == "-" or row[2] > 0 for row in rows[:2])
     assert pre.variables_eliminated > 0
+    assert rows == EXPECTED
 
     result = benchmark(equivalency_reduce, equivalence_ladder(16))
     assert result.variables_eliminated >= 16

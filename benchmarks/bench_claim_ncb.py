@@ -16,6 +16,15 @@ from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.heuristics import FixedOrderHeuristic
 
 
+#: The deterministic columns of the table; a change that moves the
+#: search re-pins them and reports the rows it moved.
+EXPECTED = [
+    ["chronological (1-UIP)", 96, 36, 0, 0],
+    ["non-chronological (1-UIP)", 96, 36, 5, 60],
+    ["non-chronological (decision cut)", 123, 51, 6, 72],
+]
+
+
 def padded_pigeonhole(holes: int, clutter: int = 12) -> CNFFormula:
     """Clutter variables 1..clutter (decided first under fixed order),
     pigeonhole shifted above them."""
@@ -64,6 +73,7 @@ def test_claim_ncb(benchmark, show):
     assert nonchrono.nonchronological_backtracks > 0
     assert nonchrono.levels_skipped > 0
     assert nonchrono.decisions <= chrono.decisions
+    assert rows == EXPECTED
 
     result = benchmark(lambda: run("nonchronological"))
     assert result.conflicts > 0

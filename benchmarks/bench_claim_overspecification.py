@@ -16,6 +16,18 @@ from repro.experiments.tables import format_table
 from repro.solvers.circuit_sat import CircuitSATSolver
 
 
+#: The deterministic columns of the table; a change that moves the
+#: search re-pins them and reports the rows it moved.
+EXPECTED = [
+    ["c17", "G22=1", 5, 5, 2],
+    ["c17", "G23=0", 5, 5, 3],
+    ["rca4", "cout=1", 9, 9, 2],
+    ["rca4", "s0=1", 9, 9, 3],
+    ["parity6", "parity=1", 6, 6, 6],
+    ["TOTAL", "", "", 34, 16],
+]
+
+
 def cases():
     return [
         (c17(), "G22", True),
@@ -61,6 +73,7 @@ def test_claim_overspecification(benchmark, show):
     assert total_layer < total_plain
     parity_row = rows[-2]
     assert parity_row[3] == parity_row[4] == 6
+    assert rows == EXPECTED
 
     result = benchmark(
         lambda: CircuitSATSolver(c17(), {"G22": True}).solve())

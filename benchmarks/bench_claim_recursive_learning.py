@@ -19,6 +19,16 @@ from repro.solvers.recursive_learning import (
 )
 
 
+#: The deterministic columns of the table; a change that moves the
+#: search re-pins them and reports the rows it moved.
+EXPECTED = [
+    ["unit propagation", 0, "-", "-"],
+    ["recursive learning (depth 1)", 6, 6, "-"],
+    ["CDCL on original", "-", "-", 12],
+    ["CDCL on strengthened", "-", "-", 12],
+]
+
+
 def hidden_backbone_formula(chains: int = 6,
                             seed: int = 0) -> CNFFormula:
     """Each chain c: (a_c + b_c), (a_c' + t_c), (b_c' + t_c) forces
@@ -71,3 +81,4 @@ def test_claim_recursive_learning(benchmark, show):
     assert len(bcp_forced) == 0
     assert len(rl_result.necessary) >= 6        # every chain's t_c
     assert primed.stats.decisions <= baseline.stats.decisions
+    assert rows == EXPECTED

@@ -52,13 +52,6 @@ class CircuitEncoding:
         var = self.var_of[name]
         return var if value else -var
 
-    def assignment_for(self, node_values: Dict[str, bool]) -> Assignment:
-        """Translate a node-value map into a CNF :class:`Assignment`."""
-        out = Assignment()
-        for name, value in node_values.items():
-            out.assign(self.var_of[name], value)
-        return out
-
     def input_vector(self, assignment: Assignment,
                      default: Optional[bool] = None
                      ) -> Dict[str, Optional[bool]]:

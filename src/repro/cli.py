@@ -570,11 +570,11 @@ def _cmd_submit(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        if args.ping or args.op == "ping":
+        if args.op == "ping":
             response = client.ping()
             print(response["kind"])
             return 0 if response.get("kind") == "pong" else 2
-        if args.status or args.op == "status":
+        if args.op == "status":
             import json
             print(json.dumps(client.status(), indent=2, sort_keys=True))
             return 0
@@ -586,7 +586,7 @@ def _cmd_submit(args) -> int:
                 return 2
             sys.stdout.write(response.get("text", ""))
             return 0
-        if args.shutdown or args.op == "shutdown":
+        if args.op == "shutdown":
             response = client.shutdown(grace=args.grace_seconds)
             print(f"drained {response.get('drained', 0)} job(s), "
                   f"cancelled {response.get('cancelled', 0)}")
@@ -597,8 +597,8 @@ def _cmd_submit(args) -> int:
                                     stream=args.stream,
                                     on_progress=on_progress)
         elif dimacs is None:
-            print("error: a CNF file (or --status/--ping/--shutdown/"
-                  "--reattach/--op) is required", file=sys.stderr)
+            print("error: a CNF file (or --reattach/--op) is required",
+                  file=sys.stderr)
             return 2
         else:
             job_id = args.id or os.path.basename(args.file)
@@ -887,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="socket timeout waiting for the response")
     submit.add_argument("--grace-seconds", type=float, default=None,
-                        help="drain window passed with --shutdown")
+                        help="drain window passed with --op shutdown")
     submit.add_argument("--stream", action="store_true",
                         help="receive live mid-solve progress frames "
                              "(rendered as a repainting status line "
@@ -903,14 +903,12 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--op", default=None,
                         choices=("metrics", "status", "ping",
                                  "shutdown"),
-                        help="send a non-submit op instead of a job; "
+                        help="send a non-submit op instead of a job: "
                              "'metrics' prints the Prometheus "
-                             "exposition text")
-    submit.add_argument("--status", action="store_true",
-                        help="print the server STATUS as JSON")
-    submit.add_argument("--ping", action="store_true")
-    submit.add_argument("--shutdown", action="store_true",
-                        help="drain the server and stop it")
+                             "exposition text, 'status' the server "
+                             "STATUS as JSON, 'ping' the reply kind, "
+                             "and 'shutdown' drains the server and "
+                             "stops it")
     submit.set_defaults(handler=_cmd_submit)
 
     top = commands.add_parser(

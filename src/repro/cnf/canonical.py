@@ -15,9 +15,8 @@ spelling of a formula:
   and the clauses themselves (deduplicating literal repeats inside a
   clause, keeping clause multiplicity);
 * :func:`canonical_key` hashes that normal form into a stable hex
-  digest -- the service-cache key; :func:`clauses_key` computes the
-  same digest straight from protocol literal lists, with no formula
-  object built.
+  digest -- the service-cache key, computed from the
+  :class:`CNFFormula` the service parses each submission into.
 
 The key is invariant under clause reordering, literal reordering,
 duplicate literals inside a clause, DIMACS formatting noise, and
@@ -32,7 +31,7 @@ miss, never a wrong answer.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cnf.formula import CNFFormula
 
@@ -61,18 +60,6 @@ def renumber(formula: CNFFormula) -> Tuple[CNFFormula, Dict[int, int]]:
     return renamed, mapping
 
 
-def _normal_form(clauses: Iterable[Iterable[int]]
-                 ) -> List[Tuple[int, ...]]:
-    """:func:`normal_form` over literal lists."""
-    literal_sets = [set(clause) for clause in clauses]
-    used = sorted({abs(lit) for lits in literal_sets for lit in lits})
-    mapping = {var: new for new, var in enumerate(used, start=1)}
-    return sorted(
-        tuple(sorted((mapping[lit] if lit > 0 else -mapping[-lit]
-                      for lit in lits), key=lambda l: (abs(l), l)))
-        for lits in literal_sets)
-
-
 def normal_form(formula: CNFFormula) -> List[Tuple[int, ...]]:
     """The sorted-clause normal form of *formula*.
 
@@ -83,17 +70,13 @@ def normal_form(formula: CNFFormula) -> List[Tuple[int, ...]]:
     commutes with the sorting) so the numbering is a pure function of
     the clause structure, not of the input's numbering gaps.
     """
-    return _normal_form(formula.clauses)
-
-
-def _digest(clauses: List[Tuple[int, ...]]) -> str:
-    digest = hashlib.sha256(_KEY_VERSION)
-    digest.update(str(len(clauses)).encode("ascii"))
-    for clause in clauses:
-        digest.update(b"\n")
-        digest.update(" ".join(str(lit) for lit in clause)
-                      .encode("ascii"))
-    return digest.hexdigest()
+    literal_sets = [set(clause) for clause in formula.clauses]
+    used = sorted({abs(lit) for lits in literal_sets for lit in lits})
+    mapping = {var: new for new, var in enumerate(used, start=1)}
+    return sorted(
+        tuple(sorted((mapping[lit] if lit > 0 else -mapping[-lit]
+                      for lit in lits), key=lambda l: (abs(l), l)))
+        for lits in literal_sets)
 
 
 def canonical_key(formula: CNFFormula) -> str:
@@ -103,11 +86,11 @@ def canonical_key(formula: CNFFormula) -> str:
     so a result cached under this key may be replayed for any formula
     that hashes to it.
     """
-    return _digest(normal_form(formula))
-
-
-def clauses_key(clauses: Sequence[Sequence[int]], num_vars: int) -> str:
-    """:func:`canonical_key` for raw clause lists (protocol payloads
-    that were never a :class:`CNFFormula`); *num_vars* does not enter
-    the key, since unused variables never do."""
-    return _digest(_normal_form(clauses))
+    clauses = normal_form(formula)
+    digest = hashlib.sha256(_KEY_VERSION)
+    digest.update(str(len(clauses)).encode("ascii"))
+    for clause in clauses:
+        digest.update(b"\n")
+        digest.update(" ".join(str(lit) for lit in clause)
+                      .encode("ascii"))
+    return digest.hexdigest()

@@ -43,10 +43,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence],
     parts.append(separator)
     parts.extend(line(row) for row in body)
     return "\n".join(parts)
-
-
-def print_table(headers: Sequence[str], rows: Iterable[Sequence],
-                title: Optional[str] = None) -> None:
-    """Print :func:`format_table` output (benchmarks' reporting path)."""
-    print()
-    print(format_table(headers, rows, title))

@@ -10,6 +10,15 @@ believed and when a silent worker counts as dead.  What differs
 between the callers on purpose (retry scheduling, the UNSAT policy,
 what progress is used for) stays with them.
 
+The formula is the caller's own :class:`CNFFormula`, carried on the
+:class:`AttemptSpec`: a worker started by ``fork`` (CPython's default
+start method on Linux before 3.14) inherits it with the rest of the
+spec, and one started by ``spawn`` receives it pickled.  The worker
+solves it, and the payload audit holds every SAT claim to
+:meth:`CNFFormula.is_satisfied_by` on that same object -- the rule of
+:func:`~repro.verify.certificate.model_certificate` -- so a model
+either satisfies every clause or is not believed.
+
 Pipe format, one private pipe per attempt, ``key`` being the slot
 index (portfolio) or the job id (service):
 
@@ -87,8 +96,7 @@ class AttemptSpec:
 
     key: Key
     attempt: int
-    clause_lits: List[Tuple[int, ...]]
-    num_vars: int
+    formula: CNFFormula
     config: Any
     budget: Optional[Budget] = None
     fault_plan: Optional[Union[FaultPlan, ServiceFaultPlan]] = None
@@ -135,11 +143,10 @@ def worker_main(spec: AttemptSpec, heartbeat, channel) -> None:
                                                                attempt)
 
     started = heartbeat.value = time.monotonic()
-    formula = CNFFormula(num_vars=spec.num_vars, clauses=spec.clause_lits)
     resume_from = try_load_checkpoint(spec.resume_blob)
     build_kwargs = {} if resume_from is None \
         else {"resume_from": resume_from}
-    solver = spec.config.build_solver(formula, budget=spec.budget,
+    solver = spec.config.build_solver(spec.formula, budget=spec.budget,
                                       **build_kwargs)
     solver.checkpoint_interval = spec.check_interval
     if spec.metrics:
@@ -212,7 +219,7 @@ def worker_main(spec: AttemptSpec, heartbeat, channel) -> None:
 
 
 def audit_payload(payload, key: Key, attempt: int,
-                  clause_lits: List[Tuple[int, ...]]) -> Tuple:
+                  formula: CNFFormula) -> Tuple:
     """Check one pipe payload from the worker of (*key*, *attempt*).
 
     Returns the payload with its stats reduced to known
@@ -222,7 +229,9 @@ def audit_payload(payload, key: Key, attempt: int,
     else: a wrong shape, tag, key or attempt, a negative or non-number
     elapsed, non-dict stats or extras, an oversized or non-bytes blob,
     an unknown status, a model that is not ``{var > 0: bool}``, or a
-    SAT claim whose model falsifies a clause of *clause_lits*.
+    SAT claim whose model does not satisfy every clause of *formula*
+    (:meth:`CNFFormula.is_satisfied_by`, the rule of
+    :func:`repro.verify.certificate.model_certificate`).
     """
     bad = (MALFORMED,)
     if (not isinstance(payload, tuple) or len(payload) < 4
@@ -258,27 +267,11 @@ def audit_payload(payload, key: Key, attempt: int,
             return bad
         status = Status[status_name]
         if status is Status.SATISFIABLE and (
-                model is None or not _model_satisfies(clause_lits, model)):
+                model is None or not formula.is_satisfied_by(model)):
             return bad
         return (tag, key, attempt, status, model,
                 SolverStats.from_dict(stats).as_dict())
     return bad
-
-
-def _model_satisfies(clause_lits, model: Dict[int, bool]) -> bool:
-    """No clause may be falsified by *model*.  Clauses a partial model
-    leaves undecided are accepted (any extension can satisfy them),
-    matching the engines' contract."""
-    for clause in clause_lits:
-        falsified = True
-        for lit in clause:
-            value = model.get(abs(lit))
-            if value is None or value == (lit > 0):
-                falsified = False
-                break
-        if falsified and clause:
-            return False
-    return True
 
 
 class WorkerAttempt:
@@ -303,7 +296,7 @@ class WorkerAttempt:
         ctx = multiprocessing.get_context()
         self.key = spec.key
         self.attempt = spec.attempt
-        self._clause_lits = spec.clause_lits
+        self._formula = spec.formula
         self._proof_path = spec.proof_path
         self._delivered = False
         self._died_at: Optional[float] = None
@@ -332,7 +325,7 @@ class WorkerAttempt:
         try:
             while not done and conn.poll(0):
                 message = audit_payload(conn.recv(), self.key,
-                                        self.attempt, self._clause_lits)
+                                        self.attempt, self._formula)
                 messages.append(message)
                 if message[0] == "result":
                     self._delivered = True

@@ -294,7 +294,6 @@ class Supervisor:
         started = time.monotonic()
         deadline = (None if self.budget.wall_seconds is None
                     else started + self.budget.wall_seconds)
-        clause_lits = [tuple(clause) for clause in formula.clauses]
         slots = [_Slot(index, config)
                  for index, config in enumerate(self.configs)]
         deadline_hit = False
@@ -327,8 +326,7 @@ class Supervisor:
             if slot.worker is not None:
                 slot.worker.stop()
             slot.worker = WorkerAttempt(AttemptSpec(
-                key=slot.index, attempt=slot.attempts,
-                clause_lits=clause_lits, num_vars=formula.num_vars,
+                key=slot.index, attempt=slot.attempts, formula=formula,
                 config=config, budget=worker_budget,
                 fault_plan=self.fault_plan,
                 progress_interval=self.progress_interval,
@@ -354,15 +352,10 @@ class Supervisor:
                 # The shared certification rule: an UNSAT claim is
                 # only believed once the worker's streamed proof
                 # passes the independent checker, the UNSAT mirror of
-                # the payload's model audit.
+                # the payload's model audit (which a SAT claim here
+                # has already passed, under the same rule).
                 result = certify_result(formula, result,
                                         target.proof_path, self.tracer)
-                if (result.status is Status.UNKNOWN
-                        and status is Status.SATISFIABLE):
-                    # A model the audit rejects: as in the payload
-                    # audit, the attempt cannot be trusted.
-                    self._handle_crash(target, now)
-                    return
             target.stats = stats
             target.finished_at = now
             target.result = result

@@ -62,7 +62,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
+
+from repro.cnf.formula import CNFFormula
 
 #: Rejection / error codes carried in ``rejected`` and ``error``
 #: responses.  REJECTED_OVERLOAD is the explicit load-shedding answer
@@ -116,8 +118,7 @@ class SubmitRequest:
 
     job_id: str
     tenant: str
-    clause_lits: List[Tuple[int, ...]]
-    num_vars: int
+    formula: CNFFormula
     deadline: Optional[float] = None
     max_conflicts: Optional[int] = None
     certify: bool = False
@@ -159,8 +160,10 @@ def parse_submit(payload: Dict[str, Any]) -> SubmitRequest:
     """Validate a ``submit`` payload into a :class:`SubmitRequest`.
 
     Everything a remote client sends is untrusted: the formula is
-    re-validated structurally here (and the service additionally
-    audits any SAT model against these clauses before believing it).
+    validated structurally here and parsed into the one
+    :class:`CNFFormula` the job keeps -- its cache key, the formula
+    its workers solve and the formula every SAT model and UNSAT proof
+    is checked against.
     """
     job_id = _require_str(payload, "id")
     tenant = _require_str(payload, "tenant", default="default")
@@ -174,8 +177,6 @@ def parse_submit(payload: Dict[str, Any]) -> SubmitRequest:
             formula = parse_dimacs(text)
         except ValueError as exc:
             raise ProtocolError(f"bad DIMACS: {exc}") from None
-        clause_lits = [tuple(clause) for clause in formula.clauses]
-        num_vars = formula.num_vars
     elif "clauses" in payload:
         clauses = payload["clauses"]
         num_vars = payload.get("num_vars")
@@ -184,7 +185,6 @@ def parse_submit(payload: Dict[str, Any]) -> SubmitRequest:
             raise ProtocolError("'num_vars' must be an int >= 0")
         if not isinstance(clauses, list):
             raise ProtocolError("'clauses' must be a list of lists")
-        clause_lits = []
         for clause in clauses:
             if not isinstance(clause, list) or not all(
                     isinstance(lit, int) and not isinstance(lit, bool)
@@ -193,7 +193,7 @@ def parse_submit(payload: Dict[str, Any]) -> SubmitRequest:
                 raise ProtocolError(
                     "each clause must be a list of non-zero literals "
                     "within num_vars")
-            clause_lits.append(tuple(clause))
+        formula = CNFFormula(num_vars, clauses)
     else:
         raise ProtocolError(
             "submit requires 'dimacs' or 'clauses'+'num_vars'")
@@ -201,8 +201,7 @@ def parse_submit(payload: Dict[str, Any]) -> SubmitRequest:
     return SubmitRequest(
         job_id=job_id,
         tenant=tenant,
-        clause_lits=clause_lits,
-        num_vars=num_vars,
+        formula=formula,
         deadline=_optional_number(payload, "deadline"),
         max_conflicts=_optional_number(payload, "max_conflicts",
                                        integral=True),

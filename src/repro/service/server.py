@@ -10,7 +10,10 @@ worker-attempt runtime the portfolio supervisor also uses
 audit, a heartbeat cell and one liveness rule) but without blocking:
 the loop drains pipes between ``await asyncio.sleep(poll_interval)``
 ticks, so a hundred waiting clients cost nothing while two workers
-solve.
+solve.  A job keeps the one :class:`~repro.cnf.formula.CNFFormula`
+that ``parse_submit`` made of its submission: the cache key is its
+``canonical_key``, every attempt's worker solves it, and the answer
+is audited and certified against it.
 
 The failure contract, end to end:
 
@@ -63,8 +66,7 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.canonical import clauses_key
-from repro.cnf.formula import CNFFormula
+from repro.cnf.canonical import canonical_key
 from repro.runtime.attempt import AttemptSpec, WorkerAttempt
 from repro.runtime.budget import Budget
 from repro.runtime.faults import SERVER_KILL_EXIT, ServiceFaultPlan
@@ -254,8 +256,7 @@ class SolveServer:
                     and body.get("status") in ("SATISFIABLE",
                                                "UNSATISFIABLE")
                     and not body.get("degraded")):
-                key = (clauses_key(request.clause_lits,
-                                   request.num_vars), request.certify)
+                key = (canonical_key(request.formula), request.certify)
                 self._cache.put(key, body)
                 reseeded += 1
         for job_id, raw in replay.pending.items():
@@ -263,8 +264,7 @@ class SolveServer:
                 request = parse_submit(raw)
             except ProtocolError:
                 continue
-            job = _Job(request, (clauses_key(request.clause_lits,
-                                             request.num_vars),
+            job = _Job(request, (canonical_key(request.formula),
                                  request.certify),
                        asyncio.get_running_loop().create_future())
             job.recovered = True
@@ -376,8 +376,8 @@ class SolveServer:
         if self.tracer is not None:
             self.tracer.event("service.submit", job=request.job_id,
                               tenant=request.tenant,
-                              vars=request.num_vars,
-                              clauses=len(request.clause_lits),
+                              vars=request.formula.num_vars,
+                              clauses=request.formula.num_clauses,
                               certify=int(request.certify))
         self.metrics.record_submit(request.tenant)
         stored = self._terminal.get(request.job_id)
@@ -390,8 +390,7 @@ class SolveServer:
                                    "server is draining",
                                    tenant=request.tenant)
 
-        key = (clauses_key(request.clause_lits, request.num_vars),
-               request.certify)
+        key = (canonical_key(request.formula), request.certify)
         if request.use_cache:
             body = self._cache.get(key)
             if body is not None:
@@ -405,8 +404,8 @@ class SolveServer:
             return {"kind": "error", "id": request.job_id,
                     "code": BAD_REQUEST,
                     "reason": "a job with this id is already pending"}
-        hardness = estimate_hardness(request.num_vars,
-                                     len(request.clause_lits))
+        hardness = estimate_hardness(request.formula.num_vars,
+                                     request.formula.num_clauses)
         if (self.config.max_hardness is not None
                 and hardness > self.config.max_hardness):
             return self._rejection(
@@ -731,8 +730,7 @@ class SolveServer:
                 self.worker_trace_dir,
                 f"{readable}-{digest}-a{attempt}.jsonl")
         worker = WorkerAttempt(AttemptSpec(
-            key=request.job_id, attempt=attempt,
-            clause_lits=request.clause_lits, num_vars=request.num_vars,
+            key=request.job_id, attempt=attempt, formula=request.formula,
             config=_ENGINE.perturbed(attempt), budget=budget,
             fault_plan=self.fault_plan,
             progress_interval=config.progress_interval,
@@ -839,11 +837,10 @@ class SolveServer:
         status = outcome.status
         certificate = None
         if request.certify:
-            formula = CNFFormula(num_vars=request.num_vars,
-                                 clauses=request.clause_lits)
             model = (Assignment(dict(outcome.model))
                      if status is Status.SATISFIABLE else None)
-            result = certify_result(formula, SolverResult(status, model),
+            result = certify_result(request.formula,
+                                    SolverResult(status, model),
                                     outcome.proof_path, self.tracer)
             status = result.status
             cert = result.certificate

@@ -359,11 +359,6 @@ class CDCLSolver:
         arena = self.arena
         return [Clause(arena.lits_of(cid)) for cid in self._learned]
 
-    def clause_ids(self) -> List[int]:
-        """Every live clause id: originals first, then learned (both
-        in attach order).  Ids are stable until the next collection."""
-        return list(self._clauses) + list(self._learned)
-
     def arena_occupancy(self) -> Dict[str, float]:
         """The arena's memory snapshot plus this solver's GC counters
         (what portfolio workers report in their progress payloads)."""

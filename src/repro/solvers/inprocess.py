@@ -119,8 +119,9 @@ class Inprocessor:
         #: they must never reappear in assumptions or new clauses.
         self.eliminated: Set[int] = set()
         #: Reconstruction stack: ``("equiv", var, rep_lit, None)`` or
-        #: ``("bve", var, 0, saved_clause_lits)`` entries, replayed in
-        #: reverse by :meth:`extend_model`.
+        #: ``("bve", var, 0, saved)`` entries (*saved*: the eliminated
+        #: variable's clauses as literal lists), replayed in reverse by
+        #: :meth:`extend_model`.
         self._reconstruction: List[Tuple[str, int, int, Optional[List[List[int]]]]] = []
         #: Per-pass counters accumulated across runs, keyed by
         #: :data:`PASSES` name -> dict of removed/strengthened/

@@ -181,7 +181,3 @@ class SolverResult:
         return (f"SolverResult({self.status.value}, "
                 f"decisions={self.stats.decisions}, "
                 f"conflicts={self.stats.conflicts})")
-
-
-class BudgetExhausted(Exception):
-    """Internal signal: the configured effort budget ran out."""

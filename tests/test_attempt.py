@@ -5,7 +5,8 @@ rejected for both key kinds the callers use (the portfolio's int slot
 index and the service's str job id), and well-formed rows must parse
 with unknown stats keys dropped.  The process handle is exercised end
 to end on a tiny formula: a healthy attempt, a crash, a hang and a
-malformed sender.
+malformed sender.  A worker that claims SAT with an empty model is
+refused by both callers, the portfolio and the service.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 
 import pytest
 
+from repro.cnf.formula import CNFFormula
 from repro.runtime.attempt import (
     MALFORMED,
     AttemptSpec,
@@ -26,6 +28,7 @@ from repro.solvers.portfolio import PortfolioConfig
 from repro.solvers.result import Status
 
 CLAUSES = [(1, 2), (-1, 2), (-2, 3)]
+FORMULA = CNFFormula(3, CLAUSES)
 ATTEMPT = 1
 MIB = 1 << 20
 
@@ -92,6 +95,10 @@ def malformed_rows(key, other_key):
         ("SAT model falsifies a clause",
          ("result", key, ATTEMPT, "SATISFIABLE",
           {1: False, 2: False, 3: False}, {})),
+        ("SAT model leaves clauses without a true literal",
+         ("result", key, ATTEMPT, "SATISFIABLE", {3: True}, {})),
+        ("SAT with an empty model",
+         ("result", key, ATTEMPT, "SATISFIABLE", {}, {})),
         ("old untagged result",
          (key, ATTEMPT, "UNSATISFIABLE", None, {})),
     ]
@@ -103,8 +110,17 @@ KEYS = [(0, 1), ("job-7", "job-8")]
 @pytest.mark.parametrize("key,other_key", KEYS)
 def test_malformed_payloads_rejected(key, other_key):
     for label, payload in malformed_rows(key, other_key):
-        assert audit_payload(payload, key, ATTEMPT, CLAUSES) \
+        assert audit_payload(payload, key, ATTEMPT, FORMULA) \
             == (MALFORMED,), label
+
+
+@pytest.mark.parametrize("key", [key for key, _ in KEYS])
+def test_sat_claim_against_an_empty_clause_rejected(key):
+    # No model satisfies a formula holding the empty clause.
+    formula = CNFFormula(3, CLAUSES + [()])
+    payload = ("result", key, ATTEMPT, "SATISFIABLE",
+               {1: True, 2: True, 3: True}, {})
+    assert audit_payload(payload, key, ATTEMPT, formula) == (MALFORMED,)
 
 
 @pytest.mark.parametrize("key,other_key", KEYS)
@@ -114,7 +130,7 @@ def test_well_formed_payloads_parse(key, other_key):
     progress = audit_payload(
         ("progress", key, ATTEMPT, 0, stats,
          {"arena_fill": 0.5, "label": "x", 7: 1.0, "flag": True}),
-        key, ATTEMPT, CLAUSES)
+        key, ATTEMPT, FORMULA)
     tag, got_key, attempt, elapsed, clean, extras = progress
     assert (tag, got_key, attempt) == ("progress", key, ATTEMPT)
     assert elapsed == 0.0 and isinstance(elapsed, float)
@@ -125,24 +141,24 @@ def test_well_formed_payloads_parse(key, other_key):
 
     for blob in (b"abc", bytearray(b"abc"), b"x" * MIB):
         message = audit_payload(("checkpoint", key, ATTEMPT, blob),
-                                key, ATTEMPT, CLAUSES)
+                                key, ATTEMPT, FORMULA)
         assert message == ("checkpoint", key, ATTEMPT, bytes(blob))
         assert type(message[3]) is bytes
 
     model = {1: True, 2: True, 3: True}
     sat = audit_payload(("result", key, ATTEMPT, "SATISFIABLE", model,
-                         stats), key, ATTEMPT, CLAUSES)
+                         stats), key, ATTEMPT, FORMULA)
     assert sat[:5] == ("result", key, ATTEMPT, Status.SATISFIABLE,
                        model)
     assert "not_a_field" not in sat[5]
-    # A partial model leaving a clause undecided is accepted.
+    # A partial model is accepted when it satisfies every clause.
     partial = audit_payload(("result", key, ATTEMPT, "SATISFIABLE",
                              {2: True, 3: True}, {}),
-                            key, ATTEMPT, CLAUSES)
+                            key, ATTEMPT, FORMULA)
     assert partial[3] is Status.SATISFIABLE
     for name in ("UNSATISFIABLE", "UNKNOWN"):
         message = audit_payload(("result", key, ATTEMPT, name, None, {}),
-                                key, ATTEMPT, CLAUSES)
+                                key, ATTEMPT, FORMULA)
         assert message[3] is Status[name]
 
 
@@ -151,9 +167,8 @@ def test_well_formed_payloads_parse(key, other_key):
 # ----------------------------------------------------------------------
 
 def _spec(key, plan=None, **overrides):
-    fields = dict(key=key, attempt=0, clause_lits=list(CLAUSES),
-                  num_vars=3, config=PortfolioConfig(name="plain"),
-                  fault_plan=plan)
+    fields = dict(key=key, attempt=0, formula=FORMULA,
+                  config=PortfolioConfig(name="plain"), fault_plan=plan)
     fields.update(overrides)
     return AttemptSpec(**fields)
 
@@ -232,4 +247,57 @@ class TestWorkerAttempt:
             assert worker.drain() == []
         finally:
             worker.stop()
+        assert _no_orphans()
+
+
+# ----------------------------------------------------------------------
+# Both callers refuse an empty model
+# ----------------------------------------------------------------------
+
+class TestEmptyModelLie:
+    """Slot 0 and job ``liar`` claim SAT with the model ``{}`` on their
+    first attempt.  Every clause of (x)(-x) is then left without a true
+    literal, so the audit must refuse the claim and the retry must
+    find the honest UNSAT."""
+
+    FORMULA = CNFFormula(1, [[1], [-1]])
+
+    @pytest.fixture(autouse=True)
+    def lying_worker(self, monkeypatch):
+        # The fork start method carries the patched module global into
+        # the children, as in tests/test_supervisor.py.
+        import repro.runtime.attempt as attempt_runtime
+
+        real_worker = attempt_runtime.worker_main
+
+        def worker(spec, heartbeat, channel):
+            if spec.key in (0, "liar") and spec.attempt == 0:
+                channel.send(("result", spec.key, 0, "SATISFIABLE", {},
+                              {}))
+                channel.close()
+                return
+            real_worker(spec, heartbeat, channel)
+
+        monkeypatch.setattr(attempt_runtime, "worker_main", worker)
+
+    def test_uncertified_portfolio_is_not_fooled(self):
+        from repro.solvers.portfolio import solve_portfolio
+
+        outcome = solve_portfolio(self.FORMULA, processes=2,
+                                  timeout=30.0, progress_interval=None)
+        assert outcome.result.status is Status.UNSATISFIABLE
+        assert _no_orphans()
+
+    def test_service_job_retries_to_the_honest_verdict(self):
+        from repro.service import InProcessClient, ServiceConfig
+
+        config = ServiceConfig(max_workers=1, backoff_seconds=0.01,
+                               poll_interval=0.01)
+        with InProcessClient(config) as client:
+            body = client.submit(
+                "liar", clauses=[[1], [-1]], num_vars=1,
+                use_cache=False)["body"]
+        assert body["status"] == "UNSATISFIABLE"
+        assert body["model"] is None
+        assert body["attempts"] == 2
         assert _no_orphans()

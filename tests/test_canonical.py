@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.cnf import canonical_key, normal_form, renumber
-from repro.cnf.canonical import clauses_key
 from repro.cnf.formula import CNFFormula
 
 
@@ -94,17 +93,12 @@ class TestCanonicalKey:
             seen.add(canonical_key(formula))
         assert len(seen) == 25
 
-    def test_clauses_key_matches_formula_key(self):
-        clauses = [(1, -2), (2, 3)]
-        assert clauses_key(clauses, 3) == \
-            canonical_key(_formula(clauses, 3))
-
     def test_normal_form_sorted(self):
         formula = _formula([(9, -5), (5,)], 9)
         assert normal_form(formula) == [(-1, 2), (1,)]
 
-    # Digests computed by the formula-object implementation this one
-    # replaced: keys persisted in service journals must stay valid.
+    # Keys persisted in service journals and result caches must stay
+    # valid: these digests are frozen, not recomputed.
     PINNED = [
         ([], 0,
          "300ac9a54d53f3a1a86de98473439d8175d900403476888961324261986df6f8"),
@@ -127,7 +121,6 @@ class TestCanonicalKey:
                                   "duplicates-gaps", "tautology",
                                   "multiplicity", "mixed"])
     def test_pinned_digests(self, clauses, num_vars, digest):
-        assert clauses_key(clauses, num_vars) == digest
         assert canonical_key(_formula(clauses, num_vars)) == digest
 
 

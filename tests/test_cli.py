@@ -534,7 +534,8 @@ class TestServiceCLI:
         thread.start()
         assert ready.wait(10.0), "service did not come up"
         yield bound["port"]
-        main(["submit", "--port", str(bound["port"]), "--shutdown"])
+        main(["submit", "--port", str(bound["port"]), "--op",
+              "shutdown"])
         thread.join(10.0)
 
     def test_submit_sat_unsat_and_cache(self, tmp_path, capsys,
@@ -564,12 +565,21 @@ class TestServiceCLI:
     def test_submit_status_and_ping(self, capsys, server_port):
         import json
         port = str(server_port)
-        assert main(["submit", "--port", port, "--ping"]) == 0
-        capsys.readouterr()
-        assert main(["submit", "--port", port, "--status"]) == 0
+        assert main(["submit", "--port", port, "--op", "ping"]) == 0
+        assert capsys.readouterr().out == "pong\n"
+        assert main(["submit", "--port", port, "--op", "status"]) == 0
         status = json.loads(capsys.readouterr().out)
         assert status["kind"] == "status"
         assert status["workers"]["max"] == 1
+
+    @pytest.mark.parametrize("flag", ["--ping", "--status",
+                                      "--shutdown"])
+    def test_op_flags_are_gone(self, capsys, flag):
+        # `--op` is the one way to send a non-submit op.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", flag])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ")
 
     def test_submit_overload_is_exit_two(self, tmp_path, capsys):
         # No server listening on a fresh ephemeral port: the client
@@ -624,7 +634,8 @@ class TestObservabilityCLI:
         assert ready.wait(10.0), "service did not come up"
         yield {"port": bound["port"], "trace": trace_path,
                "worker_dir": worker_dir}
-        main(["submit", "--port", str(bound["port"]), "--shutdown"])
+        main(["submit", "--port", str(bound["port"]), "--op",
+              "shutdown"])
         thread.join(10.0)
         tracer.close()
 

@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import pigeonhole, random_ksat
 from repro.runtime.faults import (
     CRASH,
@@ -193,8 +194,7 @@ class TestProtocol:
     def test_parse_submit_from_dimacs(self):
         request = parse_submit({"op": "submit", "id": "j",
                                 "dimacs": "p cnf 2 1\n1 -2 0\n"})
-        assert request.clause_lits == [(1, -2)]
-        assert request.num_vars == 2
+        assert request.formula == CNFFormula(2, [[1, -2]])
         assert request.tenant == "default"
         assert request.use_cache is True
 

@@ -717,7 +717,10 @@ class TestCertifiedPortfolio:
         from repro.solvers.portfolio import solve_portfolio
 
         formula = random_ksat_at_ratio(20, 3.0, 3, seed=3)
-        plan = FaultPlan(false_unsat={0: 1})
+        # The honest slot's first attempt crashes, so its verdict can
+        # come no sooner than the death grace plus the respawn backoff,
+        # long after the instant lie has been read and checked.
+        plan = FaultPlan(false_unsat={0: 1}, crashes={1: 1})
         outcome = solve_portfolio(formula, processes=2,
                                   timeout=30.0, max_retries=1,
                                   fault_plan=plan,
