@@ -15,6 +15,16 @@ from repro.experiments.tables import format_table
 from repro.solvers.cdcl import solve_cdcl
 from repro.solvers.dpll import solve_dpll
 
+#: The deterministic columns of the table (every column but
+#: ``seconds``); a change that moves the search re-pins them and
+#: reports the rows it moved.
+EXPECTED = [
+    ["dpll", "php4", "UNSATISFIABLE", 51, 52, 51, 0, 0, 0, 0],
+    ["dpll", "rand3sat30", "SATISFIABLE", 15, 1, 1, 0, 0, 0, 0],
+    ["cdcl", "php4", "UNSATISFIABLE", 32, 29, 28, 3, 28, 0, 0],
+    ["cdcl", "rand3sat30", "SATISFIABLE", 11, 0, 0, 0, 0, 0, 0],
+]
+
 
 def instances():
     return [
@@ -35,5 +45,6 @@ def test_fig2_backtrack(benchmark, show, engine, solve):
         for name, _ in instances():
             assert by_key[("dpll", name)].status == \
                 by_key[("cdcl", name)].status
+        assert [list(r.row()[:-1]) for r in records] == EXPECTED
     result = benchmark(lambda: solve(pigeonhole(4)))
     assert result.is_unsat

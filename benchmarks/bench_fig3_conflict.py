@@ -17,6 +17,9 @@ from repro.solvers.forward_implication import (
     ImplicationConflict,
 )
 
+#: The printed conflict clause, byte for byte: the paper's clause.
+EXPECTED = "(x1' + w' + y3)"
+
 
 def derive_conflict_clause():
     circuit = figure3_circuit()
@@ -36,6 +39,7 @@ def derive_conflict_clause():
 def test_fig3_conflict(benchmark, show):
     encoding, clause = benchmark(derive_conflict_clause)
     names = {var: name for name, var in encoding.var_of.items()}
+    assert clause.to_str(names) == EXPECTED
     show("Paper Figure 3 -- conflict analysis example\n"
          f"assignments: w = 1, y3 = 0; decision x1 = 1\n"
          f"derived conflict clause: {clause.to_str(names)}\n"

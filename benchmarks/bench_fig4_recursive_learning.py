@@ -16,6 +16,17 @@ from repro.experiments.workloads import (
 )
 from repro.solvers.recursive_learning import recursive_learn
 
+#: The printed lines, byte for byte.  The recorded implicate prints in
+#: variable order, ``(u + x + z')``: the paper's ``(z' + u + x)``.
+EXPECTED = [
+    "Paper Figure 4 -- recursive learning on clauses",
+    "formula: (u + w' + x) . (x + y') . (w + y + z')",
+    "assignments: z = 1, u = 0",
+    "necessary assignment: x = 1",
+    "recorded implicate: (u + x + z')",
+    "paper's implicate:  (z' + u + x)",
+]
+
 
 def test_fig4_recursive_learning(benchmark, show):
     formula = figure4_formula()
@@ -34,6 +45,7 @@ def test_fig4_recursive_learning(benchmark, show):
         lines.append(f"recorded implicate: {clause.to_str(names)}")
     lines.append("paper's implicate:  (z' + u + x)")
     show("\n".join(lines))
+    assert lines == EXPECTED
 
     u, x, z = (FIGURE4_VARS[k] for k in "uxz")
     assert result.necessary[x] is True

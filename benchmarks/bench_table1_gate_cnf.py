@@ -22,6 +22,21 @@ from repro.experiments.tables import format_table
 GATES = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
          GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUFFER]
 
+#: The printed table, byte for byte; a change that moves a row re-pins
+#: it and reports the rows it moved.
+EXPECTED = [
+    ["x = AND(w1, w2)", "(w1 + x') . (w2 + x') . (w1' + w2' + x)"],
+    ["x = NAND(w1, w2)", "(w1 + x) . (w2 + x) . (w1' + w2' + x')"],
+    ["x = OR(w1, w2)", "(w1' + x) . (w2' + x) . (w1 + w2 + x')"],
+    ["x = NOR(w1, w2)", "(w1' + x') . (w2' + x') . (w1 + w2 + x)"],
+    ["x = XOR(w1, w2)",
+     "(w1 + w2 + x') . (w1 + w2' + x) . (w1' + w2 + x) . (w1' + w2' + x')"],
+    ["x = XNOR(w1, w2)",
+     "(w1 + w2 + x) . (w1 + w2' + x') . (w1' + w2 + x') . (w1' + w2' + x)"],
+    ["x = NOT(w1)", "(w1 + x) . (w1' + x')"],
+    ["x = BUFFER(w1)", "(w1' + x) . (w1 + x')"],
+]
+
 
 def regenerate_table1():
     names = {1: "w1", 2: "w2", 3: "x"}
@@ -53,6 +68,7 @@ def test_table1_gate_cnf(benchmark, show):
     show(format_table(["Gate function", "CNF formula (Table 1)"], rows,
                       title="Paper Table 1 -- CNF formulas for "
                             "simple gates (verified exhaustively)"))
+    assert rows == EXPECTED
     circuit = random_circuit(10, 120, seed=0)
     encoding = benchmark(encode_circuit, circuit)
     assert encoding.formula.num_clauses > 120

@@ -16,6 +16,19 @@ from repro.solvers.circuit_sat import JustificationLayer
 GATES = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
          GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUFFER]
 
+#: The printed table (fan-in 3); a change that moves a row re-pins it
+#: and reports the rows it moved.
+EXPECTED = [
+    ["x = AND(w1..w3)", "1", "|FI(x)|"],
+    ["x = NAND(w1..w3)", "|FI(x)|", "1"],
+    ["x = OR(w1..w3)", "|FI(x)|", "1"],
+    ["x = NOR(w1..w3)", "1", "|FI(x)|"],
+    ["x = XOR(w1..w3)", "|FI(x)|", "|FI(x)|"],
+    ["x = XNOR(w1..w3)", "|FI(x)|", "|FI(x)|"],
+    ["x = NOT(w1..w1)", "1", "1"],
+    ["x = BUFFER(w1..w1)", "1", "1"],
+]
+
 
 def regenerate_table2(fanin: int = 3):
     rows = []
@@ -37,6 +50,7 @@ def test_table2_thresholds(benchmark, show):
     show(format_table(["Gate", "u0(x)", "u1(x)"], rows,
                       title="Paper Table 2 -- thresholds on assigned "
                             "inputs for justification"))
+    assert rows == EXPECTED
 
     circuit = random_circuit(10, 150, seed=1)
     encoding = encode_circuit(circuit)

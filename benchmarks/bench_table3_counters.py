@@ -14,6 +14,19 @@ from repro.solvers.circuit_sat import CircuitSATSolver
 GATES = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
          GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUFFER]
 
+#: The printed table; a change that moves a row re-pins it and reports
+#: the rows it moved.
+EXPECTED = [
+    ["AND", "t0(x)++", "t1(x)++"],
+    ["NAND", "t1(x)++", "t0(x)++"],
+    ["OR", "t0(x)++", "t1(x)++"],
+    ["NOR", "t1(x)++", "t0(x)++"],
+    ["XOR", "t0(x)++ & t1(x)++", "t0(x)++ & t1(x)++"],
+    ["XNOR", "t0(x)++ & t1(x)++", "t0(x)++ & t1(x)++"],
+    ["NOT", "t1(x)++", "t0(x)++"],
+    ["BUFFER", "t0(x)++", "t1(x)++"],
+]
+
 
 def regenerate_table3():
     rows = []
@@ -33,6 +46,7 @@ def test_table3_counters(benchmark, show):
     show(format_table(["Gate", "w_i = 0", "w_i = 1"], rows,
                       title="Paper Table 3 -- counter updates on "
                             "input assignment"))
+    assert rows == EXPECTED
 
     def solve_with_layer():
         solver = CircuitSATSolver(c17(), {"G22": True, "G23": False})

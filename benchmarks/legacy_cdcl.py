@@ -9,7 +9,9 @@ honest before/after numbers from any checkout.
 
 Do not "fix" or modernise this file: its value is that it does not
 change.  It is not part of the ``repro`` package and must never be
-imported by library code.
+imported by library code.  Its one edit since: formulas store their
+clauses as normal-form literal tuples, so the input-clause tautology
+test reads them through :func:`repro.cnf.clause.is_tautology`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
+from repro.cnf.clause import is_tautology
 from repro.cnf.formula import CNFFormula
 from repro.solvers.restarts import NoRestarts, RestartPolicy
 from repro.solvers.result import SolverResult, SolverStats, Status
@@ -117,8 +119,8 @@ class LegacyCDCLSolver:
         for clause in formula.clauses:
             self._attach_input_clause(clause)
 
-    def _attach_input_clause(self, clause: Clause) -> None:
-        if clause.is_tautology():
+    def _attach_input_clause(self, clause: Tuple[int, ...]) -> None:
+        if is_tautology(clause):
             return
         lits = list(clause)
         if not lits:

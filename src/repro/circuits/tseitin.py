@@ -13,12 +13,15 @@ node variables.
 :func:`encode_nodes` is the only code that turns a netlist into those
 clauses.  :func:`encode_circuit` wraps it for one frame in a formula;
 bounded model checking and the sequential product machine call it per
-time frame, and ATPG per fault on the fault's cones
-(:func:`repro.apps.atpg.encode_fault_cone`: the good fanin of the
-reached outputs, then the faulty fanout with the good circuit's
-variables given for its side inputs).  Next to it are the one XOR/OR
-difference output (:func:`add_difference`) and the per-frame
-input-trace reader (:func:`input_trace`).
+time frame, and ATPG per fault on the fault's cones.  That last
+caller, :func:`repro.apps.atpg.encode_fault_cone`, is the one cone
+encoder: the good fanin of the reached outputs, then the faulty
+fanout with the good circuit's variables given for its side inputs.
+Next to it are the one XOR/OR difference output
+(:func:`add_difference`) and the per-frame input-trace reader
+(:func:`input_trace`).  Every clause goes to the caller's
+``add_clause`` -- a formula's or a persistent solver's -- which puts
+it in normal form (:meth:`repro.cnf.formula.CNFFormula.add_clause`).
 """
 
 from __future__ import annotations
@@ -67,11 +70,6 @@ class CircuitEncoding:
             value = None if var is None else assignment.value_of(var)
             vector[name] = default if value is None else value
         return vector
-
-    def node_values(self, assignment: Assignment) -> Dict[str, Optional[bool]]:
-        """Full node-value map implied by a CNF assignment."""
-        return {name: assignment.value_of(var)
-                for name, var in self.var_of.items()}
 
 
 def encode_nodes(circuit: Circuit,
@@ -258,27 +256,3 @@ def encode_miter(circuit_a: Circuit,
     """
     miter, _ = build_miter(circuit_a, circuit_b)
     return encode_with_objective(miter, {"miter_out": True})
-
-
-def cone_encoding(circuit: Circuit, outputs: Iterable[str]
-                  ) -> CircuitEncoding:
-    """Encode only the cone of influence of *outputs*.
-
-    EDA flows solve many instances per circuit (Section 5 drawback 2);
-    restricting each instance to the relevant cone keeps formulas small.
-    """
-    cone = circuit.transitive_fanin(outputs)
-    sub = Circuit(f"{circuit.name}_cone")
-    for name in circuit.topological_order():
-        if name not in cone:
-            continue
-        node = circuit.node(name)
-        if node.gate_type is GateType.INPUT:
-            sub.add_input(name)
-        elif node.gate_type is GateType.DFF:
-            sub.add_dff(name, node.fanins[0] if node.fanins else None)
-        else:
-            sub.add_gate(name, node.gate_type, node.fanins)
-    for name in outputs:
-        sub.set_output(name)
-    return encode_circuit(sub)

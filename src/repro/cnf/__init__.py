@@ -4,7 +4,8 @@ This package provides the CNF substrate that every solver and every EDA
 application in :mod:`repro` builds upon:
 
 * :mod:`repro.cnf.literals` -- DIMACS-style integer literals.
-* :mod:`repro.cnf.clause` -- immutable clauses.
+* :mod:`repro.cnf.clause` -- the clause normal form every formula
+  stores, and the immutable :class:`Clause` value class.
 * :mod:`repro.cnf.formula` -- mutable CNF formulas.
 * :mod:`repro.cnf.assignment` -- partial/total variable assignments.
 * :mod:`repro.cnf.dimacs` -- DIMACS CNF reader/writer.

@@ -63,20 +63,20 @@ def renumber(formula: CNFFormula) -> Tuple[CNFFormula, Dict[int, int]]:
 def normal_form(formula: CNFFormula) -> List[Tuple[int, ...]]:
     """The sorted-clause normal form of *formula*.
 
-    Literals are deduplicated and sorted inside each clause (by
-    variable, negative literal first), clauses are sorted
-    lexicographically, and variables are compact-renumbered (as by
-    :func:`renumber`; renumbering keeps the variable order, so it
+    Literals are sorted inside each clause (by variable, negative
+    literal first; the formula already dropped repeats), clauses are
+    sorted lexicographically, and variables are compact-renumbered (as
+    by :func:`renumber`; renumbering keeps the variable order, so it
     commutes with the sorting) so the numbering is a pure function of
     the clause structure, not of the input's numbering gaps.
     """
-    literal_sets = [set(clause) for clause in formula.clauses]
-    used = sorted({abs(lit) for lits in literal_sets for lit in lits})
+    clauses = formula.clauses
+    used = sorted({abs(lit) for lits in clauses for lit in lits})
     mapping = {var: new for new, var in enumerate(used, start=1)}
     return sorted(
         tuple(sorted((mapping[lit] if lit > 0 else -mapping[-lit]
                       for lit in lits), key=lambda l: (abs(l), l)))
-        for lits in literal_sets)
+        for lits in clauses)
 
 
 def canonical_key(formula: CNFFormula) -> str:

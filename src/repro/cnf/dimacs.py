@@ -36,6 +36,11 @@ def parse_dimacs(source: Union[str, TextIO]) -> CNFFormula:
     distribution, and clause counts that disagree with the header (a
     mismatch raises :class:`DimacsError` only when *more* clauses appear
     than declared variables allow, i.e. a literal exceeds ``num_vars``).
+
+    Each clause goes straight to :meth:`CNFFormula.add_clause`, which
+    stores it in normal form: repeated literals dropped, literals
+    sorted by variable with the positive one first.  Tautologies, unit
+    clauses and the empty clause (a bare ``0``) are kept as written.
     """
     if isinstance(source, str):
         source = io.StringIO(source)

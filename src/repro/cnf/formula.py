@@ -7,23 +7,31 @@ auxiliary variables can be allocated during encoding), optional
 human-readable variable names (so counterexamples can be reported in
 terms of circuit signals), and supports the clause-set view the paper
 uses when conjoining per-gate formulas.
+
+Each clause is stored once, as the tuple of its literals in normal
+form (:func:`repro.cnf.clause.normal_clause`).  :meth:`add_clause` is
+where every clause -- from the DIMACS parser, the service protocol,
+the circuit encoders or a persistent solver's ``add_clause`` -- is
+validated and put in that form; readers use the tuple as is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
-from repro.cnf.literals import variable
+from repro.cnf.clause import (clause_to_str, evaluate_clause,
+                              map_literals, normal_clause)
 
 
 class CNFFormula:
     """An ordered, duplicate-preserving collection of clauses.
 
-    Duplicates are preserved because learned-clause experiments need to
-    distinguish original from recorded clauses; deduplication is an
-    explicit preprocessing step (:mod:`repro.cnf.simplify`).
+    Each clause is a tuple of literals in normal form (see
+    :meth:`add_clause`).  Duplicate clauses are preserved because
+    learned-clause experiments need to distinguish original from
+    recorded clauses; deduplication is an explicit preprocessing step
+    (:mod:`repro.cnf.simplify`).
     """
 
     def __init__(self, num_vars: int = 0,
@@ -31,7 +39,7 @@ class CNFFormula:
         if num_vars < 0:
             raise ValueError("num_vars must be >= 0")
         self._num_vars = num_vars
-        self._clauses: List[Clause] = []
+        self._clauses: List[Tuple[int, ...]] = []
         self._names: Dict[int, str] = {}
         if clauses is not None:
             for clause in clauses:
@@ -85,20 +93,26 @@ class CNFFormula:
     # Clause management
     # ------------------------------------------------------------------
 
-    def add_clause(self, clause) -> Clause:
-        """Append a clause (a :class:`Clause` or an iterable of literals).
+    def add_clause(self, literals: Iterable[int]) -> Tuple[int, ...]:
+        """Append a clause given as any iterable of literals (a list, a
+        tuple, a :class:`~repro.cnf.clause.Clause`).
 
-        The variable universe grows automatically to cover the clause.
-        Returns the stored :class:`Clause`.
+        The one place a clause is checked and put in normal form
+        (:func:`~repro.cnf.clause.normal_clause`): literals validated,
+        duplicates dropped, sorted by variable with the positive
+        literal first.  Tautologies and the empty clause are kept.
+        The variable universe grows to cover the clause.  Returns the
+        stored tuple.
         """
-        if not isinstance(clause, Clause):
-            clause = Clause(clause)
-        for lit in clause:
-            var = variable(lit)
-            if var > self._num_vars:
-                self._num_vars = var
-        self._clauses.append(clause)
-        return clause
+        lits = normal_clause(literals)
+        if lits:
+            top = lits[-1]         # normal form: the largest variable
+            if top < 0:
+                top = -top
+            if top > self._num_vars:
+                self._num_vars = top
+        self._clauses.append(lits)
+        return lits
 
     def add_clauses(self, clauses: Iterable) -> None:
         """Append every clause in *clauses*."""
@@ -106,8 +120,9 @@ class CNFFormula:
             self.add_clause(clause)
 
     @property
-    def clauses(self) -> List[Clause]:
-        """The clause list (mutating it directly is discouraged)."""
+    def clauses(self) -> List[Tuple[int, ...]]:
+        """The stored normal-form clause tuples, in insertion order
+        (mutating the list directly is discouraged)."""
         return self._clauses
 
     def clause_set(self) -> frozenset:
@@ -129,7 +144,7 @@ class CNFFormula:
             else dict(assignment)
         result = True
         for clause in self._clauses:
-            value = clause.evaluate(mapping)
+            value = evaluate_clause(clause, mapping)
             if value is False:
                 return False
             if value is None:
@@ -159,10 +174,11 @@ class CNFFormula:
         return out
 
     def map_variables(self, mapping: Dict[int, int]) -> "CNFFormula":
-        """Return a renamed copy (see :meth:`Clause.map_variables`)."""
+        """Return a renamed copy (see
+        :func:`~repro.cnf.clause.map_literals`)."""
         out = CNFFormula(self._num_vars)
         for clause in self._clauses:
-            out.add_clause(clause.map_variables(mapping))
+            out.add_clause(map_literals(clause, mapping))
         for var, name in self._names.items():
             target = abs(mapping.get(var, var))
             if target and target <= out._num_vars:
@@ -173,7 +189,7 @@ class CNFFormula:
     # Dunder plumbing
     # ------------------------------------------------------------------
 
-    def __iter__(self) -> Iterator[Clause]:
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self._clauses)
 
     def __len__(self) -> int:
@@ -191,4 +207,4 @@ class CNFFormula:
     def to_str(self) -> str:
         """Pretty multiline form using the paper's notation."""
         names = self._names or None
-        return " . ".join(c.to_str(names) for c in self._clauses)
+        return " . ".join(clause_to_str(c, names) for c in self._clauses)

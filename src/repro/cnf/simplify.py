@@ -9,9 +9,9 @@ extended back to a model of the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cnf.clause import Clause
+from repro.cnf.clause import is_tautology
 from repro.cnf.formula import CNFFormula
 from repro.cnf.literals import variable
 
@@ -136,7 +136,7 @@ def remove_tautologies(formula: CNFFormula) -> SimplifyResult:
     out = CNFFormula(formula.num_vars)
     removed = 0
     for clause in formula:
-        if clause.is_tautology():
+        if is_tautology(clause):
             removed += 1
         else:
             out.add_clause(clause)
@@ -147,7 +147,7 @@ def remove_tautologies(formula: CNFFormula) -> SimplifyResult:
 
 def remove_duplicates(formula: CNFFormula) -> SimplifyResult:
     """Drop repeated clauses, keeping first occurrences in order."""
-    seen: Set[Clause] = set()
+    seen: Set[Tuple[int, ...]] = set()
     out = CNFFormula(formula.num_vars)
     removed = 0
     for clause in formula:
@@ -271,8 +271,8 @@ def simplify_with_proof(formula: CNFFormula, sink,
 
     removed_clauses = 0
     removed_literals = 0
-    survivors: List[Clause] = []
-    seen: Set[Clause] = set()
+    survivors: List[Tuple[int, ...]] = []
+    seen: Set[Tuple[int, ...]] = set()
     for clause in formula:
         kept: List[int] = []
         satisfied = False
@@ -283,7 +283,7 @@ def simplify_with_proof(formula: CNFFormula, sink,
             elif value == (lit > 0):
                 satisfied = True
                 break
-        if satisfied or clause.is_tautology():
+        if satisfied or is_tautology(clause):
             sink.delete(list(clause))
             removed_clauses += 1
             continue
@@ -291,7 +291,7 @@ def simplify_with_proof(formula: CNFFormula, sink,
             sink.add(kept)
             sink.delete(list(clause))
             removed_literals += len(clause) - len(kept)
-            clause = Clause(kept)
+            clause = tuple(kept)       # a normal-form subsequence
         if clause in seen:
             sink.delete(list(clause))
             removed_clauses += 1

@@ -35,6 +35,7 @@ class RunRecord:
     learned: int
     deleted: int
     restarts: int
+    flips: int
     seconds: float
 
     @classmethod
@@ -45,18 +46,20 @@ class RunRecord:
                    stats.decisions, stats.conflicts, stats.propagations,
                    stats.backtracks, stats.nonchronological_backtracks,
                    stats.learned_clauses, stats.deleted_clauses,
-                   stats.restarts, stats.time_seconds)
+                   stats.restarts, stats.flips, stats.time_seconds)
 
     def row(self) -> Tuple:
-        """Table row for :func:`repro.experiments.tables.format_table`."""
+        """Table row for :func:`repro.experiments.tables.format_table`:
+        backtrack-search effort, local-search flips, then the time."""
         return (self.config, self.instance, self.status, self.decisions,
                 self.conflicts, self.backtracks,
                 self.nonchronological_backtracks, self.learned,
-                self.restarts, round(self.seconds, 4))
+                self.restarts, self.flips, round(self.seconds, 4))
 
 
 RUN_HEADERS = ("config", "instance", "status", "decisions", "conflicts",
-               "backtracks", "ncb", "learned", "restarts", "seconds")
+               "backtracks", "ncb", "learned", "restarts", "flips",
+               "seconds")
 
 
 def run_solver(config: str, formula: CNFFormula,

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cnf.assignment import Assignment
+from repro.cnf.clause import is_tautology
 from repro.cnf.formula import CNFFormula
 from repro.cnf.literals import variable
 from repro.solvers.result import SolverResult, SolverStats, Status
@@ -69,8 +70,7 @@ class HardwareSATAccelerator:
         self.hw = HardwareStats()
         self._num_vars = formula.num_vars
         self._clauses: List[Tuple[int, ...]] = [
-            tuple(clause) for clause in formula
-            if not clause.is_tautology()]
+            clause for clause in formula if not is_tautology(clause)]
         self._values: List[Optional[bool]] = [None] * (self._num_vars + 1)
         # Decision stack entries: (variable, tried_both, implied vars).
         self._stack: List[Dict] = []

@@ -38,9 +38,10 @@ calls it takes new variables (``new_var``) and clauses
 (``add_clause``), keeps its learned clauses, and answers each call
 under that call's assumptions, budget and conflict caps, returning
 that call's own stats.  It keeps its own formula, which grows with
-every added clause and variable: the decision heuristic is seeded
-from it on every call, and certified callers re-pose it as a
-standalone formula.
+every added clause and variable: an added clause is put in normal
+form there, once, and enters the arena as that stored tuple; the
+decision heuristic is seeded from the formula on every call, and
+certified callers re-pose it as a standalone formula.
 
 Decisions are delegated to the pluggable heuristics of
 :mod:`repro.solvers.heuristics` (heap-backed since PR 1); restarts to
@@ -58,7 +59,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple, Union)
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
+from repro.cnf.clause import Clause, is_tautology
 from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import (Budget, BudgetMeter,
                                   DEFAULT_CHECK_INTERVAL,
@@ -88,7 +89,11 @@ class CDCLSolver:
     formula:
         the starting formula (default: an empty one).  It is never
         mutated: the first ``new_var``/``add_clause`` call copies it
-        into the engine's own ``formula``, which then grows.
+        into the engine's own ``formula``, which then grows.  Its
+        stored clauses are already in normal form
+        (:meth:`CNFFormula.add_clause`), so construction copies each
+        one into the arena as is, skipping tautologies (a literal
+        next to its complement) and queueing units.
     heuristic:
         branching policy (default VSIDS).
     restart_policy:
@@ -279,17 +284,18 @@ class CDCLSolver:
     # Clause management
     # ------------------------------------------------------------------
 
-    def _attach_input_clause(self, clause: Clause) -> None:
-        if clause.is_tautology():
-            return
-        lits = list(clause)
-        if not lits:
-            self._root_conflict = True
-            return
-        if len(lits) == 1:
-            self._pending_units.append(lits[0])
-            return
-        self._attach(self.arena.add(lits, learned=False), learned=False)
+    def _attach_input_clause(self, lits: Tuple[int, ...]) -> None:
+        """Enter one of the formula's stored clauses: *lits* is already
+        in normal form (``CNFFormula.add_clause``), so the arena takes
+        it as is; tautologies are skipped, units queued for level 0."""
+        if len(lits) < 2:
+            if lits:
+                self._pending_units.append(lits[0])
+            else:
+                self._root_conflict = True
+        elif not is_tautology(lits):
+            self._attach(self.arena.add(lits, learned=False),
+                         learned=False)
 
     def _attach(self, cid: int, learned: bool) -> None:
         """Register arena clause *cid* with the watch machinery; a
@@ -330,20 +336,21 @@ class CDCLSolver:
         """Add a clause between solve calls (incremental interface).
 
         Only legal at decision level 0; raises otherwise.  The clause
-        joins the engine's formula and the arena and, like every
-        original clause, survives all later GC compactions.
+        joins the engine's formula, which puts it in normal form, and
+        then the arena; like every original clause, it survives all
+        later GC compactions.  The search tables grow to the formula's
+        variable count.
         """
         if self._trail_lim:
             raise RuntimeError("add_clause only allowed at level 0")
-        clause = Clause(literals)
         if self._inprocessor is not None:
-            self._inprocessor.check_literals(list(clause), "added clauses")
-        self._grown_formula().add_clause(clause)
-        for lit in clause:
-            var = abs(lit)
-            if var > self._num_vars:
-                self._grow_to(var)
-        self._attach_input_clause(clause)
+            literals = list(literals)
+            self._inprocessor.check_literals(literals, "added clauses")
+        formula = self._grown_formula()
+        lits = formula.add_clause(literals)
+        if formula.num_vars > self._num_vars:
+            self._grow_to(formula.num_vars)
+        self._attach_input_clause(lits)
 
     def _grow_to(self, var: int) -> None:
         extra = var - self._num_vars

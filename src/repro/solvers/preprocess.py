@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cnf.assignment import Assignment
+from repro.cnf.clause import map_literals
 from repro.cnf.formula import CNFFormula
 from repro.cnf.literals import variable
 from repro.cnf.simplify import SimplifyResult, simplify
@@ -113,7 +114,7 @@ def _binaries(formula: CNFFormula) -> Iterator[Tuple[int, int]]:
     """The binary clauses of *formula* as sorted literal pairs."""
     for clause in formula:
         if len(clause) == 2:
-            yield tuple(sorted(clause.literals))
+            yield tuple(sorted(clause))
 
 
 def find_equivalences(formula: CNFFormula) -> List[Tuple[int, int, bool]]:
@@ -176,12 +177,11 @@ def equivalency_reduce(formula: CNFFormula) -> EquivalencyResult:
         before = current.num_clauses
         rewritten = CNFFormula(current.num_vars)
         for clause in current:
-            mapped = clause.map_variables(mapping)
-            if mapped.is_tautology():
-                continue
-            rewritten.add_clause(mapped)
+            rewritten.add_clause(map_literals(clause, mapping))
         for var, name in current.names.items():
             rewritten.set_name(var, name)
+        # Substitution can turn a clause into a tautology or a copy of
+        # another; this pass drops both.
         dedup = simplify(rewritten, units=False, pure=False,
                          tautologies=True, duplicates=True)
         if dedup.unsat:       # cannot happen without units, defensive

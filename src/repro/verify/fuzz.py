@@ -3,8 +3,9 @@
 The certification stack (streamed proofs, independent checker, model
 audits) tells us when an answer is wrong; the fuzzer's job is to go
 *looking* for wrong answers before users do.  Each round draws a
-random instance -- uniform k-SAT near and off the phase transition, or
-a Tseitin-encoded random-circuit miter -- and cross-checks three
+random instance -- uniform k-SAT near and off the phase transition,
+raw DIMACS text full of normal-form edge cases, or a Tseitin-encoded
+random-circuit miter -- and cross-checks three
 algorithm families the paper treats as interchangeable decision
 procedures:
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cnf.canonical import renumber
-from repro.cnf.dimacs import save_dimacs
+from repro.cnf.dimacs import parse_dimacs, save_dimacs
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_ksat
 from repro.solvers.result import SolverResult, Status
@@ -204,10 +205,43 @@ def default_engines(rng: random.Random) -> List[Engine]:
 # Instances
 # ----------------------------------------------------------------------
 
+def _raw_dimacs_text(rng: random.Random, max_vars: int = 26) -> str:
+    """Random DIMACS text spelled the way no encoder spells it: repeated
+    literals, a literal next to its complement (tautologies), unit
+    clauses, now and then the empty clause, and every clause's
+    literals in shuffled order -- the cases
+    :meth:`~repro.cnf.formula.CNFFormula.add_clause` must put in
+    normal form before any engine reads them."""
+    num_vars = rng.randint(3, max_vars)
+    clauses = []
+    for _ in range(round(rng.uniform(1.5, 5.0) * num_vars)):
+        if rng.random() < 0.1:
+            lits = [rng.choice((1, -1)) * rng.randint(1, num_vars)]
+        else:
+            lits = [rng.choice((1, -1)) * rng.randint(1, num_vars)
+                    for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.3:
+                lits.append(rng.choice(lits))
+            if rng.random() < 0.1:
+                lits.append(-rng.choice(lits))
+        rng.shuffle(lits)
+        clauses.append(lits)
+    if rng.random() < 0.03:
+        clauses.insert(rng.randrange(len(clauses) + 1), [])
+    lines = [f"p cnf {num_vars} {len(clauses)}"]
+    lines += [" ".join(map(str, lits + [0])) for lits in clauses]
+    return "\n".join(lines) + "\n"
+
+
 def random_instance(rng: random.Random, max_vars: int = 26
                     ) -> Tuple[str, CNFFormula]:
     """Draw one fuzz instance: ``(description, formula)``."""
-    if rng.random() < 0.75:
+    family = rng.random()
+    if family < 0.15:
+        formula = parse_dimacs(_raw_dimacs_text(rng, max_vars))
+        return (f"dimacs(v={formula.num_vars},"
+                f"c={formula.num_clauses})", formula)
+    if family < 0.75:
         num_vars = rng.randint(5, max_vars)
         k = rng.choice([2, 3, 3, 4])
         ratio = rng.uniform(1.5, 6.0)

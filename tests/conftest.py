@@ -11,6 +11,7 @@ from typing import Dict, Optional
 
 import pytest
 
+from repro.cnf.clause import evaluate_clause
 from repro.cnf.formula import CNFFormula
 
 
@@ -47,7 +48,7 @@ def assert_model_satisfies(formula: CNFFormula, assignment) -> None:
         assignment.as_dict() if hasattr(assignment, "as_dict")
         else dict(assignment))
     for clause in formula:
-        value = clause.evaluate(mapping)
+        value = evaluate_clause(clause, mapping)
         assert value is not False, \
             f"clause {clause} falsified by model"
 

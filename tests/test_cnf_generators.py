@@ -13,6 +13,7 @@ from repro.cnf.generators import (
     random_ksat_at_ratio,
     xor_clauses,
 )
+from repro.cnf.literals import variable
 
 
 class TestRandomKSat:
@@ -33,7 +34,7 @@ class TestRandomKSat:
     def test_distinct_variables_per_clause(self):
         formula = random_ksat(5, 50, k=3, seed=3)
         for clause in formula:
-            assert len(clause.variables()) == 3
+            assert len({variable(lit) for lit in clause}) == 3
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):

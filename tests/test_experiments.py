@@ -112,6 +112,13 @@ class TestRunner:
         assert record.status == "UNSATISFIABLE"
         assert record.seconds >= 0
 
+    def test_local_search_record_carries_flips(self, tiny_unsat_formula):
+        record, = run_matrix(["walksat"], [("t", tiny_unsat_formula)],
+                             max_conflicts=50)
+        assert record.status == "UNKNOWN"
+        assert record.flips > 0
+        assert record.row()[RUN_HEADERS.index("flips")] == record.flips
+
     def test_timed(self):
         seconds, value = timed(sum, [1, 2, 3])
         assert value == 6

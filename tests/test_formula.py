@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
+from repro.cnf.clause import Clause, is_tautology
 from repro.cnf.formula import CNFFormula
 
 
@@ -45,14 +45,16 @@ class TestVariables:
 class TestClauses:
     def test_add_clause_from_list(self):
         formula = CNFFormula()
-        stored = formula.add_clause([1, -2])
-        assert isinstance(stored, Clause)
+        stored = formula.add_clause([-2, 1, -2])
+        assert type(stored) is tuple and stored == (1, -2)
+        assert formula.clauses == [stored]
         assert formula.num_clauses == 1
 
     def test_add_clause_object(self):
         formula = CNFFormula()
-        clause = Clause([3])
-        assert formula.add_clause(clause) is clause
+        clause = Clause([3, -1])
+        assert formula.add_clause(clause) == clause.literals == (-1, 3)
+        assert formula.clauses == [clause.literals]
 
     def test_duplicates_preserved(self):
         formula = CNFFormula()
@@ -118,7 +120,8 @@ class TestUtilities:
         formula = CNFFormula()
         formula.add_clause([1, -2])
         mapped = formula.map_variables({2: 1})
-        assert mapped.clauses[0] == Clause([1, -1])
+        assert mapped.clauses[0] == (1, -1)
+        assert is_tautology(mapped.clauses[0])
 
     def test_equality(self):
         left = CNFFormula(2)

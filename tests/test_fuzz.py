@@ -3,7 +3,9 @@ cross-checks, and the delta-debugging shrinker."""
 
 import json
 import os
+import random
 
+from repro.cnf.dimacs import parse_dimacs
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import pigeonhole
 from repro.solvers.result import SolverResult, Status
@@ -11,8 +13,10 @@ from repro.verify.fuzz import (
     CDCLEngine,
     DPLLEngine,
     Engine,
+    _raw_dimacs_text,
     default_engines,
     differential_failure,
+    random_instance,
     run_fuzz,
     shrink_formula,
 )
@@ -102,6 +106,32 @@ class TestShrinker:
         shrink_formula(formula, predicate, max_evals=10)
         # + up to 1 for the renumbering probe
         assert len(calls) <= 11
+
+
+class TestRandomInstance:
+    def test_dimacs_family_spells_the_normal_form_edge_cases(self):
+        seen = set()
+        for seed in range(200):
+            text = _raw_dimacs_text(random.Random(seed), max_vars=8)
+            parse_dimacs(text)
+            for line in text.splitlines()[1:]:
+                lits = [int(token) for token in line.split()[:-1]]
+                if not lits:
+                    seen.add("empty")
+                if len(lits) == 1:
+                    seen.add("unit")
+                if len(set(lits)) < len(lits):
+                    seen.add("repeat")
+                if any(-lit in lits for lit in lits):
+                    seen.add("tautology")
+                if lits != sorted(lits, key=lambda lit: (abs(lit), lit < 0)):
+                    seen.add("unsorted")
+        assert seen == {"empty", "unit", "repeat", "tautology", "unsorted"}
+
+    def test_every_family_is_drawn(self):
+        families = {random_instance(random.Random(seed))[0].split("(")[0]
+                    for seed in range(40)}
+        assert families == {"dimacs", "ksat", "miter"}
 
 
 class TestRunFuzz:

@@ -8,7 +8,6 @@ from repro.apps.bmc import check_safety
 from repro.apps.delay_fault import DelayFaultATPG, enumerate_path_faults
 from repro.apps.seq_equivalence import check_sequential_equivalence
 from repro.circuits.generators import binary_counter, carry_select_adder
-from repro.cnf.clause import Clause
 from repro.cnf.generators import pigeonhole
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import SolverStats
@@ -59,7 +58,7 @@ class TestBasics:
         assert solver.formula is not tiny_sat_formula
         assert solver.formula.num_vars == var == 4
         assert solver.formula.clauses == \
-            tiny_sat_formula.clauses + [Clause([-var, 3])]
+            tiny_sat_formula.clauses + [(3, -var)]
 
 
 class TestAssumptions:

@@ -7,13 +7,12 @@ import pytest
 from conftest import brute_force_models, brute_force_status
 
 from repro.circuits.gates import GateType
-from repro.circuits.library import c17, figure1_circuit, half_adder
+from repro.circuits.library import figure1_circuit, half_adder
 from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import simulate
 from repro.circuits.tseitin import (
     add_objective,
     build_miter,
-    cone_encoding,
     encode_circuit,
     encode_miter,
     encode_with_objective,
@@ -145,27 +144,3 @@ class TestMiter:
         miter, xors = build_miter(single, single)
         assert len(xors) == 1
         miter.validate()
-
-
-class TestConeEncoding:
-    def test_cone_smaller_than_full(self):
-        circuit = c17()
-        full = encode_circuit(circuit)
-        cone = cone_encoding(circuit, ["G22"])
-        assert cone.formula.num_vars < full.formula.num_vars
-
-    def test_cone_preserves_function(self):
-        circuit = c17()
-        cone = cone_encoding(circuit, ["G22"])
-        from repro.solvers.cdcl import solve_cdcl
-        formula = cone.formula.copy()
-        formula.add_clause([cone.literal("G22", True)])
-        result = solve_cdcl(formula)
-        assert result.is_sat
-        vector = {name: bool(result.assignment.value_of(var))
-                  if result.assignment.value_of(var) is not None else False
-                  for name, var in cone.var_of.items()
-                  if cone.circuit.node(name).is_input}
-        full_vector = {name: vector.get(name, False)
-                       for name in circuit.inputs}
-        assert simulate(circuit, full_vector)["G22"] is True
