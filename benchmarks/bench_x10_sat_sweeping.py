@@ -17,6 +17,14 @@ from repro.circuits.generators import (
 )
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["rca3 vs csa3", 71, True, 59, 63, 0],
+    ["rca5 vs csa5", 128, True, 92, 98, 0],
+    ["mul4 vs mul4", 347, True, 130, 138, 0],
+]
+
 
 def pairs():
     return [
@@ -42,6 +50,7 @@ def test_x10_sat_sweeping(benchmark, show):
         title="X10 -- SAT sweeping (internal-equivalence CEC, "
               "[16, 26])"))
 
+    assert rows == EXPECTED
     # Structurally related pairs expose internal equivalences.
     assert all(row[3] > 0 for row in rows)
 

@@ -18,6 +18,15 @@ from repro.apps.sequential_atpg import (
 from repro.circuits.faults import StuckAtFault, full_fault_list
 from repro.circuits.generators import binary_counter, shift_register
 from repro.experiments.tables import format_table
+from repro.solvers.result import SolverStats
+
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["shift3", 10, 10, 0, 3, 41, 120],
+    ["cnt2", 16, 16, 0, 3, 41, 137],
+    ["cnt3", 22, 22, 0, 7, 311, 777],
+]
 
 
 def observable_faults(circuit):
@@ -34,8 +43,10 @@ def test_x7_sequential_atpg(benchmark, show):
                            (binary_counter(3), 12)):
         detected = undetectable = 0
         max_frame = 0
+        total = SolverStats()
         for fault in observable_faults(circuit):
             result = SequentialATPG(circuit, fault).solve(depth)
+            total.merge(result.stats)
             if result.outcome is SequenceOutcome.DETECTED:
                 detected += 1
                 max_frame = max(max_frame, result.detect_frame)
@@ -43,12 +54,15 @@ def test_x7_sequential_atpg(benchmark, show):
             else:
                 undetectable += 1
         rows.append([circuit.name, len(observable_faults(circuit)),
-                     detected, undetectable, max_frame])
+                     detected, undetectable, max_frame,
+                     total.conflicts, total.decisions])
     show(format_table(
         ["circuit", "observable faults", "detected",
-         "undetectable (bound)", "longest sequence (frames)"], rows,
+         "undetectable (bound)", "longest sequence (frames)",
+         "conflicts", "decisions"], rows,
         title="X7 -- sequential ATPG, time-frame expansion"))
 
+    assert rows == EXPECTED
     by_name = {row[0]: row for row in rows}
     # Shift register: every fault detectable; deepest needs >= 3 frames.
     assert by_name["shift3"][3] == 0

@@ -15,6 +15,15 @@ from repro.circuits.generators import binary_counter, shift_register
 from repro.circuits.netlist import Circuit
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["cnt2 vs cnt2", 6, "equivalent through 6", 92],
+    ["shift3 vs shift3-rebuf", 6, "equivalent through 6", 14],
+    ["cnt2 vs cnt3", 8, "diverges at frame 3", 7],
+    ["shift2 vs shift3", 6, "diverges at frame 2", 3],
+]
+
 
 def rebuffered_shift(length: int) -> Circuit:
     circuit = Circuit(f"shift{length}b")
@@ -53,6 +62,7 @@ def test_x8_sequential_equivalence(benchmark, show):
         title="X8 -- bounded sequential equivalence "
               "(product-machine unrolling)"))
 
+    assert rows == EXPECTED
     assert "equivalent" in rows[0][2]
     assert "equivalent" in rows[1][2]
     assert rows[2][2] == "diverges at frame 3"   # rollover mismatch

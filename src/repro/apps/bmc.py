@@ -10,18 +10,32 @@ The checker exploits the *incremental* interface (Section 6): one
 persistent solver accumulates frames, and the per-depth property check
 rides on an assumption literal, so clauses learned at depth t prune
 the search at depth t+1.
+
+A certified sweep is the same search with a proof sink attached: the
+solver writes one stream for the whole sweep -- every unrolled clause
+as an input step, every learned clause, and each UNSAT depth's negated
+property literal as a target step (:mod:`repro.verify.drat`).  The
+independent checker reads it once, matching the input steps against
+the unrolling this checker encoded, and a depth counts as proved only
+when its own target passed.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.circuits.netlist import Circuit
 from repro.circuits.tseitin import encode_nodes, input_trace
+from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import SolverStats
+from repro.verify.certificate import (MODEL, PROOF, Certificate,
+                                      check_unsat_proof)
+from repro.verify.drat import FileProofSink
 
 
 @dataclass
@@ -43,12 +57,14 @@ class BMCResult:
     stats: SolverStats = field(default_factory=SolverStats)
     #: Certified sweeps only: one
     #: :class:`repro.verify.certificate.Certificate` per decided
-    #: depth, in depth order (unreachability proofs for UNSAT frames,
+    #: depth, in depth order (a checked target for each UNSAT frame,
     #: an audited model for the failing frame).
     certificates: List = field(default_factory=list)
-    #: A certified depth produced an UNSAT whose proof failed the
-    #: independent check; the sweep stopped there and that depth does
-    #: NOT count as proved (the diagnostic is in the last certificate).
+    #: A certified depth's answer failed the independent check: its
+    #: target did not pass, or its model failed the audit.  That
+    #: depth and every deeper one do NOT count as proved, no
+    #: counterexample is reported, and the diagnostic is in the last
+    #: certificate.
     discrepant: bool = False
 
     @property
@@ -72,17 +88,15 @@ class BoundedModelChecker:
         (status plus per-depth conflict/decision effort) and the
         per-depth solver spans nested inside.
     certify:
-        certify every depth: each frame's query runs as a fresh
-        certified solve over the persistent solver's formula, the
-        accumulated unrolling (its learned-clause reuse cannot be kept
-        -- a depth-t proof must derive from depth-t clauses alone), an
-        UNSAT depth only counts as proved once its DRUP proof passes
-        the independent checker, and the failing frame's model is
-        audited.  A failed check stops the sweep with
-        ``discrepant=True``.
+        certify every depth: the persistent solver streams one proof
+        for the sweep, the checker reads it once after the search, an
+        UNSAT depth counts as proved only when its target (the negated
+        property literal) passed, and the failing frame's model is
+        audited against the unrolling.  The first depth that fails
+        sets ``discrepant=True``.  A certified checker runs one sweep.
     proof_dir:
-        where per-depth proof files (``depth{t}.drup``) are kept;
-        ``None`` uses cleaned-up temporaries.
+        where the sweep's proof file (``bmc.drup``) is kept; ``None``
+        uses a cleaned-up temporary.
     """
 
     def __init__(self, circuit: Circuit,
@@ -100,14 +114,25 @@ class BoundedModelChecker:
         self.solver.tracer = tracer
         self.certify = certify
         self.proof_dir = proof_dir
+        #: Certified checkers only: the unrolling as this checker
+        #: encoded it, clause by clause -- what the proof checker
+        #: matches the stream's input steps against, never the
+        #: solver's own copy.
+        self.formula = CNFFormula() if certify else None
         #: var_of[frame][node]
         self.frames: List[Dict[str, int]] = []
 
     def _add_frame(self) -> Dict[str, int]:
         """Encode one more time frame and link the DFFs."""
+        add_clause = self.solver.add_clause
+        if self.formula is not None:        # certified: record, then add
+            record = self.formula.add_clause
+
+            def add_clause(literals):
+                self.solver.add_clause(record(literals))
         var_of = encode_nodes(
             self.circuit, lambda name: self.solver.new_var(),
-            self.solver.add_clause,
+            add_clause,
             previous=self.frames[-1] if self.frames else None,
             initial=self.initial_state)
         self.frames.append(var_of)
@@ -146,26 +171,47 @@ class BoundedModelChecker:
     def _check_output(self, output: str, bad_value: bool,
                       max_depth: int,
                       budget: Optional[Budget]) -> BMCResult:
+        if not self.certify:
+            return self._sweep(output, bad_value, max_depth, budget)[0]
+        if self.frames:
+            raise RuntimeError("a certified checker runs one sweep: "
+                               "its proof stream starts with the "
+                               "first frame")
+        sink = FileProofSink(self._proof_path())
+        self.solver.proof = sink
+        try:
+            result, asked, model = self._sweep(output, bad_value,
+                                               max_depth, budget)
+            sink.close()
+            self._certify(result, sink.path, asked, model)
+        finally:
+            self.solver.proof = None
+            sink.close()
+            if self.proof_dir is None and os.path.exists(sink.path):
+                os.remove(sink.path)
+        return result
+
+    def _sweep(self, output: str, bad_value: bool, max_depth: int,
+               budget: Optional[Budget]):
+        """The depth-by-depth search; returns the result, the property
+        literal asked at each depth and the failing frame's model."""
         tracer = self.tracer
         meter = budget.meter() if budget is not None else None
         result = BMCResult(None)
+        asked: List[int] = []           # the property literal per depth
+        model = None
         for depth in range(max_depth + 1):
             if meter is not None and meter.expired():
                 result.budget_exhausted = True
-                return result
+                break
             while len(self.frames) <= depth:
                 self._add_frame()
             var = self.frames[depth][output]
             assumption = var if bad_value else -var
-            call_budget = (meter.remaining_budget()
-                           if meter is not None else None)
-            if self.certify:
-                call = self._certified_depth(depth, assumption,
-                                             call_budget)
-                result.certificates.append(call.certificate)
-            else:
-                self.solver.budget = call_budget
-                call = self.solver.solve(assumptions=[assumption])
+            asked.append(assumption)
+            self.solver.budget = (meter.remaining_budget()
+                                  if meter is not None else None)
+            call = self.solver.solve(assumptions=[assumption])
             result.stats.merge(call.stats)
             if tracer is not None:
                 # call.stats is already the per-call delta, so these
@@ -175,50 +221,74 @@ class BoundedModelChecker:
                              conflicts=call.stats.conflicts,
                              decisions=call.stats.decisions)
             if call.is_sat:
+                model = call.assignment
                 result.failure_depth = depth
-                result.trace = input_trace(call.assignment,
+                result.trace = input_trace(model,
                                            self.frames[:depth + 1],
                                            self.circuit.inputs)
-                return result
+                break
             if not call.is_unsat:
-                certificate = call.certificate
-                if (certificate is not None
-                        and certificate.valid is False):
-                    # A depth whose proof failed the check: stop, and
-                    # never count this (or deeper) frames as proved.
-                    result.discrepant = True
-                    return result
                 # UNKNOWN: this depth is undecided, not proved.
                 result.budget_exhausted = True
-                return result
+                break
             result.depths_proved = depth + 1
-        return result
+        return result, asked, model
 
-    def _certified_depth(self, depth: int, assumption: int,
-                         budget: Optional[Budget]):
-        """One depth as a standalone certified solve.
+    def _proof_path(self) -> str:
+        if self.proof_dir is None:
+            handle, path = tempfile.mkstemp(suffix=".drup",
+                                            prefix="repro-bmc-")
+            os.close(handle)
+            return path
+        os.makedirs(self.proof_dir, exist_ok=True)
+        return os.path.join(self.proof_dir, "bmc.drup")
 
-        The accumulated unrolling (the persistent solver's formula)
-        plus the depth's property literal is re-posed as a fresh
-        formula, so the streamed DRUP proof derives from exactly the
-        clauses it certifies -- the persistent solver's cross-call
-        learned clauses would poison the derivation.  UNSAT means
-        *this* depth is unreachable; the proof file
-        (``depth{t}.drup``) certifies it independently.
+    def _certify(self, result: BMCResult, path: str,
+                 asked: List[int], model) -> None:
+        """Check the sweep's stream at *path* once, and keep only what
+        it certifies.
+
+        UNSAT depth t is proved when the stream's t-th accepted target
+        is ``-asked[t]``; the failing frame's *model* must satisfy the
+        unrolling and raise the property.  The first depth that fails
+        either test sets ``discrepant`` and cuts the result there.
         """
-        import os
-
-        from repro.verify.certificate import certified_solve
-
-        formula = self.solver.formula.copy()
-        formula.add_clause([assumption])
-        proof_path = None
-        if self.proof_dir is not None:
-            os.makedirs(self.proof_dir, exist_ok=True)
-            proof_path = os.path.join(self.proof_dir,
-                                      f"depth{depth}.drup")
-        return certified_solve(formula, proof_path=proof_path,
-                               tracer=self.tracer, budget=budget)
+        kept = path if self.proof_dir is not None else None
+        expected = [(-lit,) for lit in asked[:result.depths_proved]]
+        accepted: List = []
+        reason = None
+        if expected:
+            stream = check_unsat_proof(self.formula, path, self.tracer,
+                                       preloaded=0)
+            accepted, reason = stream.targets, stream.reason
+        for depth, target in enumerate(expected):
+            if depth < len(accepted) and accepted[depth] == target:
+                result.certificates.append(
+                    Certificate(PROOF, valid=True, proof_path=kept))
+                continue
+            if depth < len(accepted):
+                reason = (f"depth {depth}'s target is not its negated "
+                          f"property literal")
+            result.certificates.append(Certificate(
+                PROOF, valid=False, proof_path=kept,
+                reason=reason or f"no target for depth {depth}"))
+            result.depths_proved = depth
+            break
+        else:
+            if model is None:
+                return
+            valid = (self.formula.is_satisfied_by(model)
+                     and model.satisfies_literal(asked[-1]))
+            result.certificates.append(Certificate(
+                MODEL, valid=valid,
+                reason=None if valid else
+                "claimed model does not satisfy the unrolling and "
+                "the property literal"))
+            if valid:
+                return
+        result.discrepant = True
+        result.failure_depth = None
+        result.trace = []
 
 
 def check_safety(circuit: Circuit, output: str, bad_value: bool = True,

@@ -40,8 +40,10 @@ under that call's assumptions, budget and conflict caps, returning
 that call's own stats.  It keeps its own formula, which grows with
 every added clause and variable: an added clause is put in normal
 form there, once, and enters the arena as that stored tuple; the
-decision heuristic is seeded from the formula on every call, and
-certified callers re-pose it as a standalone formula.
+decision heuristic is seeded from the formula on every call.  One
+proof sink covers every call: added clauses become its input steps
+and each refuted query's negated assumptions a target step
+(:mod:`repro.verify.drat`).
 
 Decisions are delegated to the pluggable heuristics of
 :mod:`repro.solvers.heuristics` (heap-backed since PR 1); restarts to
@@ -246,8 +248,12 @@ class CDCLSolver:
         #: inprocessing's learned rewrites), every unit implicate,
         #: inprocessing's original-clause adds, every collected clause
         #: (``_drop_clauses``), and the empty clause when a solve
-        #: without assumptions ends UNSAT.  Set it before the first
-        #: ``solve`` call.
+        #: without assumptions ends UNSAT.  Used incrementally it also
+        #: takes every ``add_clause`` clause as an input step and, when
+        #: a solve under assumptions ends UNSAT, their negation as a
+        #: target step.  Set it before the first ``add_clause`` or
+        #: ``solve`` call: the formula the solver was built on is the
+        #: checker's starting database.
         self.proof = None
 
         self._num_vars = self.formula.num_vars
@@ -328,9 +334,11 @@ class CDCLSolver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable for later clauses and assumptions
-        (incremental interface).  The search tables grow when a clause
-        first mentions it."""
-        return self._grown_formula().new_var()
+        (incremental interface); the search tables grow with it, so an
+        assumption may name it before any clause does."""
+        var = self._grown_formula().new_var()
+        self._grow_to(var)
+        return var
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause between solve calls (incremental interface).
@@ -339,7 +347,8 @@ class CDCLSolver:
         joins the engine's formula, which puts it in normal form, and
         then the arena; like every original clause, it survives all
         later GC compactions.  The search tables grow to the formula's
-        variable count.
+        variable count.  With a ``proof`` sink the normal-form clause
+        is also the stream's next input step.
         """
         if self._trail_lim:
             raise RuntimeError("add_clause only allowed at level 0")
@@ -348,9 +357,39 @@ class CDCLSolver:
             self._inprocessor.check_literals(literals, "added clauses")
         formula = self._grown_formula()
         lits = formula.add_clause(literals)
+        if self.proof is not None:
+            self.proof.input(lits)
         if formula.num_vars > self._num_vars:
             self._grow_to(formula.num_vars)
+        if self._trail and len(lits) > 1:
+            lits = self._watchable(lits)
         self._attach_input_clause(lits)
+
+    def _watchable(self, lits: Tuple[int, ...]) -> Tuple[int, ...]:
+        """*lits* ordered so a watch can still fire under the root
+        assignments earlier calls left on the trail.
+
+        Propagation never revisits a root assignment, so a clause whose
+        two watched literals are both false there would never propagate
+        or conflict.  Its unassigned literals move to the front; with
+        none (every literal false) the formula is refuted at the root.
+        A satisfied clause, or one with an unassigned watch, keeps its
+        order (a false watch is swapped out when the other one falls).
+        """
+        values = self._values
+        free = []
+        for lit in lits:
+            value = values[lit if lit > 0 else -lit]
+            if value is None:
+                free.append(lit)
+            elif value == (lit > 0):
+                return lits             # satisfied at the root for good
+        if not free:
+            self._root_conflict = True
+            return lits
+        if lits[0] in free or lits[1] in free:
+            return lits
+        return tuple(free) + tuple(lit for lit in lits if lit not in free)
 
     def _grow_to(self, var: int) -> None:
         extra = var - self._num_vars
@@ -1018,11 +1057,13 @@ class CDCLSolver:
                 self.stats.arena_peak_lits = self.arena.peak_lits
             if self.metrics is not None:
                 self.stats.metrics = self.metrics.snapshot()
-        if (status is Status.UNSATISFIABLE and not assumptions
-                and self.proof is not None):
-            # A refutation under assumptions refutes only them, so it
-            # does not conclude a proof of the formula.
-            self.proof.conclude()
+        if status is Status.UNSATISFIABLE and self.proof is not None:
+            # A refutation under assumptions refutes only them: it is
+            # a target (their negation, RUP here), not a conclusion.
+            if assumptions:
+                self.proof.target([-lit for lit in assumptions])
+            else:
+                self.proof.conclude()
         model = self._model() if status is Status.SATISFIABLE else None
         self._cancel_until(0)
         return SolverResult(status, model,

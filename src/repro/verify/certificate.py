@@ -26,8 +26,8 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from repro.verify.checker import CheckOutcome, check_proof_file
 from repro.verify.drat import FileProofSink
@@ -57,6 +57,9 @@ class Certificate:
     #: Why there is no usable certificate (kind="none"), or the
     #: checker diagnostic for an invalid proof.
     reason: Optional[str] = None
+    #: An incremental stream's targets the checker accepted, in order
+    #: (each refutes one query's assumptions).
+    targets: List[Tuple[int, ...]] = field(default_factory=list)
 
     def summary(self) -> str:
         """One human line for CLI output."""
@@ -85,16 +88,27 @@ def _emit_check_event(tracer, outcome: CheckOutcome, bytes_written: int,
                      valid=int(outcome.valid))
 
 
-def check_unsat_proof(formula, proof_path: str,
-                      tracer=None) -> Certificate:
+def check_unsat_proof(formula, proof_path: str, tracer=None,
+                      preloaded: Optional[int] = None) -> Certificate:
     """Run the independent checker over *proof_path* and wrap the
-    verdict in a :class:`Certificate` (emitting ``verify.check``)."""
+    verdict in a :class:`Certificate` (emitting ``verify.check``).
+
+    With *preloaded* set the file is an incremental stream whose
+    solver was built on that many of *formula*'s clauses
+    (:func:`repro.verify.checker.check_proof_steps`): it need not
+    conclude, and the certificate lists the targets it proved.
+    """
     try:
         size = os.path.getsize(proof_path)
     except OSError:
         size = 0
     started = time.perf_counter()
-    outcome = check_proof_file(formula, proof_path)
+    if preloaded is None:
+        outcome = check_proof_file(formula, proof_path)
+    else:
+        outcome = check_proof_file(formula, proof_path,
+                                   require_empty=False,
+                                   preloaded=preloaded)
     elapsed = time.perf_counter() - started
     _emit_check_event(tracer, outcome, size, elapsed)
     return Certificate(PROOF, valid=outcome.valid, proof_path=proof_path,
@@ -103,7 +117,8 @@ def check_unsat_proof(formula, proof_path: str,
                        bytes_written=size,
                        check_seconds=elapsed,
                        propagations=outcome.propagations,
-                       reason=outcome.error)
+                       reason=outcome.error,
+                       targets=outcome.targets)
 
 
 def model_certificate(formula, assignment) -> Certificate:

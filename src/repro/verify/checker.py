@@ -20,14 +20,29 @@ Checking is forward DRUP:
 * the proof certifies UNSAT when the **empty clause** (a line ``0``)
   is reached, i.e. the database propagates to conflict outright.
 
+An incremental solver's stream (paper Section 6; the IDRUP lines of
+:mod:`repro.verify.drat`) adds two kinds:
+
+* an **input** line ``i l1 .. lk 0`` enters a clause the caller added
+  between solve calls.  The checker never takes the solver's word for
+  it: the line must equal (as a set) the next clause of the app's own
+  formula, which the checker reads in order from the clause
+  *preloaded* on; the database starts with the clauses before it;
+* a **target** line ``u l1 .. lk 0`` is the clause refuting one
+  query's assumptions.  It must be RUP against the database at that
+  point -- an input added later cannot help it -- and is reported in
+  ``CheckOutcome.targets``, in order, for the app to compare with the
+  queries it asked.  A target does not enter the database.
+
 Every rejection carries a ``line N:``-prefixed diagnostic so a
 corrupted or truncated file is pinpointed, not just refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -38,6 +53,9 @@ class CheckOutcome:
     steps_checked: int = 0
     adds: int = 0
     deletes: int = 0
+    inputs: int = 0
+    #: The target clauses that passed their RUP check, in order.
+    targets: List[Tuple[int, ...]] = field(default_factory=list)
     #: True when the empty clause was reached (UNSAT certified).
     concluded: bool = False
     #: ``line N:``-prefixed diagnostic when invalid.
@@ -62,6 +80,11 @@ def _codes(literals: Iterable[int]) -> List[int]:
     """The distinct literal codes of *literals*, first-seen order."""
     return list(dict.fromkeys(lit + lit if lit > 0 else 1 - lit - lit
                               for lit in literals))
+
+
+def _key(literals: Iterable[int]) -> Tuple[int, ...]:
+    """*literals* as a set: its sorted distinct codes."""
+    return tuple(sorted(_codes(literals)))
 
 
 class _Propagation:
@@ -170,7 +193,7 @@ class _Propagation:
     def delete_clause(self, literals: Sequence[int]) -> bool:
         """Remove one clause matching *literals* as a set; False when
         no live clause matches (watch entries die lazily)."""
-        bucket = self._by_key.get(tuple(sorted(_codes(literals))))
+        bucket = self._by_key.get(_key(literals))
         if not bucket:
             return False
         bucket.pop()[:] = (0, 0)         # tombstone: swept lazily
@@ -304,7 +327,7 @@ class RupDatabase:
     __slots__ = ("_engine",)
 
     def __init__(self, formula) -> None:
-        self._engine = _load(formula)
+        self._engine, _ = _load(formula)
 
     def admit(self, literals: Sequence[int]) -> bool:
         """RUP-check *literals*; on success insert the clause into the
@@ -320,7 +343,8 @@ class RupDatabase:
 
 def _parse_proof_line(lineno: int, raw: str
                       ) -> Optional[Tuple[str, List[int]]]:
-    """One DRUP line -> ``(kind, literals)``; None for blank/comment.
+    """One proof line -> ``(kind, literals)``, *kind* one of ``a``
+    (add), ``d``, ``i`` and ``u``; None for a blank line or comment.
 
     Raises :class:`_ParseError` with a precise diagnostic for
     malformed tokens, a missing terminating 0, or an embedded 0.
@@ -329,10 +353,10 @@ def _parse_proof_line(lineno: int, raw: str
     if not text or text[0] == "c":
         return None
     kind = "a"
-    if text[0] == "d":
+    if text[0] in "diu":
         if len(text) > 1 and not text[1].isspace():
             raise _ParseError(lineno, f"malformed token {text.split()[0]!r}")
-        kind = "d"
+        kind = text[0]
         text = text[1:]
     nums: List[int] = []
     for token in text.split():
@@ -347,17 +371,21 @@ def _parse_proof_line(lineno: int, raw: str
     return kind, nums[:-1]
 
 
-def _load(formula) -> _Propagation:
-    """An engine holding *formula*'s clauses, at its root fixpoint."""
+def _load(formula, preloaded: Optional[int] = None
+          ) -> Tuple[_Propagation, Iterator[Sequence[int]]]:
+    """An engine holding the first *preloaded* clauses of *formula*
+    (all of them when None), at its root fixpoint, and an iterator
+    over the rest: the clauses input steps must match, in order."""
     engine = _Propagation(getattr(formula, "num_vars", 0))
-    for clause in formula:
+    pending = iter(formula)
+    for clause in islice(pending, preloaded):
         engine.add_clause(clause)
-    return engine
+    return engine, pending
 
 
 def _check(formula, steps: Iterable[Tuple[int, str, Sequence[int]]],
-           require_empty: bool) -> CheckOutcome:
-    engine = _load(formula)
+           require_empty: bool, preloaded: Optional[int]) -> CheckOutcome:
+    engine, pending = _load(formula, preloaded)
     outcome = CheckOutcome(valid=False)
     error = None
     last_line = 0
@@ -367,14 +395,25 @@ def _check(formula, steps: Iterable[Tuple[int, str, Sequence[int]]],
                 error = "deletion of a clause not in the database"
                 break
             outcome.deletes += 1
-        else:
-            if not engine.root_conflict and not engine.rup_check(lits):
-                error = "clause is not a RUP consequence of the database"
+        elif kind == "i":
+            expected = next(pending, None)
+            if expected is None or _key(expected) != _key(lits):
+                error = "input is not the formula's next clause"
                 break
             engine.add_clause(lits)
-            outcome.adds += 1
-            if not lits:
-                outcome.concluded = True
+            outcome.inputs += 1
+        else:                           # an add or a target: RUP
+            if not engine.root_conflict and not engine.rup_check(lits):
+                error = ("target" if kind == "u" else "clause") + \
+                    " is not a RUP consequence of the database"
+                break
+            if kind == "u":
+                outcome.targets.append(tuple(lits))
+            else:
+                engine.add_clause(lits)
+                outcome.adds += 1
+                if not lits:
+                    outcome.concluded = True
         outcome.steps_checked += 1
         if outcome.concluded:
             break                       # UNSAT certified; ignore tail
@@ -391,31 +430,42 @@ def _check(formula, steps: Iterable[Tuple[int, str, Sequence[int]]],
 
 
 def check_proof_steps(formula, events: Iterable[Tuple[str, Sequence[int]]],
-                      require_empty: bool = True) -> CheckOutcome:
-    """Check in-memory proof *events* (``("a"|"d", literals)`` pairs,
-    e.g. :attr:`repro.verify.drat.MemoryProofSink.events`)."""
+                      require_empty: bool = True,
+                      preloaded: Optional[int] = None) -> CheckOutcome:
+    """Check in-memory proof *events* (``(kind, literals)`` pairs,
+    e.g. :attr:`repro.verify.drat.MemoryProofSink.events`).
+
+    The database starts with *formula*'s first *preloaded* clauses
+    (all of them when None, a one-shot proof); the rest may enter
+    only through input steps, in order.  An incremental stream passes
+    ``require_empty=False`` and reads ``targets``.
+    """
     numbered = ((index + 1, kind, lits)
                 for index, (kind, lits) in enumerate(events))
-    return _check(formula, numbered, require_empty)
+    return _check(formula, numbered, require_empty, preloaded)
 
 
 def check_proof_lines(formula, lines: Iterable[str],
-                      require_empty: bool = True) -> CheckOutcome:
-    """Check an iterable of DRUP text lines against *formula*."""
+                      require_empty: bool = True,
+                      preloaded: Optional[int] = None) -> CheckOutcome:
+    """Check an iterable of proof text lines against *formula* (see
+    :func:`check_proof_steps`)."""
     def steps():
         for lineno, raw in enumerate(lines, start=1):
             parsed = _parse_proof_line(lineno, raw)
             if parsed is not None:
                 yield lineno, parsed[0], parsed[1]
     try:
-        return _check(formula, steps(), require_empty)
+        return _check(formula, steps(), require_empty, preloaded)
     except _ParseError as exc:
         return CheckOutcome(valid=False, error=str(exc), line=exc.line)
 
 
 def check_proof_file(formula, path: str,
-                     require_empty: bool = True) -> CheckOutcome:
-    """Check the DRUP file at *path* against *formula*.
+                     require_empty: bool = True,
+                     preloaded: Optional[int] = None) -> CheckOutcome:
+    """Check the proof file at *path* against *formula* (see
+    :func:`check_proof_steps`).
 
     A missing or unreadable file is an invalid proof (with the OS
     error as diagnostic), never an exception: certification callers
@@ -423,7 +473,8 @@ def check_proof_file(formula, path: str,
     """
     try:
         with open(path, "r", encoding="ascii", errors="replace") as fh:
-            return check_proof_lines(formula, fh, require_empty)
+            return check_proof_lines(formula, fh, require_empty,
+                                     preloaded)
     except OSError as exc:
         return CheckOutcome(valid=False,
                             error=f"unreadable proof file: {exc}")

@@ -11,13 +11,20 @@ The engine writes the stream itself: a
 a :class:`ProofSink` adds every clause it learns, imports or rewrites
 and every unit implicate, deletes every clause it collects, and
 concludes with the empty clause when a solve without assumptions ends
-UNSAT.  Each step is handed over as the literals stand at that moment,
-so later compactions -- which renumber ids and recycle buffer space --
-can never corrupt an already-emitted step.
+UNSAT.  Used incrementally (paper Section 6), the same solver also
+writes every clause later given to ``add_clause`` as an *input* step
+and, when a solve under assumptions ends UNSAT, the negated
+assumptions as a *target* step: one stream covers every call, in the
+manner of IDRUP (Fazekas, Pollitt, Fleury and Biere, "Certifying
+Incremental SAT Solving", LPAR 2024).  Each step is handed over as the
+literals stand at that moment, so later compactions -- which renumber
+ids and recycle buffer space -- can never corrupt an already-emitted
+step.
 
 :class:`FileProofSink` appends the steps to a file through a bounded
-buffer (O(1) solver-side memory), and keeps the file only when the
-proof concluded: a partial derivation certifies nothing.
+buffer (O(1) solver-side memory), and keeps the file only when it
+proves something -- the proof concluded, or a target was written: a
+derivation that reached neither certifies nothing.
 :class:`MemoryProofSink` keeps the steps as events instead --
 O(all-learned-clauses) in RAM, so for unit tests, the fuzzer and small
 ablations only -- which :func:`repro.verify.checker.check_proof_steps`
@@ -28,12 +35,18 @@ DRUP line format (checker-facing contract):
 
 * ``l1 l2 ... 0``     -- the learned clause (an *add* step);
 * ``d l1 l2 ... 0``   -- a deletion (the clause left the solver's DB);
+* ``i l1 l2 ... 0``   -- an *input* step: a clause the caller added
+  after the solver was built (IDRUP's input line).  The checker takes
+  it only if it is the app's formula's next clause;
+* ``u l1 l2 ... 0``   -- a *target* step: the clause refuting one
+  query's assumptions, RUP at that point (IDRUP's unsat-core line);
 * ``0``               -- the final empty clause, ending an UNSAT proof.
+
+A one-shot solve writes neither ``i`` nor ``u`` lines.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,15 +57,18 @@ _FLUSH_BYTES = 1 << 16
 class ProofSink:
     """Interface every proof sink implements.
 
-    ``add``/``delete`` receive raw literal sequences in derivation
-    order; ``conclude`` marks the proof complete (empty clause);
-    ``close`` releases resources.  All counters are maintained here so
-    subclasses only implement ``_emit``.
+    ``add``/``delete``/``input``/``target`` receive raw literal
+    sequences in derivation order; ``conclude`` marks the proof
+    complete (empty clause); ``close`` releases resources.  All
+    counters are maintained here so subclasses only implement
+    ``_emit``.
     """
 
     def __init__(self) -> None:
         self.adds = 0
         self.deletes = 0
+        self.inputs = 0
+        self.targets = 0
         self.bytes_written = 0
         self.concluded = False
         self.closed = False
@@ -60,12 +76,22 @@ class ProofSink:
     def add(self, literals: Sequence[int]) -> None:
         """Record a learned clause (RUP consequence)."""
         self.adds += 1
-        self._emit(self._format(literals, delete=False))
+        self._emit(_line("", literals))
 
     def delete(self, literals: Sequence[int]) -> None:
         """Record a clause deletion (GC dropped it)."""
         self.deletes += 1
-        self._emit(self._format(literals, delete=True))
+        self._emit(_line("d ", literals))
+
+    def input(self, literals: Sequence[int]) -> None:
+        """Record a clause the caller added between solve calls."""
+        self.inputs += 1
+        self._emit(_line("i ", literals))
+
+    def target(self, literals: Sequence[int]) -> None:
+        """Record the clause refuting a query's assumptions."""
+        self.targets += 1
+        self._emit(_line("u ", literals))
 
     def conclude(self) -> None:
         """Record the empty clause: the proof now certifies UNSAT."""
@@ -78,17 +104,22 @@ class ProofSink:
 
     @property
     def steps(self) -> int:
-        """Total emitted steps (adds + deletes + conclusion)."""
-        return self.adds + self.deletes + (1 if self.concluded else 0)
-
-    def _format(self, literals: Sequence[int], delete: bool) -> str:
-        body = " ".join(map(str, literals))
-        if delete:
-            return f"d {body} 0\n" if body else "d 0\n"
-        return f"{body} 0\n" if body else "0\n"
+        """Total emitted steps (every line, the conclusion included)."""
+        return (self.adds + self.deletes + self.inputs + self.targets
+                + (1 if self.concluded else 0))
 
     def _emit(self, line: str) -> None:
         raise NotImplementedError
+
+
+#: Line prefix of each step kind (``MemoryProofSink.events`` keys).
+_PREFIX = {"a": "", "d": "d ", "i": "i ", "u": "u "}
+
+
+def _line(prefix: str, literals: Sequence[int]) -> str:
+    """One proof line: *prefix*, the literals, the terminating 0."""
+    body = " ".join(map(str, literals))
+    return f"{prefix}{body} 0\n" if body else f"{prefix}0\n"
 
 
 class FileProofSink(ProofSink):
@@ -98,7 +129,9 @@ class FileProofSink(ProofSink):
     ``flush``/``close`` force everything to disk, so a checker reading
     the file after ``close`` sees the complete stream.  ``close`` is
     also where the one rule for partial proofs lives: the file
-    survives only a concluded (UNSAT) run, and is removed otherwise.
+    survives only a run that proved something -- it concluded (UNSAT)
+    or wrote a target (a query refuted under assumptions) -- and is
+    removed otherwise.
     """
 
     def __init__(self, path: str) -> None:
@@ -127,7 +160,7 @@ class FileProofSink(ProofSink):
             self.flush()
             self._file.close()
             super().close()
-            if not self.concluded:
+            if not (self.concluded or self.targets):
                 try:
                     os.remove(self.path)
                 except OSError:
@@ -143,9 +176,9 @@ class FileProofSink(ProofSink):
 class MemoryProofSink(ProofSink):
     """Keep the proof in memory -- unit tests and the fuzzer only.
 
-    ``events`` holds ``("a"|"d", (lits...))`` tuples in emission order
-    (what :func:`repro.verify.checker.check_proof_steps` consumes);
-    ``lines()`` renders the equivalent file body.
+    ``events`` holds ``("a"|"d"|"i"|"u", (lits...))`` tuples in
+    emission order (what :func:`repro.verify.checker.check_proof_steps`
+    consumes); ``lines()`` renders the equivalent file body.
     """
 
     def __init__(self) -> None:
@@ -160,6 +193,14 @@ class MemoryProofSink(ProofSink):
         self.events.append(("d", tuple(literals)))
         super().delete(literals)
 
+    def input(self, literals: Sequence[int]) -> None:
+        self.events.append(("i", tuple(literals)))
+        super().input(literals)
+
+    def target(self, literals: Sequence[int]) -> None:
+        self.events.append(("u", tuple(literals)))
+        super().target(literals)
+
     def conclude(self) -> None:
         if not self.concluded:
             self.events.append(("a", ()))
@@ -170,14 +211,8 @@ class MemoryProofSink(ProofSink):
 
     def lines(self) -> str:
         """The proof rendered as DRUP file text."""
-        out = io.StringIO()
-        for kind, lits in self.events:
-            body = " ".join(map(str, lits))
-            if kind == "d":
-                out.write(f"d {body} 0\n" if body else "d 0\n")
-            else:
-                out.write(f"{body} 0\n" if body else "0\n")
-        return out.getvalue()
+        return "".join(_line(_PREFIX[kind], lits)
+                       for kind, lits in self.events)
 
 
 def solve_with_proof_stream(formula, sink: Optional[ProofSink] = None,

@@ -12,6 +12,11 @@ procedures:
 * **CDCL** under a randomized configuration (heuristic, restarts,
   deletion policy, minimization, phase saving, budget) with a
   streamed proof attached -- every UNSAT verdict is check-verified;
+* the same configuration as **one persistent solver** (Section 6):
+  the instance arrives in random clause batches with a random
+  assumption query after each and a plain query last, every model is
+  audited against the clauses added so far, and the one proof stream
+  -- input, lemma and target steps -- is checked once;
 * **DPLL** (chronological, no learning) -- an independent baseline;
 * **recursive learning** as a preprocessor feeding a plain CDCL.
 
@@ -65,6 +70,11 @@ class Engine:
 
     name = "engine"
     proof_events: Optional[List[Tuple[str, Tuple[int, ...]]]] = None
+    #: ``(kind, detail)`` when the latest run failed its own checks
+    #: (the persistent solver's model audits and stream check).
+    failure: Optional[Tuple[str, str]] = None
+    #: Assumption queries the latest run asked.
+    queries = 0
 
     def run(self, formula: CNFFormula) -> SolverResult:
         raise NotImplementedError
@@ -96,16 +106,19 @@ class CDCLEngine(Engine):
             inprocess_interval=inprocess_interval)
         self.proof_events = None
 
-    def run(self, formula: CNFFormula) -> SolverResult:
+    def solver(self, formula: Optional[CNFFormula] = None,
+               inprocess: bool = True):
+        """A :class:`CDCLSolver` in this configuration, with a memory
+        proof sink (``inprocess=False`` leaves inprocessing out)."""
         from repro.solvers.cdcl import CDCLSolver
         from repro.solvers.heuristics import make_heuristic
         from repro.solvers.restarts import make_restart_policy
 
         p = self.params
-        inprocess = None
-        if p["inprocess_interval"] is not None:
+        config = None
+        if inprocess and p["inprocess_interval"] is not None:
             from repro.solvers.inprocess import InprocessConfig
-            inprocess = InprocessConfig(interval=p["inprocess_interval"])
+            config = InprocessConfig(interval=p["inprocess_interval"])
         solver = CDCLSolver(
             formula,
             heuristic=make_heuristic(p["heuristic"], seed=p["seed"],
@@ -117,14 +130,103 @@ class CDCLEngine(Engine):
             minimize_learned=p["minimize_learned"],
             phase_saving=p["phase_saving"],
             max_conflicts=p["max_conflicts"],
-            inprocess=inprocess)
+            inprocess=config)
         solver.proof = MemoryProofSink()
+        return solver
+
+    def run(self, formula: CNFFormula) -> SolverResult:
+        solver = self.solver(formula)
         result = solver.solve()
         self.proof_events = solver.proof.events
         return result
 
     def describe(self) -> Dict[str, object]:
         return {"name": self.name, "kind": "cdcl", **self.params}
+
+
+class IncrementalEngine(Engine):
+    """*cdcl*'s configuration as one persistent solver.
+
+    The formula arrives in random clause batches (variables allocated
+    up front, so a query may name one no clause mentions yet), each
+    batch followed by a query under 1-3 random assumptions, and a last
+    query without any gives the verdict.  Every model is audited
+    against the clauses added so far and its query's assumptions; the
+    whole proof stream is checked once, its input steps against those
+    clauses and its targets against the refuted queries.  Inprocessing
+    stays off: elimination may not meet a later clause.  The batches
+    and queries are drawn from *cdcl*'s seed.
+    """
+
+    def __init__(self, cdcl: CDCLEngine):
+        self.name = f"{cdcl.name}-incremental"
+        self.cdcl = cdcl
+        self.proof_events = None
+
+    def run(self, formula: CNFFormula) -> SolverResult:
+        rng = random.Random(self.cdcl.params["seed"])
+        solver = self.cdcl.solver(inprocess=False)
+        added = CNFFormula(num_vars=formula.num_vars)
+        for _ in range(formula.num_vars):
+            solver.new_var()
+        clauses = formula.clauses
+        expected: List[Tuple[int, ...]] = []
+        self.failure = None
+        self.queries = 0
+        start = 0
+        while start < len(clauses) and self.failure is None:
+            end = start + rng.randint(1, max(1, len(clauses) // 3))
+            for clause in clauses[start:end]:
+                added.add_clause(clause)
+                solver.add_clause(clause)
+            start = end
+            variables = rng.sample(range(1, formula.num_vars + 1),
+                                   min(rng.randint(1, 3),
+                                       formula.num_vars))
+            self._ask(solver, added, [rng.choice((1, -1)) * var
+                                      for var in variables], expected)
+        if self.failure is not None:
+            return SolverResult(Status.UNKNOWN)
+        result = self._ask(solver, added, [], expected)
+        if self.failure is not None:
+            return result
+        outcome = check_proof_steps(added, solver.proof.events,
+                                    require_empty=False, preloaded=0)
+        if not outcome.valid:
+            detail = f"stream failed: {outcome.error}"
+        elif outcome.targets != expected:
+            detail = (f"targets {outcome.targets} differ from the "
+                      f"refuted queries {expected}")
+        elif result.is_unsat and not outcome.concluded:
+            detail = "the last query's UNSAT left no empty clause"
+        else:
+            return result
+        self.failure = ("bad-proof", f"{self.name}: {detail}")
+        return result
+
+    def _ask(self, solver, added: CNFFormula, assumptions: List[int],
+             expected: List[Tuple[int, ...]]) -> SolverResult:
+        """One query: a refuted one adds its target to *expected*, a
+        model failing the audit sets ``failure``."""
+        self.queries += 1
+        result = solver.solve(assumptions=assumptions)
+        if result.is_unsat and assumptions:
+            expected.append(tuple(-lit for lit in assumptions))
+        model = result.assignment
+        if result.is_sat and not (
+                model is not None and added.is_satisfied_by(model)
+                and all(model.satisfies_literal(lit)
+                        for lit in assumptions)):
+            self.failure = ("bad-model",
+                            f"{self.name}: query {self.queries} under "
+                            f"{assumptions} answered SAT with a model "
+                            f"that fails the clauses added so far or "
+                            f"its assumptions")
+        return result
+
+    def describe(self) -> Dict[str, object]:
+        return {**self.cdcl.describe(), "name": self.name,
+                "kind": "cdcl-incremental"}
 
 
 class DPLLEngine(Engine):
@@ -171,7 +273,8 @@ class RecursiveLearningEngine(Engine):
 
 
 def default_engines(rng: random.Random) -> List[Engine]:
-    """The per-round engine panel: one randomized CDCL, one DPLL, one
+    """The per-round engine panel: one randomized CDCL, the same
+    configuration as a persistent solver, one DPLL, one
     recursive-learning pipeline.  Budgets are randomized too -- a
     budget-limited engine answers UNKNOWN, which must never be treated
     as a disagreement."""
@@ -196,7 +299,7 @@ def default_engines(rng: random.Random) -> List[Engine]:
         phase_saving=rng.random() < 0.5,
         max_conflicts=max_conflicts,
         inprocess_interval=inprocess_interval)
-    return [cdcl,
+    return [cdcl, IncrementalEngine(cdcl),
             DPLLEngine(max_decisions=rng.choice([None, None, 20000])),
             RecursiveLearningEngine(depth=rng.choice([1, 2]))]
 
@@ -296,11 +399,14 @@ def differential_failure(formula: CNFFormula,
     * a SAT claim whose model falsifies the formula -> ``bad-model``;
     * a CDCL UNSAT whose streamed proof fails the independent check
       -> ``bad-proof``;
+    * an engine's own failed check (``Engine.failure``);
     * two decisive verdicts that differ -> ``disagreement``.
     """
     verdicts: List[Tuple[Engine, SolverResult]] = []
     for engine in engines:
         result = engine.run(formula)
+        if engine.failure is not None:
+            return engine.failure + ([engine],)
         if result.status is Status.SATISFIABLE:
             if (result.assignment is None
                     or not formula.is_satisfied_by(result.assignment)):
@@ -397,6 +503,7 @@ class FuzzReport:
     unsat: int = 0
     unknown: int = 0
     proofs_checked: int = 0
+    incremental_queries: int = 0
     portfolio_rounds: int = 0
     failures: List[Discrepancy] = field(default_factory=list)
     out_dir: Optional[str] = None
@@ -409,6 +516,7 @@ class FuzzReport:
         return (f"{self.iterations} instances: {self.sat} SAT / "
                 f"{self.unsat} UNSAT / {self.unknown} UNKNOWN, "
                 f"{self.proofs_checked} proofs checked, "
+                f"{self.incremental_queries} incremental queries, "
                 f"{self.portfolio_rounds} portfolio rounds, "
                 f"{len(self.failures)} failure(s)")
 
@@ -507,6 +615,7 @@ def run_fuzz(iterations: int, seed: int = 0,
         for engine in engines:
             if engine.proof_events is not None:
                 report.proofs_checked += 1
+            report.incremental_queries += engine.queries
         if failure is None:
             consensus = _consensus(formula, engines, report, statuses)
             if (portfolio_every > 0

@@ -455,9 +455,38 @@ class TestCertification:
                      "--proof-dir", str(tmp_path / "proofs")])
         out = capsys.readouterr().out
         assert code == 0
-        assert "per-depth unreachability proofs checked" in out
+        assert "certified: 3 per-depth unreachability proofs checked" \
+            in out
         import os
-        assert os.path.exists(str(tmp_path / "proofs" / "depth0.drup"))
+        # One proof file for the whole sweep.
+        assert os.listdir(str(tmp_path / "proofs")) == ["bmc.drup"]
+
+    def test_bmc_certify_discrepant_exits_two(self, tmp_path, capsys,
+                                              monkeypatch):
+        import repro.apps.bmc as bmc
+        from repro.verify.drat import FileProofSink
+
+        class PlantedLemma(FileProofSink):
+            """Writes a non-RUP unit just before depth 2's target."""
+
+            def target(self, literals):
+                if self.targets == 2:
+                    self.add([9999])
+                super().target(literals)
+
+        monkeypatch.setattr(bmc, "FileProofSink", PlantedLemma)
+        bench = str(tmp_path / "counter.bench")
+        save_bench(binary_counter(3), bench)
+        code = main(["bmc", bench, "--output", "rollover",
+                     "--depth", "10", "--certify"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "certified: 2 per-depth unreachability proofs checked" \
+            in out
+        assert "DISCREPANT: depth 2 produced an UNSAT whose proof " \
+            "failed the independent check (property proved only " \
+            "through depth 1)" in out
+        assert "counterexample" not in out
 
     def test_fuzz_clean_run(self, tmp_path, capsys):
         code = main(["fuzz", "--iterations", "5", "--seed", "3",

@@ -13,6 +13,7 @@ from repro.verify.fuzz import (
     CDCLEngine,
     DPLLEngine,
     Engine,
+    IncrementalEngine,
     _raw_dimacs_text,
     default_engines,
     differential_failure,
@@ -73,6 +74,38 @@ class TestDifferentialFailure:
         assert failure is not None
         assert failure[0] == "bad-proof"
         assert "failed" in failure[1]
+
+
+class TestIncrementalEngine:
+    def test_panel_runs_the_cdcl_config_as_a_persistent_solver(self):
+        engines = default_engines(random.Random(7))
+        assert isinstance(engines[1], IncrementalEngine)
+        assert engines[1].cdcl is engines[0]
+
+    def test_honest_session_checks_its_stream(self):
+        engine = IncrementalEngine(CDCLEngine("cdcl", seed=3))
+        result = engine.run(pigeonhole(3))
+        assert result.is_unsat
+        assert engine.failure is None
+        assert engine.queries > 1
+
+    def test_wrong_target_is_bad_proof(self, monkeypatch):
+        from repro.verify.drat import MemoryProofSink
+
+        def weakened(self, literals):
+            self.events.append(("u", tuple(literals) + (99,)))
+            self.targets += 1
+
+        monkeypatch.setattr(MemoryProofSink, "target", weakened)
+        formula = CNFFormula(clauses=[[1, 2], [1, -2], [-1, 3]])
+        for seed in range(20):
+            engine = IncrementalEngine(CDCLEngine("cdcl", seed=seed))
+            engine.run(formula)
+            if engine.failure is not None:
+                break
+        kind, detail = engine.failure
+        assert kind == "bad-proof"
+        assert "differ from the refuted queries" in detail
 
 
 class TestShrinker:

@@ -86,6 +86,38 @@ class TestAssumptions:
         second = solver.solve()
         assert second.stats.conflicts <= first.stats.conflicts
 
+    def test_assumption_on_a_variable_no_clause_names(self):
+        solver = CDCLSolver()
+        a = solver.new_var()
+        solver.add_clause([a])
+        b = solver.new_var()
+        result = solver.solve(assumptions=[b])
+        assert result.is_sat
+        assert result.assignment.value_of(b) is True
+        assert solver.solve(assumptions=[-b, -a]).is_unsat
+
+    def test_clause_false_at_the_root_refutes(self):
+        solver = CDCLSolver()
+        a, b = solver.new_var(), solver.new_var()
+        solver.add_clause([a])
+        solver.add_clause([b])
+        assert solver.solve().is_sat          # a and b: root facts now
+        solver.add_clause([-a, -b])
+        assert solver.solve().is_unsat
+
+    def test_clause_unit_at_the_root_propagates(self):
+        solver = CDCLSolver()
+        a, b, c = solver.new_var(), solver.new_var(), solver.new_var()
+        solver.add_clause([a])
+        solver.add_clause([b])
+        assert solver.solve().is_sat
+        # Both of the clause's first two literals are false at the
+        # root: c must still be implied.
+        solver.add_clause([-a, -b, c])
+        assert solver.solve(assumptions=[-c]).is_unsat
+        result = solver.solve()
+        assert result.is_sat and result.assignment.value_of(c) is True
+
     def test_unsat_not_sticky_for_assumptions(self):
         solver = CDCLSolver()
         a = solver.new_var()

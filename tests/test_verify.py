@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.circuits.generators import binary_counter, shift_register
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import pigeonhole, random_ksat_at_ratio
 from repro.solvers.cdcl import CDCLSolver
@@ -203,6 +204,119 @@ class TestCheckerRejections:
         outcome = check_proof_file(formula, "/nonexistent/p.drup")
         assert not outcome.valid
         assert "unreadable proof file" in outcome.error
+
+
+class TestIncrementalStream:
+    """Input and target steps: the stream of one persistent solver."""
+
+    @staticmethod
+    def queried_solver():
+        """A persistent solver, clauses added in two batches with a
+        refuted and a satisfiable query after each; returns the app's
+        formula, the stream and the targets the app expects."""
+        formula = CNFFormula()
+        solver = CDCLSolver()
+        solver.proof = MemoryProofSink()
+        expected = []
+        batches = [[[1, 2], [-1, 3], [-2, 3]], [[-3, 4], [-4, -1, 5]]]
+        queries = [[-3], [1], [-4, 1], [-5, 1]]
+        for batch, pair in zip(batches, (queries[:2], queries[2:])):
+            for clause in batch:
+                formula.add_clause(clause)
+                solver.add_clause(clause)
+            for assumptions in pair:
+                result = solver.solve(assumptions=assumptions)
+                if result.is_unsat:
+                    expected.append(tuple(-lit for lit in assumptions))
+        return formula, solver.proof, expected
+
+    def test_solver_stream_checks_and_reports_its_targets(self):
+        formula, sink, expected = self.queried_solver()
+        assert expected == [(3,), (4, -1), (5, -1)]
+        assert sink.inputs == 5 and sink.targets == 3
+        assert not sink.concluded
+        outcome = check_proof_steps(formula, sink.events,
+                                    require_empty=False, preloaded=0)
+        assert outcome.valid, outcome.error
+        assert outcome.inputs == 5
+        assert outcome.targets == expected
+
+    def test_file_text_checks_like_the_events(self):
+        formula, sink, expected = self.queried_solver()
+        text = sink.lines().splitlines()
+        assert text[0] == "i 1 2 0"
+        assert "u 3 0" in text
+        outcome = check_proof_lines(formula, text, require_empty=False,
+                                    preloaded=0)
+        assert outcome.valid, outcome.error
+        assert outcome.targets == expected
+
+    def test_input_differing_from_the_formula_is_refused(self):
+        formula = CNFFormula(clauses=[[1, 2], [-1]])
+        events = [("i", (1, 2)), ("i", (-1, 2))]
+        outcome = check_proof_steps(formula, events,
+                                    require_empty=False, preloaded=0)
+        assert not outcome.valid
+        assert outcome.line == 2
+        assert "not the formula's next clause" in outcome.error
+
+    def test_input_past_the_formula_is_refused(self):
+        # A one-shot check preloads every clause: no input is left.
+        formula = CNFFormula(clauses=[[1, 2]])
+        outcome = check_proof_steps(formula, [("i", (1, 2))],
+                                    require_empty=False)
+        assert not outcome.valid
+        assert "not the formula's next clause" in outcome.error
+
+    def test_target_needing_a_later_input_is_refused(self):
+        # (1) is RUP once both inputs are in, but the second arrives
+        # after the target.
+        formula = CNFFormula(clauses=[[1, 2], [1, -2]])
+        events = [("i", (1, 2)), ("u", (1,)), ("i", (1, -2))]
+        outcome = check_proof_steps(formula, events,
+                                    require_empty=False, preloaded=0)
+        assert not outcome.valid
+        assert outcome.line == 2
+        assert "target is not a RUP consequence" in outcome.error
+        assert outcome.targets == []
+        # In the right order the same target passes.
+        events = [("i", (1, 2)), ("i", (1, -2)), ("u", (1,))]
+        outcome = check_proof_steps(formula, events,
+                                    require_empty=False, preloaded=0)
+        assert outcome.valid and outcome.targets == [(1,)]
+
+    def test_target_does_not_enter_the_database(self):
+        # The target (1 2) is RUP; the lemma (1) would be RUP only
+        # with the target in the database.
+        clauses = [(1, 2, 3), (1, 2, -3), (-2, 4), (-2, -4)]
+        events = [("i", clause) for clause in clauses]
+        events += [("u", (1, 2)), ("a", (1,))]
+        outcome = check_proof_steps(CNFFormula(clauses=clauses), events,
+                                    require_empty=False, preloaded=0)
+        assert not outcome.valid
+        assert outcome.line == 6
+        assert outcome.targets == [(1, 2)]
+
+    def test_preloaded_prefix_needs_no_input_steps(self):
+        formula = CNFFormula(clauses=[[1, 2], [-1, 2], [-2]])
+        events = [("u", (2,)), ("i", (-2,)), ("a", ())]
+        outcome = check_proof_steps(formula, events, preloaded=2)
+        assert outcome.valid and outcome.concluded
+        assert outcome.targets == [(2,)]
+
+    def test_file_sink_keeps_a_proof_of_a_target(self, tmp_path):
+        kept, dropped = str(tmp_path / "kept"), str(tmp_path / "gone")
+        for path, refuted in ((kept, True), (dropped, False)):
+            solver = CDCLSolver()
+            solver.proof = FileProofSink(path)
+            a = solver.new_var()
+            solver.add_clause([a])
+            result = solver.solve(assumptions=[-a if refuted else a])
+            solver.proof.close()
+            assert result.is_unsat is refuted
+        with open(kept) as handle:
+            assert handle.read() == "i 1 0\nu 1 0\n"
+        assert not os.path.exists(dropped)
 
 
 class _NaiveRup:
@@ -669,31 +783,171 @@ class TestCertifiedApplications:
         assert list(temp_root.iterdir()) == []
 
     def test_bmc_per_depth_proofs(self, tmp_path):
-        from repro.apps.bmc import check_safety
-        from repro.circuits.generators import binary_counter
+        from repro.apps.bmc import BoundedModelChecker
 
-        result = check_safety(binary_counter(3), "rollover", True,
-                              max_depth=4, certify=True,
-                              proof_dir=str(tmp_path))
+        checker = BoundedModelChecker(binary_counter(3), certify=True,
+                                      proof_dir=str(tmp_path))
+        result = checker.check_output("rollover", True, max_depth=4)
         # 2^3 counter: rollover unreachable within 4 steps.
         assert result.property_holds
         assert result.depths_proved == 5
         assert not result.discrepant
         assert len(result.certificates) == 5
+        path = str(tmp_path / "bmc.drup")
+        # One file for the sweep, holding every depth's target.
+        assert os.listdir(str(tmp_path)) == ["bmc.drup"]
         for depth, cert in enumerate(result.certificates):
             assert cert.valid, f"depth {depth}: {cert.reason}"
-            assert os.path.exists(
-                str(tmp_path / f"depth{depth}.drup"))
+            assert cert.proof_path == path
+        outcome = check_proof_file(checker.formula, path,
+                                   require_empty=False, preloaded=0)
+        assert outcome.valid, outcome.error
+        assert outcome.inputs == checker.formula.num_clauses
+        assert outcome.targets == [(-frame["rollover"],)
+                                   for frame in checker.frames]
 
-    def test_bmc_counterexample_model_audited(self):
+    def test_bmc_counterexample_model_audited(self, temp_root):
         from repro.apps.bmc import check_safety
-        from repro.circuits.generators import binary_counter
 
         result = check_safety(binary_counter(2), "rollover", True,
                               max_depth=5, certify=True)
         assert result.failure_depth == 3
         assert result.certificates[-1].kind == "model"
         assert result.certificates[-1].valid
+        assert [c.kind for c in result.certificates] == \
+            ["proof"] * 3 + ["model"]
+        # Without a proof_dir the sweep's proof is a removed temporary.
+        assert all(c.valid and c.proof_path is None
+                   for c in result.certificates)
+        assert list(temp_root.iterdir()) == []
+
+
+class _PlantingSink(FileProofSink):
+    """Corrupts one step of a certified sweep's stream, just before
+    target number *at* is written (or, for ``"input"``, rewrites input
+    number *at*)."""
+
+    def __init__(self, path, at, corruption):
+        super().__init__(path)
+        self.at = at
+        self.corruption = corruption
+
+    def input(self, literals):
+        if self.corruption == "input" and self.inputs == self.at:
+            literals = literals[1:]     # drop a literal
+        super().input(literals)
+
+    def target(self, literals):
+        if self.targets == self.at:
+            if self.corruption == "lemma":
+                self.add([9999])        # a fresh unit: never RUP
+            elif self.corruption == "target":
+                literals = list(literals) + [9999]   # RUP, but weaker
+        super().target(literals)
+
+
+class TestCertifiedSweep:
+    """Certified BMC is the plain sweep with a proof sink attached."""
+
+    @pytest.mark.parametrize("make, width, output, bound", [
+        (binary_counter, 2, "rollover", 4),
+        (binary_counter, 3, "rollover", 8),
+        (binary_counter, 4, "rollover", 16),
+        (binary_counter, 5, "rollover", 32),
+        (binary_counter, 4, "rollover", 8),
+        (shift_register, 3, "sout", 5),
+        (shift_register, 5, "sout", 7),
+    ])
+    def test_one_search(self, make, width, output, bound):
+        from repro.apps.bmc import check_safety
+
+        plain = check_safety(make(width), output, max_depth=bound)
+        certified = check_safety(make(width), output, max_depth=bound,
+                                 certify=True)
+        assert certified.failure_depth == plain.failure_depth
+        assert certified.depths_proved == plain.depths_proved
+        assert not certified.discrepant
+        for counter in ("conflicts", "decisions", "propagations"):
+            assert getattr(certified.stats, counter) == \
+                getattr(plain.stats, counter), counter
+        assert [c.valid for c in certified.certificates] == \
+            [True] * len(certified.certificates)
+
+    def test_one_solver(self, monkeypatch):
+        import repro.apps.bmc as bmc
+
+        built = []
+
+        class Counted(bmc.CDCLSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bmc, "CDCLSolver", Counted)
+        result = bmc.check_safety(binary_counter(3), "rollover",
+                                  max_depth=8, certify=True)
+        assert result.failure_depth == 7
+        assert len(built) == 1
+
+    def test_second_certified_sweep_is_refused(self):
+        from repro.apps.bmc import BoundedModelChecker
+
+        checker = BoundedModelChecker(binary_counter(2), certify=True)
+        checker.check_output("rollover", max_depth=1)
+        with pytest.raises(RuntimeError, match="one sweep"):
+            checker.check_output("rollover", max_depth=1)
+
+    @pytest.mark.parametrize("corruption", ["lemma", "target"])
+    @pytest.mark.parametrize("depth", [0, 2, 5])
+    def test_corrupted_target_stops_the_proof_at_its_depth(
+            self, tmp_path, monkeypatch, corruption, depth):
+        import repro.apps.bmc as bmc
+
+        monkeypatch.setattr(
+            bmc, "FileProofSink",
+            lambda path: _PlantingSink(path, depth, corruption))
+        result = bmc.check_safety(binary_counter(3), "rollover",
+                                  max_depth=8, certify=True,
+                                  proof_dir=str(tmp_path))
+        assert result.discrepant
+        assert result.depths_proved == depth
+        # No counterexample survives a broken proof below it.
+        assert result.failure_depth is None and result.trace == []
+        certificates = result.certificates
+        assert len(certificates) == depth + 1
+        assert all(c.valid for c in certificates[:-1])
+        last = certificates[-1]
+        assert last.kind == "proof" and last.valid is False
+        if corruption == "lemma":
+            assert "not a RUP consequence" in last.reason
+        else:
+            assert f"depth {depth}'s target" in last.reason
+
+    def test_corrupted_input_proves_nothing(self, monkeypatch):
+        import repro.apps.bmc as bmc
+
+        monkeypatch.setattr(bmc, "FileProofSink",
+                            lambda path: _PlantingSink(path, 4, "input"))
+        result = bmc.check_safety(binary_counter(3), "rollover",
+                                  max_depth=3, certify=True)
+        assert result.discrepant and result.depths_proved == 0
+        assert "not the formula's next clause" in \
+            result.certificates[-1].reason
+
+    def test_budget_cut_keeps_the_checked_depths(self):
+        from repro.apps.bmc import check_safety
+        from repro.runtime.budget import Budget
+
+        plain = check_safety(binary_counter(4), "rollover",
+                             max_depth=14,
+                             budget=Budget(max_conflicts=3))
+        certified = check_safety(binary_counter(4), "rollover",
+                                 max_depth=14, certify=True,
+                                 budget=Budget(max_conflicts=3))
+        assert certified.budget_exhausted and plain.budget_exhausted
+        assert certified.depths_proved == plain.depths_proved > 0
+        assert len(certified.certificates) == certified.depths_proved
+        assert not certified.discrepant
 
 
 class TestCertifiedPortfolio:
