@@ -18,6 +18,17 @@ from repro.apps.covering import (
 from repro.cnf.formula import CNFFormula
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["greedy-trap", 6, 2, 3, 3],
+    ["random0", 18, 4, 4, 4],
+    ["random1", 18, 6, 6, 4],
+    ["random2", 18, 7, 8, 2],
+]
+#: A5b's implicant: (size, cube, SAT calls).
+EXPECTED_IMPLICANT = (2, (-1, 3), 3)
+
 
 def greedy_trap():
     """Classic ln(n)-gap instance: greedy picks the big column first
@@ -60,6 +71,7 @@ def test_app_covering(benchmark, show):
          "SAT calls"], table_rows,
         title="A5a -- minimum unate covering (binary search on "
               "cardinality)"))
+    assert table_rows == EXPECTED
 
     # Prime implicants: f = ab + a'c as CNF (a' + b)(a + c).
     formula = CNFFormula(3)
@@ -68,6 +80,8 @@ def test_app_covering(benchmark, show):
     solution = minimum_size_implicant(formula)
     assert solution.size == 2
     assert is_implicant_of(formula, solution.literals)
+    assert (solution.size, solution.literals,
+            solution.sat_calls) == EXPECTED_IMPLICANT
     show(f"A5b -- minimum-size prime implicant of f = ab + a'c: "
          f"size {solution.size}, cube {solution.literals} "
          f"(SAT calls: {solution.sat_calls})")

@@ -16,6 +16,15 @@ from repro.circuits.library import c17
 from repro.circuits.netlist import Circuit
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["c17", 22, 6, 0, 0, "100.0%"],
+    ["rca3", 52, 8, 1, 0, "100.0%"],
+    ["rand6x20", 52, 6, 16, 14, "100.0%"],
+    ["const_node", 10, 2, 1, 1, "100.0%"],
+]
+
 
 def constant_node_circuit():
     circuit = Circuit("const_node")
@@ -45,6 +54,7 @@ def test_app_fvg(benchmark, show):
          "unreachable", "coverage"], rows,
         title="A7 -- coverage-directed functional vector generation"))
 
+    assert rows == EXPECTED
     # The constant node is proved unreachable, not aborted.
     assert rows[-1][4] == 1
 

@@ -13,6 +13,15 @@ from repro.circuits.library import c17, redundant_or_chain
 from repro.circuits.netlist import Circuit
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["redundant_or", 2, 1, 1, 1, True],
+    ["absorb2", 3, 1, 2, 3, True],
+    ["consensus", 5, 4, 1, 1, True],
+    ["c17", 6, 6, 0, 0, True],
+]
+
 
 def doubly_redundant():
     """y = OR(a, AND(a,b), AND(a,c)): two absorbed terms."""
@@ -56,6 +65,7 @@ def test_app_redundancy(benchmark, show):
         title="A8 -- redundancy identification & removal "
               "(RID-GRASP flow)"))
 
+    assert rows == EXPECTED
     by_name = {row[0]: row for row in rows}
     assert by_name["redundant_or"][2] < by_name["redundant_or"][1]
     assert by_name["consensus"][2] < by_name["consensus"][1]

@@ -14,6 +14,14 @@ from repro.apps.routing import (
 )
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["channel0 (8 nets)", 5, "3:U 4:U 5:S 6:S 7:S"],
+    ["channel1 (12 nets)", 6, "4:U 5:U 6:S 7:S 8:S"],
+    ["channel2 (16 nets)", 8, "6:U 7:U 8:S 9:S 10:S"],
+]
+
 
 def test_app_routing(benchmark, show):
     rows = []
@@ -36,6 +44,7 @@ def test_app_routing(benchmark, show):
          "tracks:verdict sweep (U=unroutable, S=routable)"], rows,
         title="A6 -- routability vs track count (crossover at channel "
               "density)"))
+    assert rows == EXPECTED
 
     nets = random_channel(12, columns=20, seed=1)
     density = channel_density(nets)

@@ -16,9 +16,11 @@ from repro.circuits.netlist import Circuit
 from repro.experiments.tables import format_table
 
 #: The whole table; a change that moves the search re-pins it and
-#: reports the rows it moved.
+#: reports the rows it moved.  Re-pinned when sequential equivalence
+#: became BMC on build_miter's product machine (cnt2 vs cnt2 read 92
+#: conflicts before; the other rows did not move).
 EXPECTED = [
-    ["cnt2 vs cnt2", 6, "equivalent through 6", 92],
+    ["cnt2 vs cnt2", 6, "equivalent through 6", 93],
     ["shift3 vs shift3-rebuf", 6, "equivalent through 6", 14],
     ["cnt2 vs cnt3", 8, "diverges at frame 3", 7],
     ["shift2 vs shift3", 6, "diverges at frame 2", 3],

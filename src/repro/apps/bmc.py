@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.circuits.netlist import Circuit
-from repro.circuits.tseitin import encode_nodes, input_trace
+from repro.circuits.tseitin import encode_nodes
 from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
@@ -146,11 +146,12 @@ class BoundedModelChecker:
 
         Frames are added lazily; each depth is queried under a single
         assumption literal so the solver (and its recorded clauses)
-        persists across depths.  ``budget`` spans the whole sweep --
-        each depth gets the remaining envelope -- and exhaustion stops
-        the sweep with ``budget_exhausted=True`` and the depths proved
-        so far, instead of raising.  A depth the solver could not
-        decide is never counted as proved.
+        persists across depths.  ``budget``'s deadline spans the whole
+        sweep -- each depth gets what remains of it -- while its
+        counter caps bound each depth's solve call alone.  Exhaustion
+        stops the sweep with ``budget_exhausted=True`` and the depths
+        proved so far, instead of raising.  A depth the solver could
+        not decide is never counted as proved.
         """
         if output not in self.circuit:
             raise ValueError(f"unknown output {output!r}")
@@ -223,9 +224,9 @@ class BoundedModelChecker:
             if call.is_sat:
                 model = call.assignment
                 result.failure_depth = depth
-                result.trace = input_trace(model,
-                                           self.frames[:depth + 1],
-                                           self.circuit.inputs)
+                result.trace = [{name: bool(model.value_of(frame[name]))
+                                 for name in self.circuit.inputs}
+                                for frame in self.frames[:depth + 1]]
                 break
             if not call.is_unsat:
                 # UNKNOWN: this depth is undecided, not proved.

@@ -69,7 +69,10 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
     """Check functional equivalence of two combinational circuits.
 
     The circuits must share input and output name lists (reorderings
-    are not reconciled).  ``use_preprocessing`` enables the Section 6
+    are not reconciled).  A sequential circuit raises ``ValueError``:
+    one frame with free latches would report differences no reachable
+    state shows (:mod:`repro.apps.seq_equivalence` bounds sequential
+    pairs).  ``use_preprocessing`` enables the Section 6
     equivalency-reasoning pass on the miter CNF; ``use_strash`` merges
     structurally identical miter gates first (the structural half of
     the hybrid checkers [16, 26]).  ``backend="portfolio"`` races
@@ -94,6 +97,8 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
     """
     if backend not in ("cdcl", "portfolio"):
         raise ValueError(f"unknown backend {backend!r}")
+    if circuit_a.is_sequential() or circuit_b.is_sequential():
+        raise ValueError("equivalence checking is combinational only")
     if certify and use_preprocessing:
         raise ValueError(
             "certify=True is incompatible with use_preprocessing: the "

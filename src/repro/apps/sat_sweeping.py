@@ -36,7 +36,8 @@ from repro.solvers.result import SolverStats
 
 @dataclass
 class SweepReport:
-    """Outcome of a sweeping pass."""
+    """Outcome of a sweeping pass; ``stats`` sums every query's
+    search effort."""
 
     classes: List[Tuple[str, str, bool]] = field(default_factory=list)
     #: (node, representative, same_polarity) for every merged node
@@ -101,8 +102,8 @@ class SATSweeper:
                     candidate, same_polarity = earlier, False
                 else:
                     continue
-                proved, cex = self._prove(earlier, name, same_polarity)
-                report.sat_calls += 1
+                proved, cex = self._prove(earlier, name, same_polarity,
+                                          report)
                 if proved:
                     merged_into[name] = (candidate, same_polarity)
                     report.classes.append((name, candidate,
@@ -118,9 +119,11 @@ class SATSweeper:
         report.merged_nodes = len(merged_into)
         return report
 
-    def _prove(self, left: str, right: str, same_polarity: bool
+    def _prove(self, left: str, right: str, same_polarity: bool,
+               report: SweepReport
                ) -> Tuple[bool, Optional[Dict[str, bool]]]:
-        """Refute ``left != right`` (or ``left != NOT right``).
+        """Refute ``left != right`` (or ``left != NOT right``),
+        counting the query and its effort in *report*.
 
         Returns ``(proved, counterexample_vector)``.
         """
@@ -135,6 +138,8 @@ class SATSweeper:
                                        [var_left, var_right]):
             self.solver.add_clause(clause)
         result = self.solver.solve(assumptions=[miter])
+        report.sat_calls += 1
+        report.stats.merge(result.stats)
         if result.is_unsat:
             # Record the proved relation as clauses: sharpens BCP for
             # every later query.
@@ -223,6 +228,7 @@ def check_equivalence_sweeping(circuit_a: Circuit, circuit_b: Circuit,
         var = sweeper.encoding.var_of[xor_name]
         result = sweeper.solver.solve(assumptions=[var])
         report.sat_calls += 1
+        report.stats.merge(result.stats)
         if result.is_sat:
             equivalent = False
             break

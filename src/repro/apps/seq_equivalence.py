@@ -1,30 +1,27 @@
 """Bounded sequential equivalence checking.
 
 Extends the combinational CEC of Section 3 to sequential circuits with
-the BMC machinery of [5]: unroll the *product machine* of the two
-designs k time frames from their reset states, sharing input variables
-per frame, and ask SAT whether any frame can produce differing
-outputs.  UNSAT through depth k proves k-step equivalence (full
+the BMC machinery of [5]: the two designs' *product machine* is their
+miter (:func:`repro.circuits.tseitin.build_miter`), and a divergence
+within k steps is its ``miter_out`` raised within k frames from the
+reset states -- one :class:`~repro.apps.bmc.BoundedModelChecker`
+sweep.  UNSAT through depth k proves k-step equivalence (full
 sequential equivalence needs an inductive or fixpoint argument, which
 bounded checking deliberately trades away -- exactly the trade
-bounded model checking made famous).
-
-Each frame of each machine is one :func:`repro.circuits.tseitin.
-encode_nodes` call (the shared input variables *given*, DFFs copied
-from the previous frame or fixed to the reset state), and the frame's
-divergence literal is :func:`~repro.circuits.tseitin.add_difference`
-over the output pairs.  Sequential ATPG is this check run against the
-faulty copy of a circuit (:mod:`repro.apps.sequential_atpg`).
+bounded model checking made famous).  Sequential ATPG is this check
+run against the faulty copy of a circuit
+(:mod:`repro.apps.sequential_atpg`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.apps.bmc import check_safety
 from repro.circuits.netlist import Circuit
-from repro.circuits.tseitin import add_difference, encode_nodes, input_trace
-from repro.solvers.cdcl import CDCLSolver
+from repro.circuits.tseitin import build_miter
+from repro.runtime.budget import Budget
 from repro.solvers.result import SolverStats
 
 
@@ -63,7 +60,8 @@ def _reset_state(circuit: Circuit,
 
 
 class SequentialEquivalenceChecker:
-    """Product-machine unrolling on one persistent solver.
+    """Bounded model checking of the product machine's ``miter_out``
+    from the prefixed reset states.
 
     ``max_conflicts_per_depth`` caps each depth's solve (``None``:
     unbounded); a depth that hits the cap ends the check ``aborted``.
@@ -73,42 +71,13 @@ class SequentialEquivalenceChecker:
                  initial_a: Optional[Dict[str, bool]] = None,
                  initial_b: Optional[Dict[str, bool]] = None,
                  max_conflicts_per_depth: Optional[int] = None):
-        circuit_a.validate()
-        circuit_b.validate()
-        if list(circuit_a.inputs) != list(circuit_b.inputs):
-            raise ValueError("circuits must share input names")
-        if len(circuit_a.outputs) != len(circuit_b.outputs):
-            raise ValueError("circuits must have equally many outputs")
         self.circuit_a = circuit_a
         self.circuit_b = circuit_b
+        self.product, _ = build_miter(circuit_a, circuit_b, "product")
         self.initial_a = _reset_state(circuit_a, initial_a)
         self.initial_b = _reset_state(circuit_b, initial_b)
-        self.solver = CDCLSolver(max_conflicts=max_conflicts_per_depth)
-        #: per frame: (vars_a, vars_b, diff); vars_a holds the shared
-        #: input variables too
-        self.frames: List[Tuple[Dict[str, int], Dict[str, int], int]] = []
-
-    def _add_frame(self) -> None:
-        def new_var(name: str) -> int:
-            return self.solver.new_var()
-
-        add_clause = self.solver.add_clause
-        inputs = {name: self.solver.new_var()
-                  for name in self.circuit_a.inputs}
-        prev_a, prev_b, _ = self.frames[-1] if self.frames \
-            else (None, None, None)
-        vars_a = encode_nodes(self.circuit_a, new_var, add_clause,
-                              given=inputs, previous=prev_a,
-                              initial=self.initial_a)
-        vars_b = encode_nodes(self.circuit_b, new_var, add_clause,
-                              given=inputs, previous=prev_b,
-                              initial=self.initial_b)
-        diff = add_difference(
-            [(vars_a[out_a], vars_b[out_b])
-             for out_a, out_b in zip(self.circuit_a.outputs,
-                                     self.circuit_b.outputs)],
-            new_var, add_clause)
-        self.frames.append((vars_a, vars_b, diff))
+        self.budget = (None if max_conflicts_per_depth is None
+                       else Budget(max_conflicts=max_conflicts_per_depth))
 
     def check(self, max_depth: int = 10
               ) -> SequentialEquivalenceReport:
@@ -117,26 +86,18 @@ class SequentialEquivalenceChecker:
         A depth the solver could not decide stops the sweep with
         ``aborted`` set; it is never counted as proved.
         """
-        report = SequentialEquivalenceReport(initial_a=self.initial_a,
-                                             initial_b=self.initial_b)
-        for depth in range(max_depth + 1):
-            while len(self.frames) <= depth:
-                self._add_frame()
-            call = self.solver.solve(
-                assumptions=[self.frames[depth][2]])
-            report.stats.merge(call.stats)
-            if call.is_sat:
-                report.failure_depth = depth
-                report.trace = input_trace(
-                    call.assignment,
-                    [frame[0] for frame in self.frames[:depth + 1]],
-                    self.circuit_a.inputs)
-                return report
-            if not call.is_unsat:
-                report.aborted = True
-                return report
-            report.equivalent_through = depth
-        return report
+        reset = {f"a_{dff}": value
+                 for dff, value in self.initial_a.items()}
+        reset.update({f"b_{dff}": value
+                      for dff, value in self.initial_b.items()})
+        result = check_safety(self.product, "miter_out",
+                              max_depth=max_depth, initial_state=reset,
+                              budget=self.budget)
+        return SequentialEquivalenceReport(
+            equivalent_through=result.depths_proved - 1,
+            failure_depth=result.failure_depth, trace=result.trace,
+            stats=result.stats, aborted=result.budget_exhausted,
+            initial_a=self.initial_a, initial_b=self.initial_b)
 
 
 def check_sequential_equivalence(circuit_a: Circuit,

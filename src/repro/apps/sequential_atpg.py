@@ -12,12 +12,12 @@ faulty copy (:func:`repro.circuits.faults.inject_fault`, which wires the
 fault site to a constant in *every* frame -- the single-stuck-line
 assumption), so a test generator here is one
 :class:`~repro.apps.seq_equivalence.SequentialEquivalenceChecker` on
-that pair: shared inputs per frame, both machines from the same reset
-state, and a per-frame difference literal ``diff_t`` assumed one depth
-at a time.  Frames are added lazily on one persistent incremental
-solver, so recorded clauses carry across depths -- the Section 6
-incremental-SAT advantage -- and the first satisfiable depth is the
-shortest detecting sequence.
+that pair: bounded model checking of the product machine's
+``miter_out`` (shared inputs per frame, both machines from the same
+reset state), one depth at a time.  Frames are added lazily on BMC's
+one persistent incremental solver, so recorded clauses carry across
+depths -- the Section 6 incremental-SAT advantage -- and the first
+satisfiable depth is the shortest detecting sequence.
 """
 
 from __future__ import annotations

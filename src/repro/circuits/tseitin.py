@@ -12,14 +12,13 @@ node variables.
 
 :func:`encode_nodes` is the only code that turns a netlist into those
 clauses.  :func:`encode_circuit` wraps it for one frame in a formula;
-bounded model checking and the sequential product machine call it per
-time frame, and ATPG per fault on the fault's cones.  That last
-caller, :func:`repro.apps.atpg.encode_fault_cone`, is the one cone
-encoder: the good fanin of the reached outputs, then the faulty
-fanout with the good circuit's variables given for its side inputs.
-Next to it are the one XOR/OR difference output
-(:func:`add_difference`) and the per-frame input-trace reader
-(:func:`input_trace`).  Every clause goes to the caller's
+bounded model checking calls it per time frame, and ATPG per fault on
+the fault's cones (:func:`repro.apps.atpg.encode_fault_cone`, the one
+cone encoder, whose good and faulty cones meet in
+:func:`add_difference`).  :func:`build_miter` is the only code that
+composes two circuits into one: the miter of equivalence checking
+and, for sequential circuits, the product machine that bounded
+sequential equivalence unrolls.  Every clause goes to the caller's
 ``add_clause`` -- a formula's or a persistent solver's -- which puts
 it in normal form (:meth:`repro.cnf.formula.CNFFormula.add_clause`).
 """
@@ -27,8 +26,7 @@ it in normal form (:meth:`repro.cnf.formula.CNFFormula.add_clause`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
@@ -85,10 +83,9 @@ def encode_nodes(circuit: Circuit,
     Walks the topological order, or only *nodes* when given (a cone,
     listed in topological order, whose fanins outside it are named in
     *given*).  A node named in *given* keeps that variable and
-    contributes no clauses (inputs shared by two machines, or
-    good-circuit signals feeding a fault's fanout); every other node
-    gets ``new_var(name)``, and each gate sends its Table 1 clauses to
-    ``add_clause``.  A DFF output is a copy of its data input's
+    contributes no clauses (good-circuit signals feeding a fault's
+    fanout); every other node gets ``new_var(name)``, and each gate
+    sends its Table 1 clauses to ``add_clause``.  A DFF output is a copy of its data input's
     variable in the *previous* frame when one is given, else fixed to
     its *initial* value when those are given, else a free
     pseudo-input (the single-frame view).  Returns node name ->
@@ -124,9 +121,10 @@ def add_difference(pairs: Iterable[Tuple[int, int]],
     """The variable of OR_i (a_i XOR b_i) over literal *pairs*.
 
     The miter output of Section 3 built directly on two encoded
-    machines: it is true exactly when some pair differs, so assuming
-    it asks for a distinguishing input.  Over no pairs it is fixed
-    false (nothing can differ), so assuming it is refuted at once.
+    machines (ATPG's good and faulty cones): it is true exactly when
+    some pair differs, so assuming it asks for a distinguishing input.
+    Over no pairs it is fixed false (nothing can differ), so assuming
+    it is refuted at once.
     """
     xor_vars = []
     for index, (left, right) in enumerate(pairs):
@@ -144,16 +142,6 @@ def add_difference(pairs: Iterable[Tuple[int, int]],
     return diff
 
 
-def input_trace(assignment: Assignment,
-                frames: Sequence[Dict[str, int]],
-                inputs: Sequence[str]) -> List[Dict[str, bool]]:
-    """One input vector per unrolled frame, read from a model
-    (inputs the model leaves unassigned read as 0)."""
-    return [{name: bool(assignment.value_of(frame[name]))
-             for name in inputs}
-            for frame in frames]
-
-
 def encode_circuit(circuit: Circuit,
                    formula: Optional[CNFFormula] = None,
                    var_prefix: str = "") -> CircuitEncoding:
@@ -164,7 +152,7 @@ def encode_circuit(circuit: Circuit,
     -- passing one supports composing several circuits, e.g. miters,
     into a single variable space).  DFF outputs are free pseudo-inputs
     (the single-frame view used by combinational applications); BMC
-    and the sequential checks unroll frames with :func:`encode_nodes`.
+    unrolls frames with :func:`encode_nodes`.
     """
     formula = formula if formula is not None else CNFFormula()
     encoding = CircuitEncoding(circuit, formula)
@@ -200,10 +188,13 @@ def build_miter(circuit_a: Circuit, circuit_b: Circuit,
     """Compose two circuits into a miter (Section 3, equivalence
     checking).
 
-    Both circuits must have identical primary-input and primary-output
-    name lists.  The miter shares the inputs, XORs each output pair and
-    ORs the XORs into a single output ``miter_out``; the circuits differ
-    on some vector iff ``miter_out`` can be set to 1.
+    Both circuits must have identical primary-input name lists and
+    equally many outputs.  The miter shares the inputs, XORs each
+    output pair and ORs the XORs into a single output ``miter_out``
+    (a constant 0 over no pairs); the circuits differ on some vector
+    iff ``miter_out`` can be set to 1.  Sequential circuits compose
+    into their product machine: each machine's DFFs keep their
+    ``a_``/``b_`` names and prefixed data inputs.
 
     Returns the miter circuit and the list of per-output XOR node names
     (useful for output-by-output equivalence queries).
@@ -212,8 +203,6 @@ def build_miter(circuit_a: Circuit, circuit_b: Circuit,
         raise ValueError("miter requires identical input name lists")
     if len(circuit_a.outputs) != len(circuit_b.outputs):
         raise ValueError("miter requires equally many outputs")
-    if circuit_a.is_sequential() or circuit_b.is_sequential():
-        raise ValueError("miter construction is combinational only")
 
     renamed_a = circuit_a.renamed("a_")
     renamed_b = circuit_b.renamed("b_")
@@ -228,6 +217,9 @@ def build_miter(circuit_a: Circuit, circuit_b: Circuit,
                 # the common input so downstream names stay consistent.
                 original = node.name[len(prefix):]
                 miter.add_gate(node.name, GateType.BUFFER, [original])
+            elif node.gate_type is GateType.DFF:
+                miter.add_dff(node.name,
+                              node.fanins[0] if node.fanins else None)
             else:
                 miter.add_gate(node.name, node.gate_type, node.fanins)
 
@@ -239,7 +231,9 @@ def build_miter(circuit_a: Circuit, circuit_b: Circuit,
         xor_name = f"diff_{out_a[2:]}"
         miter.add_gate(xor_name, GateType.XOR, [out_a, out_b])
         xor_names.append(xor_name)
-    if len(xor_names) == 1:
+    if not xor_names:
+        miter.add_const("miter_out", False)
+    elif len(xor_names) == 1:
         miter.add_gate("miter_out", GateType.BUFFER, xor_names)
     else:
         miter.add_gate("miter_out", GateType.OR, xor_names)

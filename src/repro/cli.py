@@ -38,9 +38,9 @@ claimed answer failed certification (a demotion is a bug report, not
 a timeout, and scripts must be able to tell them apart); rejected or
 malformed service submissions exit 2, and 0/1 = pass/fail elsewhere.
 An input file that cannot be read or parsed, a sequential netlist
-given to ``atpg``, or a ``bmc`` netlist without the ``--output`` node
-named (or, unnamed, without outputs) is one ``error:`` line on stderr
-and exit 2.
+given to ``atpg`` or ``cec``, or a ``bmc`` netlist without the
+``--output`` node named (or, unnamed, without outputs) is one
+``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -289,6 +289,10 @@ def _cmd_cec(args) -> int:
 
     left = _read_input(load_bench, args.left)
     right = _read_input(load_bench, args.right)
+    for path, circuit in ((args.left, left), (args.right, right)):
+        if circuit.is_sequential():
+            raise _BadInput(f"{path} is sequential; equivalence "
+                            f"checking is combinational only")
     if args.certify and args.preprocess:
         print("error: --certify is incompatible with --preprocess "
               "(the proof would certify the preprocessed miter, not "

@@ -6,6 +6,7 @@ from repro.apps.bmc import BoundedModelChecker, check_safety, verify_trace
 from repro.circuits.gates import GateType
 from repro.circuits.generators import binary_counter, shift_register
 from repro.circuits.netlist import Circuit
+from repro.runtime.budget import Budget
 
 
 class TestCounterReachability:
@@ -101,3 +102,14 @@ class TestCheckerInternals:
         result = check_safety(binary_counter(2), "rollover", True,
                               max_depth=4)
         assert result.stats.propagations > 0
+
+    def test_counter_caps_bound_each_depth(self):
+        """A budget's counter caps are per solve call: 20 conflicts a
+        depth (no depth needs more than 11) still reach depth 15 with
+        the unbudgeted sweep's 81 conflicts in all."""
+        result = check_safety(binary_counter(4), "rollover",
+                              max_depth=20,
+                              budget=Budget(max_conflicts=20))
+        assert not result.budget_exhausted
+        assert result.failure_depth == 15
+        assert result.stats.conflicts == 81

@@ -237,6 +237,12 @@ class TestBadInput:
         assert main(["atpg", path]) == 2
         assert_one_error_line(capsys, path, "sequential")
 
+    def test_cec_rejects_sequential_netlist(self, tmp_path, capsys):
+        path = str(tmp_path / "cnt.bench")
+        save_bench(binary_counter(2), path)
+        assert main(["cec", path, path]) == 2
+        assert_one_error_line(capsys, path, "sequential")
+
     @pytest.mark.parametrize("text, flags, needle", [
         (None, ["--output", "ghost"], "'ghost'"),
         ("INPUT(a)\nq = DFF(a)\n", [], "no outputs"),

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.apps.equivalence import check_equivalence, mutate_circuit
+from repro.circuits.gates import GateType
 from repro.circuits.generators import (
+    binary_counter,
     carry_select_adder,
     parity_tree,
     random_circuit,
     ripple_carry_adder,
 )
 from repro.circuits.library import c17, half_adder
+from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import output_values, simulate
 
 
@@ -84,6 +87,24 @@ class TestInequivalentPairs:
             left = output_values(circuit, simulate(circuit, vector))
             right = output_values(mutated, simulate(mutated, vector))
             assert list(left.values()) != list(right.values())
+
+
+class TestInterfaces:
+    @pytest.mark.parametrize("vectors", [0, 32])
+    def test_sequential_rejected_before_simulating(self, vectors):
+        """One frame with free latches is no equivalence check; the
+        simulator would not know the latches' state either."""
+        with pytest.raises(ValueError, match="combinational"):
+            check_equivalence(binary_counter(2), binary_counter(2),
+                              simulation_vectors=vectors)
+
+    def test_output_less_pair_equivalent(self):
+        """Nothing to compare: the miter output is a constant 0."""
+        left = Circuit("sink")
+        left.add_input("a")
+        left.add_gate("na", GateType.NOT, ["a"])
+        report = check_equivalence(left, left.copy())
+        assert report.equivalent is True
 
 
 class TestMutateCircuit:

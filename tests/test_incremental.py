@@ -164,10 +164,14 @@ class TestSearchPathPinned:
         assert self.effort(result.stats) == (81, 215, 5735)
 
     def test_sequential_equivalence_counters(self):
+        # Re-pinned when the check became BMC on build_miter's product
+        # machine: the product's input buffers add variables, which
+        # moved the search (the private unroller read 394 / 547 /
+        # 22,338).
         report = check_sequential_equivalence(
             binary_counter(3), binary_counter(3), max_depth=10)
         assert report.equivalent_through == 10
-        assert self.effort(report.stats) == (394, 547, 22338)
+        assert self.effort(report.stats) == (419, 543, 28097)
 
     def test_robust_path_delay_counters(self):
         circuit = carry_select_adder(4)

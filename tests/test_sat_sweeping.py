@@ -91,6 +91,30 @@ class TestSweepingCEC:
             c17(), mutate_circuit(c17(), seed=1))
         assert equivalent is False
 
+    def test_report_sums_every_query(self, monkeypatch):
+        """The sweep's stats are its one solver's effort: the pair
+        queries and the final per-output queries."""
+        import repro.apps.sat_sweeping as sweeping
+
+        built = []
+
+        class Recorded(SATSweeper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(sweeping, "SATSweeper", Recorded)
+        equivalent, report = check_equivalence_sweeping(
+            ripple_carry_adder(3), carry_select_adder(3))
+        assert equivalent is True
+        (sweeper,) = built
+        total = sweeper.solver.stats
+        assert report.stats.conflicts > 0
+        assert ((report.stats.conflicts, report.stats.decisions,
+                 report.stats.propagations)
+                == (total.conflicts, total.decisions,
+                    total.propagations))
+
     def test_agrees_with_plain_cec(self):
         for seed in range(3):
             circuit = random_circuit(4, 12, seed=seed)

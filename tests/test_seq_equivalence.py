@@ -105,6 +105,22 @@ class TestInterfaces:
         assert verify_divergence(left, right, report)
 
 
+class TestOutputLessPairs:
+    def test_equivalent_through_the_bound(self):
+        """Machines with state but no outputs cannot differ."""
+        def sink(name):
+            circuit = Circuit(name)
+            circuit.add_input("d")
+            circuit.add_dff("q", "nq")
+            circuit.add_gate("nq", GateType.XOR, ["q", "d"])
+            return circuit
+
+        report = check_sequential_equivalence(sink("a"), sink("b"),
+                                              max_depth=4)
+        assert report.bounded_equivalent
+        assert report.equivalent_through == 4
+
+
 class TestUndecidedDepths:
     def test_capped_depth_is_not_proved(self):
         """A depth the solver gives up on stops the sweep: it is

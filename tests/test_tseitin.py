@@ -1,13 +1,21 @@
 """Unit tests for repro.circuits.tseitin (paper Section 2, Figure 1)."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from conftest import brute_force_models, brute_force_status
 
+from repro.apps.equivalence import mutate_circuit
 from repro.circuits.gates import GateType
-from repro.circuits.library import figure1_circuit, half_adder
+from repro.circuits.generators import (
+    array_multiplier,
+    binary_counter,
+    carry_select_adder,
+    ripple_carry_adder,
+)
+from repro.circuits.library import c17, figure1_circuit, half_adder
 from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import simulate
 from repro.circuits.tseitin import (
@@ -17,6 +25,7 @@ from repro.circuits.tseitin import (
     encode_miter,
     encode_with_objective,
 )
+from repro.cnf.dimacs import write_dimacs
 
 
 class TestEncodeCircuit:
@@ -144,3 +153,51 @@ class TestMiter:
         miter, xors = build_miter(single, single)
         assert len(xors) == 1
         miter.validate()
+
+    def test_output_less_miter_is_constant_zero(self):
+        """Nothing can differ: the rule add_difference applies."""
+        sink = Circuit("sink")
+        sink.add_input("a")
+        sink.add_gate("na", GateType.NOT, ["a"])
+        miter, xors = build_miter(sink, sink)
+        assert xors == []
+        assert miter.node("miter_out").gate_type is GateType.CONST0
+        assert miter.outputs == ["miter_out"]
+        encoding = encode_miter(sink, sink)
+        assert brute_force_status(encoding.formula, max_vars=20) == "UNSAT"
+
+
+class TestSequentialMiter:
+    def test_product_machine(self):
+        """Each machine's DFFs keep their prefixed names and read
+        their own prefixed data inputs; the inputs stay shared."""
+        left, right = binary_counter(2), binary_counter(3)
+        miter, _ = build_miter(left, right)
+        miter.validate()
+        assert miter.inputs == left.inputs
+        assert miter.dffs == ([f"a_{dff}" for dff in left.dffs]
+                              + [f"b_{dff}" for dff in right.dffs])
+        for prefix, machine in (("a_", left), ("b_", right)):
+            for dff in machine.dffs:
+                assert miter.fanin(prefix + dff) == tuple(
+                    prefix + fanin for fanin in machine.fanin(dff))
+        for name in left.inputs:
+            assert miter.fanin(f"a_{name}") == (name,)
+            assert miter.fanin(f"b_{name}") == (name,)
+
+
+@pytest.mark.parametrize("pair, digest", [
+    (lambda: (c17(), c17()),
+     "a45e67aef37e3f78a788f9188a0debb477243f62744f1ac2faee55feaabc23e4"),
+    (lambda: (ripple_carry_adder(8), carry_select_adder(8)),
+     "d28be065b032e0d13062e2e386647450bdd530e6210f3aae17a1cfbf8ded67fc"),
+    (lambda: (array_multiplier(3), mutate_circuit(array_multiplier(3))),
+     "6e7c54241149f67faa1c8d09bb6b625387628a3030264e254360bc5701b0b7c6"),
+], ids=["c17", "rca8-csa8", "mul3-mut"])
+def test_combinational_miter_bytes_pinned(pair, digest):
+    """The sha256 of each combinational miter's DIMACS text, measured
+    before the miter accepted sequential circuits: the benchmark's
+    miter instances and its independent ATPG cross-check are built by
+    encode_miter, so its bytes must not move."""
+    text = write_dimacs(encode_miter(*pair()).formula)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
