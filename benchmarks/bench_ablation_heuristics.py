@@ -21,6 +21,31 @@ from repro.solvers.heuristics import make_heuristic
 CONFIGS = ["cdcl-h:fixed", "cdcl-h:random", "cdcl-h:jw",
            "cdcl-h:dlis", "cdcl-h:vsids"]
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["fixed", "php5", "UNSATISFIABLE", 148, 149],
+    ["fixed", "parity12", "UNSATISFIABLE", 1, 2],
+    ["fixed", "rand30@4.26", "SATISFIABLE", 41, 30],
+    ["fixed", "rand40@3.8", "SATISFIABLE", 68, 48],
+    ["random", "php5", "UNSATISFIABLE", 240, 201],
+    ["random", "parity12", "UNSATISFIABLE", 1, 2],
+    ["random", "rand30@4.26", "SATISFIABLE", 31, 22],
+    ["random", "rand40@3.8", "SATISFIABLE", 74, 54],
+    ["jw", "php5", "UNSATISFIABLE", 133, 89],
+    ["jw", "parity12", "UNSATISFIABLE", 1, 2],
+    ["jw", "rand30@4.26", "SATISFIABLE", 16, 6],
+    ["jw", "rand40@3.8", "SATISFIABLE", 15, 2],
+    ["dlis", "php5", "UNSATISFIABLE", 133, 89],
+    ["dlis", "parity12", "UNSATISFIABLE", 1, 2],
+    ["dlis", "rand30@4.26", "SATISFIABLE", 16, 6],
+    ["dlis", "rand40@3.8", "SATISFIABLE", 15, 2],
+    ["vsids", "php5", "UNSATISFIABLE", 106, 98],
+    ["vsids", "parity12", "UNSATISFIABLE", 1, 2],
+    ["vsids", "rand30@4.26", "SATISFIABLE", 18, 10],
+    ["vsids", "rand40@3.8", "SATISFIABLE", 15, 2],
+]
+
 
 def instances():
     return [
@@ -55,6 +80,7 @@ def test_ablation_heuristics(benchmark, show):
                   if r.instance == name}
         best = min(counts.values())
         assert counts["cdcl-h:vsids"] <= max(3 * best, best + 50)
+    assert rows == EXPECTED
 
     result = benchmark(
         lambda: CDCLSolver(pigeonhole(5),

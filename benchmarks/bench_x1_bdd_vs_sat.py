@@ -26,6 +26,16 @@ from repro.experiments.tables import format_table
 #: natural ordering) -- the blow-up side of the crossover.
 BDD_BUDGET = 5000
 
+#: The whole table (BDD verdicts and peak nodes, SAT verdicts and
+#: conflicts); a change that moves the search re-pins it and reports
+#: the rows it moved.
+EXPECTED = [
+    ["rca3 vs csa3", "equivalent", 214, True, 71, 45],
+    ["rca5 vs csa5", "equivalent", 1056, True, 129, 105],
+    ["mul4 vs mul4", "equivalent", 745, True, 347, 8],
+    ["mul6 vs mul6", "BLOWUP", 5000, True, 6362, 17],
+]
+
 
 def pairs():
     return [
@@ -66,6 +76,7 @@ def test_x1_bdd_vs_sat(benchmark, show):
     # Larger multiplier: BDD blows the budget, SAT still answers.
     assert by_label["mul6 vs mul6"][1] == "BLOWUP"
     assert by_label["mul6 vs mul6"][3] is True
+    assert rows == EXPECTED
 
     result = benchmark(lambda: check_equivalence_bdd(
         ripple_carry_adder(3), carry_select_adder(3)))

@@ -14,6 +14,15 @@ from repro.circuits.library import c17
 from repro.circuits.netlist import Circuit
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["bus: driver-coupled", 4, 2, 2, 3],
+    ["bus: independent only", 2, 2, 0, 1],
+    ["c17: G22 victim", 3, 3, 0, 1],
+    ["c17: G23 low victim", 2, 0, 2, 3],
+]
+
 
 def coupled_bus_circuit():
     """A victim buffered from input a, coupled to its own driver, a
@@ -68,6 +77,7 @@ def test_x3_crosstalk(benchmark, show):
     assert rows[0][2] == 2 and rows[0][3] == 2
     # Independent aggressors reach the structural bound.
     assert rows[1][3] == 0
+    assert rows == EXPECTED
 
     bus = coupled_bus_circuit()
     scenario = CouplingScenario("victim",

@@ -18,6 +18,15 @@ from repro.apps.optimization import (
 from repro.cnf.pseudo_boolean import evaluate_terms
 from repro.experiments.tables import format_table
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["cover0", 21, 7, 7],
+    ["cover1", 22, 9, 4],
+    ["cover2", 15, 8, 5],
+    ["knapsack5", 12, 6, 6],
+]
+
 
 def weighted_cover_instance(seed: int, nodes: int = 8):
     """Weighted vertex cover on a random graph."""
@@ -69,6 +78,7 @@ def test_x4_pb_optimization(benchmark, show):
          "SAT calls (binary search)"], rows,
         title="X4 -- pseudo-Boolean optimization: Davis-Putnam "
               "enumeration schedules ([3])"))
+    assert rows == EXPECTED
 
     problem, _ = weighted_cover_instance(7)
     solution = benchmark(minimize, problem)

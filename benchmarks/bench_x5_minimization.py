@@ -11,6 +11,14 @@ from repro.experiments.tables import format_table
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.heuristics import FixedOrderHeuristic
 
+#: The whole table; a change that moves the search re-pins it and
+#: reports the rows it moved.
+EXPECTED = [
+    ["php5", "UNSATISFIABLE", 139, 7.53, 139, 6.42],
+    ["php6", "UNSATISFIABLE", 578, 11.46, 582, 8.93],
+    ["rand40@4.3", "UNSATISFIABLE", 68, 4.82, 73, 3.71],
+]
+
 
 def profile(formula_factory, minimize):
     solver = CDCLSolver(formula_factory(),
@@ -43,6 +51,7 @@ def test_x5_minimization(benchmark, show):
     # shrink somewhere.
     assert all(row[5] <= row[3] for row in rows)
     assert any(row[5] < row[3] for row in rows)
+    assert rows == EXPECTED
 
     result = benchmark(
         lambda: CDCLSolver(pigeonhole(5),

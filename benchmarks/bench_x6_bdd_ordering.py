@@ -14,6 +14,15 @@ from repro.circuits.generators import comparator, ripple_carry_adder
 from repro.circuits.tseitin import encode_circuit
 from repro.experiments.tables import format_table
 
+#: The whole table (BDD node counts, their ratio and the CNF
+#: clause counts); a change to the BDD package or the encoder
+#: re-pins it and reports the rows it moved.
+EXPECTED = [
+    ["rca6", 1327, 393, 3.4, 116],
+    ["rca8", 5529, 711, 7.8, 154],
+    ["cmp8", 1537, 132, 11.6, 41],
+]
+
 
 def bdd_nodes(circuit, order=None):
     manager = BDDManager(len(circuit.inputs), max_nodes=500_000)
@@ -45,6 +54,7 @@ def test_x6_bdd_ordering(benchmark, show):
     for row in rows:
         assert row[2] < row[1]            # interleaving always helps
     assert any(row[3] >= 4 for row in rows)
+    assert rows == EXPECTED
 
     circuit = ripple_carry_adder(6)
     nodes = benchmark(bdd_nodes, circuit,

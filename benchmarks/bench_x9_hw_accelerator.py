@@ -18,6 +18,15 @@ from repro.experiments.tables import format_table
 from repro.hw.accelerator import HardwareSATAccelerator, estimate_speedup
 from repro.solvers.cdcl import CDCLSolver
 
+#: The whole table (HW clocks and decisions, CDCL decisions, and
+#: the step-count ratio derived from them); a change that moves
+#: either search re-pins it and reports the rows it moved.
+EXPECTED = [
+    ["php4", "UNSATISFIABLE", 405, 51, 32, 2.3],
+    ["php5", "UNSATISFIABLE", 2952, 374, 106, 1.3],
+    ["rand25@4.0", "SATISFIABLE", 68, 12, 7, 0.8],
+]
+
 
 def instances():
     return [
@@ -59,6 +68,7 @@ def test_x9_hw_accelerator(benchmark, show):
     # can win elsewhere (the random instance may go either way).
     assert by_name["php4"][5] > 1
     assert by_name["php5"][5] > 1
+    assert rows == EXPECTED
 
     result = benchmark(
         lambda: HardwareSATAccelerator(pigeonhole(4)).run())

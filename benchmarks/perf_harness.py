@@ -50,22 +50,6 @@ run **gates** on ``median_certified_overhead <= 1.25``: proof
 streaming is supposed to be cheap, and this is where a regression
 would surface.
 
-Since PR 6 (inprocessing engine) each instance additionally runs with
-in-search simplification enabled (interval 1000, all passes).  The
-record keeps the timing, the per-pass reclaim statistics
-(``Inprocessor.pass_totals``), and the on-vs-off CPU ratio; on UNSAT
-instances one extra inprocessing run streams a DRUP proof that the
-independent checker must accept (every inprocessing transformation is
-proof-logged, so a checker rejection here is a soundness bug).  The
-JSON also records the kernel capability probe
-(:func:`repro.solvers.kernels.capability`), which says whether the
-numpy or the stdlib kernels ran.  The probe runs exactly once
-per invocation (a probe failure is recorded as an error string under
-``kernels``, never an omitted key).  On the full suite the run
-**gates** on inprocessing beating the plain engine on ``php-7`` (the
-paper's flagship refutation family; simplification is what keeps it
-tractable).
-
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_harness.py            # full
@@ -247,74 +231,6 @@ def _run_certified(formula):
     return wall, cpu, result, info
 
 
-#: Inprocessing cadence for the benchmark runs: frequent enough to
-#: fire on every suite instance, sparse enough that the passes pay
-#: for themselves (measured on php-7, see BENCH_PR6.json).  Learned
-#: clauses are minimized since PR 6, so conflicts are cheaper and the
-#: sweet spot moved out from 500.
-INPROCESS_INTERVAL = 1000
-
-
-def _inprocess_config():
-    from repro.solvers.inprocess import InprocessConfig
-    return InprocessConfig(interval=INPROCESS_INTERVAL)
-
-
-def _run_inprocess(formula):
-    """The live engine with the inprocessing engine enabled.  Returns
-    the timing, the result, and the per-pass totals of the run's
-    :class:`~repro.solvers.inprocess.Inprocessor`."""
-    solver = CDCLSolver(
-        formula, heuristic=VSIDSHeuristic(seed=0),
-        restart_policy=make_restart_policy("luby", 64),
-        phase_saving=True, inprocess=_inprocess_config())
-    wall, cpu, result = _timed(solver)
-    inprocessor = solver._inprocessor
-    totals = ({name: dict(counters) for name, counters
-               in inprocessor.pass_totals.items()}
-              if inprocessor is not None else {})
-    return wall, cpu, result, totals
-
-
-def _run_inprocess_certified(formula):
-    """One inprocessing run streaming a DRUP proof, validated by the
-    independent checker: every inprocessing transformation is
-    proof-logged, so a rejection here is a soundness bug, not noise."""
-    import tempfile
-
-    from repro.verify.checker import check_proof_file
-    from repro.verify.drat import FileProofSink
-
-    handle, proof_path = tempfile.mkstemp(suffix=".drup",
-                                          prefix="repro-bench-inp-")
-    os.close(handle)
-    solver = CDCLSolver(
-        formula, heuristic=VSIDSHeuristic(seed=0),
-        restart_policy=make_restart_policy("luby", 64),
-        phase_saving=True,
-        inprocess=_inprocess_config())
-    sink = solver.proof = FileProofSink(proof_path)
-    try:
-        result = solver.solve()
-        sink.close()
-        info = {"proof_bytes": sink.bytes_written,
-                "proof_adds": sink.adds,
-                "proof_deletes": sink.deletes}
-        if result.status is Status.UNSATISFIABLE:
-            outcome = check_proof_file(formula, proof_path)
-            info["proof_valid"] = outcome.valid
-            if not outcome.valid:
-                raise AssertionError(
-                    f"inprocessing produced an invalid proof: "
-                    f"{outcome.error}")
-    finally:
-        try:
-            os.remove(proof_path)
-        except OSError:
-            pass
-    return result, info
-
-
 def _run_old(formula):
     solver = LegacyCDCLSolver(
         formula, heuristic=LegacyVSIDS(),
@@ -332,7 +248,7 @@ def _verify_model(formula, result, engine: str, name: str) -> None:
 
 def bench_instance(name, formula, repeats: int):
     """Race both engines on one instance; returns the result record."""
-    best_new = best_old = best_traced = best_cert = best_inp = None
+    best_new = best_old = best_traced = best_cert = None
     for _ in range(repeats):
         # Best repetition is picked on CPU seconds: wall clock on a
         # shared machine includes steal time that has nothing to do
@@ -349,24 +265,12 @@ def bench_instance(name, formula, repeats: int):
         wall, cpu, result, info = _run_certified(formula)
         if best_cert is None or cpu < best_cert[1]:
             best_cert = (wall, cpu, result, info)
-        wall, cpu, result, totals = _run_inprocess(formula)
-        if best_inp is None or cpu < best_inp[1]:
-            best_inp = (wall, cpu, result, totals)
     new_wall, new_time, new_result = best_new
     old_wall, old_time, old_result = best_old
     traced_wall, traced_time, traced_result = best_traced
     cert_wall, cert_time, cert_result, cert_info = best_cert
-    inp_wall, inp_time, inp_result, inp_totals = best_inp
     del_wall, del_time, del_result, del_occupancy = _run_deletion(formula)
 
-    if inp_result.status is not new_result.status:
-        raise AssertionError(
-            f"inprocessing changed the verdict on {name}: "
-            f"inprocess={inp_result.status} plain={new_result.status}")
-    _verify_model(formula, inp_result, "inprocessing engine", name)
-    inp_proof_info = {}
-    if inp_result.status is Status.UNSATISFIABLE:
-        _, inp_proof_info = _run_inprocess_certified(formula)
     if cert_result.status is not new_result.status:
         raise AssertionError(
             f"proof streaming changed the verdict on {name}: "
@@ -450,27 +354,6 @@ def bench_instance(name, formula, repeats: int):
             "overhead": round(cert_time / new_time, 3),
             **cert_info,
         },
-        # One live-engine run with the inprocessing engine enabled
-        # (interval INPROCESS_INTERVAL, all passes).
-        # ``vs_off`` > 1 means inprocessing made this instance faster;
-        # ``passes`` breaks the reclaim down per pass.
-        "inprocess": {
-            "wall_seconds": round(inp_wall, 6),
-            "cpu_seconds": round(inp_time, 6),
-            "speedup_vs_legacy": round(old_time / inp_time, 3),
-            "vs_off": round(new_time / inp_time, 3),
-            "runs": inp_result.stats.inprocess_runs,
-            "removed_clauses":
-                inp_result.stats.inprocess_removed_clauses,
-            "strengthened_clauses":
-                inp_result.stats.inprocess_strengthened_clauses,
-            "reclaimed_lits": inp_result.stats.inprocess_reclaimed_lits,
-            "eliminated_vars":
-                inp_result.stats.inprocess_eliminated_vars,
-            "units": inp_result.stats.inprocess_units,
-            "passes": inp_totals,
-            **inp_proof_info,
-        },
     }
 
 
@@ -485,16 +368,6 @@ def main(argv=None) -> int:
                         help="output JSON path (default: BENCH_PR9.json "
                              "in the repo root; '-' for stdout only)")
     args = parser.parse_args(argv)
-
-    # Probe the kernel capability exactly once per invocation; a
-    # failure is recorded as an explicit error string rather than an
-    # omitted key, so numpy-absent runs stay distinguishable from runs
-    # that never probed.
-    try:
-        from repro.solvers.kernels import capability
-        kernels_info = capability()
-    except Exception as exc:
-        kernels_info = {"error": f"{type(exc).__name__}: {exc}"}
 
     repeats = args.repeats or (1 if args.smoke else 3)
     records = []
@@ -511,7 +384,6 @@ def main(argv=None) -> int:
               f"x{record['speedup']:.2f}  "
               f"traced x{record['tracing_overhead']:.2f}  "
               f"cert x{record['certified']['overhead']:.2f}  "
-              f"inp x{record['inprocess']['vs_off']:.2f}  "
               f"{gc_note}", flush=True)
 
     speedups = [r["speedup"] for r in records]
@@ -521,29 +393,19 @@ def main(argv=None) -> int:
     # runs the sink sees just the learned-clause stream).
     cert_overheads = [r["certified"]["overhead"] for r in records
                       if r["status"] == "UNSATISFIABLE"]
-    inp_speedups = [r["inprocess"]["speedup_vs_legacy"]
-                    for r in records]
-    php7 = next((r for r in records if r["instance"] == "php-7"), None)
     summary = {
         "bench": "live engine vs the frozen legacy baseline, with "
-                 "traced, certified, deletion-mode and inprocessing runs",
+                 "traced, certified and deletion-mode runs",
         "baseline": "benchmarks/legacy_cdcl.py (seed engine @00ba90a)",
         "config": "VSIDS seed=0, Luby-64 restarts, phase saving",
         "timing": "ratios from process CPU seconds, best of repeats "
                   "(wall seconds recorded alongside)",
         "deletion_config": "size bound=6 interval=250 (extra live run)",
-        "inprocess_config": f"interval={INPROCESS_INTERVAL}, all "
-                            "passes (extra live run)",
-        "kernels": kernels_info,
         "repeats": repeats,
         "smoke": args.smoke,
         "median_speedup": round(statistics.median(speedups), 3),
         "min_speedup": round(min(speedups), 3),
         "max_speedup": round(max(speedups), 3),
-        "median_inprocess_speedup": round(
-            statistics.median(inp_speedups), 3),
-        "php7_inprocess_vs_off": php7["inprocess"]["vs_off"]
-            if php7 else None,
         "median_tracing_overhead": round(statistics.median(overheads),
                                          3),
         "max_tracing_overhead": round(max(overheads), 3),
@@ -569,12 +431,6 @@ def main(argv=None) -> int:
               f"x{summary['median_certified_overhead']:.2f}  "
               f"(max x{summary['max_certified_overhead']:.2f}, "
               f"gate <=x{summary['certified_gate']:.2f})")
-    print(f"median inprocess speedup vs legacy: "
-          f"x{summary['median_inprocess_speedup']:.2f}  "
-          f"(kernel {kernels_info.get('kernel', 'probe-failed')})")
-    if php7 is not None:
-        print(f"php-7 inprocess vs off: "
-              f"x{summary['php7_inprocess_vs_off']:.2f}")
 
     if args.output != "-":
         out_path = Path(args.output) if args.output \
@@ -598,11 +454,6 @@ def main(argv=None) -> int:
         print(f"FAIL: median certified overhead "
               f"x{summary['median_certified_overhead']:.2f} exceeds "
               f"the x{summary['certified_gate']:.2f} gate",
-              file=sys.stderr)
-        return 1
-    if php7 is not None and summary["php7_inprocess_vs_off"] <= 1.0:
-        print(f"FAIL: inprocessing did not beat the plain engine on "
-              f"php-7 (x{summary['php7_inprocess_vs_off']:.2f})",
               file=sys.stderr)
         return 1
     if not args.smoke and summary["median_speedup"] \

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import output_values, random_vector, simulate
-from repro.circuits.tseitin import encode_miter
+from repro.circuits.tseitin import check_miter_interface, encode_miter
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.preprocess import preprocess
@@ -68,11 +68,12 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
                       ) -> EquivalenceReport:
     """Check functional equivalence of two combinational circuits.
 
-    The circuits must share input and output name lists (reorderings
-    are not reconciled).  A sequential circuit raises ``ValueError``:
-    one frame with free latches would report differences no reachable
-    state shows (:mod:`repro.apps.seq_equivalence` bounds sequential
-    pairs).  ``use_preprocessing`` enables the Section 6
+    The circuits must share the input name list and have equally many
+    outputs (reorderings are not reconciled); a mismatch raises
+    ``ValueError`` before any vector is simulated.  So does a
+    sequential circuit: one frame with free latches would report
+    differences no reachable state shows
+    (:mod:`repro.apps.seq_equivalence` bounds sequential pairs).  ``use_preprocessing`` enables the Section 6
     equivalency-reasoning pass on the miter CNF; ``use_strash`` merges
     structurally identical miter gates first (the structural half of
     the hybrid checkers [16, 26]).  ``backend="portfolio"`` races
@@ -99,6 +100,7 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
         raise ValueError(f"unknown backend {backend!r}")
     if circuit_a.is_sequential() or circuit_b.is_sequential():
         raise ValueError("equivalence checking is combinational only")
+    check_miter_interface(circuit_a, circuit_b)
     if certify and use_preprocessing:
         raise ValueError(
             "certify=True is incompatible with use_preprocessing: the "

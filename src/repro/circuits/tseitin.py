@@ -183,13 +183,22 @@ def encode_with_objective(circuit: Circuit,
     return encoding
 
 
+def check_miter_interface(circuit_a: Circuit, circuit_b: Circuit) -> None:
+    """Raise ``ValueError`` unless the two circuits can form a miter:
+    identical primary-input name lists and equally many outputs."""
+    if list(circuit_a.inputs) != list(circuit_b.inputs):
+        raise ValueError("miter requires identical input name lists")
+    if len(circuit_a.outputs) != len(circuit_b.outputs):
+        raise ValueError("miter requires equally many outputs")
+
+
 def build_miter(circuit_a: Circuit, circuit_b: Circuit,
                 name: str = "miter") -> Tuple[Circuit, List[str]]:
     """Compose two circuits into a miter (Section 3, equivalence
     checking).
 
-    Both circuits must have identical primary-input name lists and
-    equally many outputs.  The miter shares the inputs, XORs each
+    Both circuits must pass :func:`check_miter_interface`.  The miter
+    shares the inputs, XORs each
     output pair and ORs the XORs into a single output ``miter_out``
     (a constant 0 over no pairs); the circuits differ on some vector
     iff ``miter_out`` can be set to 1.  Sequential circuits compose
@@ -199,10 +208,7 @@ def build_miter(circuit_a: Circuit, circuit_b: Circuit,
     Returns the miter circuit and the list of per-output XOR node names
     (useful for output-by-output equivalence queries).
     """
-    if list(circuit_a.inputs) != list(circuit_b.inputs):
-        raise ValueError("miter requires identical input name lists")
-    if len(circuit_a.outputs) != len(circuit_b.outputs):
-        raise ValueError("miter requires equally many outputs")
+    check_miter_interface(circuit_a, circuit_b)
 
     renamed_a = circuit_a.renamed("a_")
     renamed_b = circuit_b.renamed("b_")

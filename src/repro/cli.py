@@ -38,7 +38,8 @@ claimed answer failed certification (a demotion is a bug report, not
 a timeout, and scripts must be able to tell them apart); rejected or
 malformed service submissions exit 2, and 0/1 = pass/fail elsewhere.
 An input file that cannot be read or parsed, a sequential netlist
-given to ``atpg`` or ``cec``, or a ``bmc`` netlist without the
+given to ``atpg`` or ``cec``, two ``cec`` netlists with different
+input names or output counts, or a ``bmc`` netlist without the
 ``--output`` node named (or, unnamed, without outputs) is one
 ``error:`` line on stderr and exit 2.
 """
@@ -159,11 +160,6 @@ def _cmd_solve(args) -> int:
               "under --portfolio (worker proofs cannot share the "
               "preprocessing prefix)", file=sys.stderr)
         return 2
-    inprocess_config = None
-    if args.inprocess:
-        from repro.solvers.inprocess import InprocessConfig
-        inprocess_config = InprocessConfig(
-            interval=args.inprocess_interval)
     formula = _read_input(load_dimacs, args.file)
     lift = None
     certified_preprocess = args.certify and args.preprocess
@@ -179,8 +175,7 @@ def _cmd_solve(args) -> int:
         result = race_portfolio(formula, args.certify, args.proof_dir,
                                 processes=args.portfolio,
                                 max_conflicts=args.max_conflicts,
-                                budget=budget, tracer=tracer,
-                                inprocess=inprocess_config)
+                                budget=budget, tracer=tracer)
         if result.winner:
             print(f"c portfolio winner: {result.winner}")
         result = result.result
@@ -196,11 +191,10 @@ def _cmd_solve(args) -> int:
                                  tracer=tracer,
                                  max_conflicts=args.max_conflicts,
                                  budget=budget,
-                                 preprocess=certified_preprocess,
-                                 inprocess=inprocess_config)
+                                 preprocess=certified_preprocess)
     else:
         solver = CDCLSolver(formula, max_conflicts=args.max_conflicts,
-                            budget=budget, inprocess=inprocess_config)
+                            budget=budget)
         solver.tracer = tracer
         if args.stats_json:
             # Search-quality histograms ride the single-engine path
@@ -286,6 +280,7 @@ def _cmd_atpg(args) -> int:
 def _cmd_cec(args) -> int:
     from repro.apps.equivalence import check_equivalence
     from repro.circuits.bench_format import load_bench
+    from repro.circuits.tseitin import check_miter_interface
 
     left = _read_input(load_bench, args.left)
     right = _read_input(load_bench, args.right)
@@ -293,6 +288,11 @@ def _cmd_cec(args) -> int:
         if circuit.is_sequential():
             raise _BadInput(f"{path} is sequential; equivalence "
                             f"checking is combinational only")
+    try:
+        check_miter_interface(left, right)
+    except ValueError as exc:
+        raise _BadInput(f"{args.left} and {args.right} cannot be "
+                        f"compared: {exc}") from None
     if args.certify and args.preprocess:
         print("error: --certify is incompatible with --preprocess "
               "(the proof would certify the preprocessed miter, not "
@@ -696,15 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "reasoning first")
     solve.add_argument("--max-conflicts", type=_at_least(0),
                        default=None)
-    solve.add_argument("--inprocess", action="store_true",
-                       help="periodic in-search simplification "
-                            "(subsumption, vivification, bounded "
-                            "variable elimination, equivalent-literal "
-                            "substitution) on the clause arena")
-    solve.add_argument("--inprocess-interval", type=_at_least(1),
-                       default=2000, metavar="CONFLICTS",
-                       help="conflicts between inprocessing runs "
-                            "(default: 2000)")
     solve.add_argument("--portfolio", type=_at_least(0), default=0,
                        metavar="N",
                        help="race N diversified CDCL configurations "

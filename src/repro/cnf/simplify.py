@@ -9,7 +9,7 @@ extended back to a model of the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cnf.clause import is_tautology
 from repro.cnf.formula import CNFFormula
@@ -161,24 +161,65 @@ def remove_duplicates(formula: CNFFormula) -> SimplifyResult:
     return SimplifyResult(out, {}, removed, 0)
 
 
+def _signature(clause: Sequence[int]) -> int:
+    """The clause's 64-bit membership signature: bit ``lit & 63`` is
+    set for every literal.  A clause C can subsume D only when
+    ``sig(C) & ~sig(D) == 0``, so the test prunes candidates without
+    ever rejecting a real subsumption."""
+    sig = 0
+    for lit in clause:
+        sig |= 1 << (lit & 63)
+    return sig
+
+
+def subsumption_pairs(clauses: Sequence[Sequence[int]]
+                      ) -> List[Tuple[int, int]]:
+    """Find subsumed clauses: ``(subsumed_index, subsuming_index)``.
+
+    Clauses are processed shortest-first; a clause subsumed by an
+    earlier-kept one is reported (at most once) and never itself kept
+    as a subsumer -- its subsumer already covers anything it would.
+    Exact duplicates therefore report the later copy as subsumed by
+    the earlier.  Candidates come from the occurrence lists of the
+    clause's literals (any subset shares every literal) and are pruned
+    by the signature test before the exact subset check.
+    """
+    n = len(clauses)
+    if n < 2:
+        return []
+    sigs = [_signature(clause) for clause in clauses]
+    order = sorted(range(n), key=lambda i: (len(clauses[i]), i))
+    occurrences: Dict[int, List[int]] = {}
+    pairs: List[Tuple[int, int]] = []
+    for idx in order:
+        lits = clauses[idx]
+        candidates: Set[int] = set()
+        for lit in lits:
+            candidates.update(occurrences.get(lit, ()))
+        if candidates:
+            sig = sigs[idx]
+            litset = set(lits)
+            winner = next((j for j in sorted(candidates)
+                           if sigs[j] & ~sig == 0
+                           and all(q in litset for q in clauses[j])),
+                          None)
+            if winner is not None:
+                pairs.append((idx, winner))
+                continue
+        for lit in lits:
+            occurrences.setdefault(lit, []).append(idx)
+    return pairs
+
+
 def remove_subsumed(formula: CNFFormula) -> SimplifyResult:
     """Drop clauses subsumed by a (strictly shorter or equal) clause.
 
-    Delegates to the signature-based sweep in
-    :func:`repro.solvers.kernels.subsumption_pairs` (shared with the
-    inprocessing engine, numpy-accelerated when available): candidates
-    come from literal-occurrence lists and are pruned by a 64-bit
-    signature superset test before the exact subset check.  Exact
-    duplicates count as subsumed (the earlier copy survives); kept
-    clauses preserve input order.
+    Runs :func:`subsumption_pairs`.  Exact duplicates count as
+    subsumed (the earlier copy survives); kept clauses preserve input
+    order.
     """
-    # Lazy import: repro.solvers already imports repro.cnf, so a
-    # module-level import here would be circular.
-    from repro.solvers.kernels import subsumption_pairs
-
     clauses = formula.clauses
-    subsumed = {idx for idx, _ in
-                subsumption_pairs([list(c) for c in clauses])}
+    subsumed = {idx for idx, _ in subsumption_pairs(clauses)}
     out = CNFFormula(formula.num_vars)
     for idx, clause in enumerate(clauses):
         if idx not in subsumed:
@@ -300,9 +341,7 @@ def simplify_with_proof(formula: CNFFormula, sink,
         survivors.append(clause)
 
     if subsumption:
-        from repro.solvers.kernels import subsumption_pairs
-        subsumed = {idx for idx, _ in
-                    subsumption_pairs([list(c) for c in survivors])}
+        subsumed = {idx for idx, _ in subsumption_pairs(survivors)}
         for idx in subsumed:
             sink.delete(list(survivors[idx]))
         removed_clauses += len(subsumed)

@@ -242,10 +242,6 @@ def build_report(events: List[Dict[str, Any]],
     verify: Dict[str, Any] = {"checks": 0, "valid": 0, "invalid": 0,
                               "steps": 0, "bytes": 0, "propagations": 0,
                               "check_seconds": 0.0}
-    inprocess: Dict[str, Any] = {"runs": 0, "removed": 0,
-                                 "strengthened": 0, "reclaimed_lits": 0,
-                                 "eliminated": 0, "units": 0,
-                                 "seconds": 0.0, "kernel": None}
     service: Dict[str, Any] = {"results": 0, "statuses": {},
                                "cached": 0, "degraded": 0,
                                "attempts": 0, "retries": 0,
@@ -322,24 +318,6 @@ def build_report(events: List[Dict[str, Any]],
                                   in ("live_ints", "clauses",
                                       "learned_db")
                                   if k in attrs}
-            elif name == "cdcl.inprocess":
-                attrs = event.get("attrs")
-                if isinstance(attrs, dict):
-                    inprocess["runs"] += 1
-                    for attr in ("removed", "strengthened",
-                                 "reclaimed_lits", "eliminated",
-                                 "units"):
-                        value = attrs.get(attr)
-                        if isinstance(value, int) \
-                                and not isinstance(value, bool):
-                            inprocess[attr] += value
-                    seconds = attrs.get("seconds")
-                    if isinstance(seconds, (int, float)) \
-                            and not isinstance(seconds, bool):
-                        inprocess["seconds"] += float(seconds)
-                    kernel = attrs.get("kernel")
-                    if isinstance(kernel, str):
-                        inprocess["kernel"] = kernel
             elif name == "service.result":
                 attrs = event.get("attrs")
                 if isinstance(attrs, dict):
@@ -399,7 +377,7 @@ def build_report(events: List[Dict[str, Any]],
     return {"num_events": len(events), "problems": list(problems),
             "wall": last_ts, "spans": spans, "progress": progress,
             "events": counts, "clause_db": gc, "certification": verify,
-            "inprocessing": inprocess, "service": service,
+            "service": service,
             "jobs": build_job_timelines(events)}
 
 
@@ -488,22 +466,6 @@ def render_report(report: Dict[str, Any]) -> str:
                     + ", ".join(f"{k}={last[k]:,}" for k in
                                 ("live_ints", "clauses", "learned_db")
                                 if k in last))
-
-    inprocess = report.get("inprocessing") or {}
-    if inprocess.get("runs"):
-        lines.append("")
-        lines.append("inprocessing (in-search simplification):")
-        kernel = inprocess.get("kernel") or "?"
-        lines.append(f"  runs: {inprocess['runs']} "
-                     f"({_fmt(inprocess['seconds'])}s total, "
-                     f"kernel={kernel})")
-        lines.append(f"  clauses: {inprocess['removed']:,} removed, "
-                     f"{inprocess['strengthened']:,} strengthened, "
-                     f"{inprocess['reclaimed_lits']:,} literal slots "
-                     f"reclaimed")
-        lines.append(f"  variables: {inprocess['eliminated']:,} "
-                     f"eliminated, {inprocess['units']:,} root units "
-                     f"derived")
 
     service = report.get("service") or {}
     if service.get("results") or service.get("rejects"):

@@ -63,22 +63,6 @@ NAMED_EVENT_ATTRS: Dict[str, Dict[str, str]] = {
         "fill": "number",          # live_ints / peak_lits
     },
     "cdcl.restart": {"restarts": "int", "conflicts": "int"},
-    # One inprocessing run (repro.solvers.inprocess): clauses removed
-    # outright, clauses rewritten shorter, flat-buffer literal slots
-    # reclaimed, variables eliminated, root units derived, total
-    # conflicts when the run fired, surviving arena clauses, run wall
-    # time, and which kernel implementation ran ("numpy"|"python").
-    "cdcl.inprocess": {
-        "removed": "int",
-        "strengthened": "int",
-        "reclaimed_lits": "int",
-        "eliminated": "int",
-        "units": "int",
-        "conflicts": "int",
-        "clauses": "int",
-        "seconds": "number",
-        "kernel": "str",
-    },
     # The solve service (repro.service): one terminal event per
     # answered job (status/attempts/cache/degradation), one per shed
     # job.  "cached"/"degraded" are 0/1 ints (bools don't qualify).

@@ -514,11 +514,9 @@ class SolveServer:
             journal["path"] = self._journal.path
             journal["records_written"] = self._journal.records_written
             journal["write_errors"] = self._journal.write_errors
-        from repro.solvers.kernels import capability
         return {"kind": "status", "id": request_id,
                 "journal": journal,
                 "draining": self._draining,
-                "kernels": capability(),
                 "uptime_seconds": round(now - self._started_at, 3),
                 "queues": self._queues.depths(),
                 "deficits": self._queues.deficits(),

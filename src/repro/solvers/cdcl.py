@@ -129,17 +129,6 @@ class CDCLSolver:
         per-call counter caps, soft memory ceiling.  Enforced through
         the cooperative checkpoint in ``_propagate`` (amortised, see
         DESIGN.md); exhaustion yields ``Status.UNKNOWN``.
-    inprocess:
-        in-search simplification (paper Section 6): an
-        :class:`repro.solvers.inprocess.InprocessConfig`, ``True`` for
-        the defaults, or ``None``/``False`` (default) for none.  The
-        engine runs every ``interval`` conflicts at decision level 0;
-        its work is charged to the same budget meter, and its clause
-        rewrites are written to ``proof`` so certification keeps
-        working.  Variables removed by elimination/equivalence must
-        not reappear in later assumptions or added clauses, which
-        raise (incremental users pass ``InprocessConfig(bve=False,
-        equivalence=False)``).
     resume_from:
         a :class:`repro.runtime.checkpoint.SearchCheckpoint` from a
         dead attempt on the *same formula* (warm restart).  Applied
@@ -148,9 +137,9 @@ class CDCLSolver:
         learned clauses as the DRUP add-prefix of the resumed proof, in
         derivation order.  Imports are admitted only when RUP against
         the formula plus prior imports (checker propagation), which
-        keeps resumed certificates checkable and makes the import
-        sound whatever the dead attempt had inprocessed; rejects are
-        counted in ``stats.checkpoint_dropped_clauses``.
+        keeps resumed certificates checkable and the import sound
+        whatever state the dead attempt was in; rejects are counted in
+        ``stats.checkpoint_dropped_clauses``.
     """
 
     def __init__(self, formula: Optional[CNFFormula] = None,
@@ -167,7 +156,6 @@ class CDCLSolver:
                  max_conflicts: Optional[int] = None,
                  max_decisions: Optional[int] = None,
                  budget: Optional[Budget] = None,
-                 inprocess=None,
                  resume_from=None):
         if backtrack_mode not in ("nonchronological", "chronological"):
             raise ValueError(f"bad backtrack_mode {backtrack_mode!r}")
@@ -194,14 +182,6 @@ class CDCLSolver:
         self.max_conflicts = max_conflicts
         self.max_decisions = max_decisions
         self.budget = budget
-        if inprocess is True:
-            from repro.solvers.inprocess import InprocessConfig
-            inprocess = InprocessConfig()
-        self.inprocess_config = inprocess or None
-        #: Lazily-built :class:`repro.solvers.inprocess.Inprocessor`
-        #: (first ``_solve`` call); holds the reconstruction stack for
-        #: eliminated variables, so it persists across solve calls.
-        self._inprocessor = None
         #: Cumulative effort over every solve call; each call's
         #: result carries its own share (``SolverStats.since``).
         self.stats = SolverStats()
@@ -244,9 +224,8 @@ class CDCLSolver:
         #: Optional :class:`repro.verify.drat.ProofSink`: the engine
         #: writes its own DRUP derivation into it, at the points where
         #: it derives or drops a clause -- every learned clause
-        #: (``_attach``, which also carries checkpoint imports and
-        #: inprocessing's learned rewrites), every unit implicate,
-        #: inprocessing's original-clause adds, every collected clause
+        #: (``_attach``, which also carries checkpoint imports), every
+        #: unit implicate, every collected clause
         #: (``_drop_clauses``), and the empty clause when a solve
         #: without assumptions ends UNSAT.  Used incrementally it also
         #: takes every ``add_clause`` clause as an input step and, when
@@ -352,9 +331,6 @@ class CDCLSolver:
         """
         if self._trail_lim:
             raise RuntimeError("add_clause only allowed at level 0")
-        if self._inprocessor is not None:
-            literals = list(literals)
-            self._inprocessor.check_literals(literals, "added clauses")
         formula = self._grown_formula()
         lits = formula.add_clause(literals)
         if self.proof is not None:
@@ -818,25 +794,17 @@ class CDCLSolver:
                 if type(reason) is int}
 
     def _drop_clauses(self, doomed: set) -> int:
-        """Remove *doomed* arena clauses as a compacting collection;
-        returns the number of buffer ints reclaimed.
+        """Remove *doomed* learned clauses, none of them locked, as a
+        compacting collection; returns the number of buffer ints
+        reclaimed.
 
-        This is the shared GC protocol (used by the deletion policy in
-        ``_reduce_learned`` and by the inprocessing engine's commits):
-        write the doomed clauses' deletion lines to the proof while
-        their ids still mean something (checker-side propagation then
-        stays bounded), compact the arena, rewrite every stored id --
+        This is the GC protocol of ``_reduce_learned``: write the
+        doomed clauses' deletion lines to the proof while their ids
+        still mean something (checker-side propagation then stays
+        bounded), compact the arena, rewrite every stored id --
         registries, antecedent slots -- through the remap, and rebuild
         the watch tables, so the hot path never sees a dead id.
-        Unlike the deletion policy, inprocessing may drop *original*
-        clauses (subsumed/eliminated) and clauses acting as root
-        antecedents; dropped registry entries are filtered out and a
-        dead antecedent becomes ``None`` (level-0 assignments are
-        permanent facts, so conflict analysis never needs their
-        reasons).
         """
-        if not doomed:
-            return 0
         arena = self.arena
         aoff = arena.off
         aend = arena.end
@@ -851,16 +819,14 @@ class CDCLSolver:
         reclaimed = sum(aend[cid] - aoff[cid] for cid in doomed)
         remap = arena.compact(doomed)
 
-        self._clauses = [remap[cid] for cid in self._clauses
-                         if remap[cid] >= 0]
+        self._clauses = [remap[cid] for cid in self._clauses]
         self._learned = [remap[cid] for cid in self._learned
                          if remap[cid] >= 0]
         antecedent = self._antecedent
         for var in range(len(antecedent)):
             reason = antecedent[var]
             if type(reason) is int:
-                mapped = remap[reason]
-                antecedent[var] = mapped if mapped >= 0 else None
+                antecedent[var] = remap[reason]
 
         # Rebuild the watch tables from the surviving clauses' first
         # two slots: the buffer copy preserved literal order, so this
@@ -1039,11 +1005,6 @@ class CDCLSolver:
     def _solve(self, assumptions: Sequence[int]) -> SolverResult:
         started = time.perf_counter()
         self._call_start = replace(self.stats)
-        if self.inprocess_config is not None and self._inprocessor is None:
-            from repro.solvers.inprocess import Inprocessor
-            self._inprocessor = Inprocessor(self, self.inprocess_config)
-        if self._inprocessor is not None:
-            self._inprocessor.check_literals(assumptions, "assumptions")
         self.heuristic.setup(self.formula)
         if self._resume_from is not None:
             checkpoint, self._resume_from = self._resume_from, None
@@ -1157,12 +1118,6 @@ class CDCLSolver:
         for var in range(1, self._num_vars + 1):
             if self._values[var] is not None:
                 model.assign(var, self._values[var])
-        if self._inprocessor is not None:
-            # Replay the reconstruction stack: variables removed by
-            # elimination/equivalence get values satisfying their
-            # saved occurrence clauses (overwriting any junk value a
-            # decision gave an unconstrained variable).
-            self._inprocessor.extend_model(model)
         return model
 
     def _budget_blown(self) -> bool:
@@ -1190,8 +1145,6 @@ class CDCLSolver:
 
         conflicts_since_restart = 0
         conflicts_since_reduce = 0
-        conflicts_since_inprocess = 0
-        inprocessor = self._inprocessor
 
         while True:
             conflict = self._propagate()
@@ -1225,17 +1178,6 @@ class CDCLSolver:
                 if conflicts_since_reduce >= self.deletion_interval:
                     conflicts_since_reduce = 0
                     self._reduce_learned()
-                conflicts_since_inprocess += 1
-                if (inprocessor is not None
-                        and conflicts_since_inprocess
-                        >= inprocessor.config.interval):
-                    conflicts_since_inprocess = 0
-                    self._cancel_until(0)
-                    status = inprocessor.run(assumptions)
-                    if status is not None:
-                        return status
-                    if self._budget_blown():
-                        return Status.UNKNOWN
                 continue
 
             if self.early_sat_check is not None and self.early_sat_check():

@@ -66,11 +66,6 @@ class PortfolioConfig:
     seed: int = 0
     random_freq: float = 0.0
     phase_saving: bool = False
-    #: In-search simplification (repro.solvers.inprocess) -- one more
-    #: diversification axis: simplifying members chase redundancy-heavy
-    #: instances while non-simplifying ones keep raw search throughput.
-    inprocess: bool = False
-    inprocess_interval: int = 2000
 
     def engine_kwargs(self, max_conflicts: Optional[int] = None,
                       budget: Optional[Budget] = None,
@@ -83,10 +78,6 @@ class PortfolioConfig:
         *resume_from* (a ``repro.runtime.checkpoint.SearchCheckpoint``)
         warm-starts the engine from a dead attempt's search state.
         """
-        inprocess = None
-        if self.inprocess:
-            from repro.solvers.inprocess import InprocessConfig
-            inprocess = InprocessConfig(interval=self.inprocess_interval)
         return dict(
             heuristic=make_heuristic(self.heuristic, seed=self.seed,
                                      random_freq=self.random_freq),
@@ -95,7 +86,6 @@ class PortfolioConfig:
             phase_saving=self.phase_saving,
             max_conflicts=max_conflicts,
             budget=budget,
-            inprocess=inprocess,
             resume_from=resume_from,
         )
 
@@ -125,37 +115,33 @@ class PortfolioConfig:
 
 
 #: The diversification axes cycled by :func:`default_portfolio`:
-#: heuristic x restart policy x randomness x phase saving x
-#: inprocessing.  Seeds are added per slot so repeated axes still
-#: differ.  Slot 0 keeps inprocessing off: it is the sequential
-#: fallback's first engine, and the raw-search baseline of the race.
-_DIVERSIFICATION: Tuple[Tuple[str, str, int, float, bool, bool], ...] = (
-    ("vsids", "luby", 64, 0.0, True, False),
-    ("vsids", "geometric", 100, 0.02, True, True),
-    ("dlis", "luby", 128, 0.0, False, False),
-    ("jw", "fixed", 512, 0.05, True, True),
-    ("vsids", "luby", 32, 0.10, False, False),
-    ("dlis", "geometric", 64, 0.05, True, True),
-    ("vsids", "fixed", 256, 0.0, False, False),
-    ("jw", "luby", 64, 0.10, False, True),
+#: heuristic x restart policy x randomness x phase saving.  Seeds are
+#: added per slot so repeated axes still differ.
+_DIVERSIFICATION: Tuple[Tuple[str, str, int, float, bool], ...] = (
+    ("vsids", "luby", 64, 0.0, True),
+    ("vsids", "geometric", 100, 0.02, True),
+    ("dlis", "luby", 128, 0.0, False),
+    ("jw", "fixed", 512, 0.05, True),
+    ("vsids", "luby", 32, 0.10, False),
+    ("dlis", "geometric", 64, 0.05, True),
+    ("vsids", "fixed", 256, 0.0, False),
+    ("jw", "luby", 64, 0.10, False),
 )
 
 
 def default_portfolio(n: int, seed: int = 0) -> List[PortfolioConfig]:
     """*n* diversified configurations (seeds x restarts x heuristics x
-    phase saving x inprocessing), deterministic for a given *seed*."""
+    phase saving), deterministic for a given *seed*."""
     if n < 1:
         raise ValueError("portfolio size must be >= 1")
     configs = []
     for index in range(n):
-        heur, restart, interval, freq, phases, inproc = \
+        heur, restart, interval, freq, phases = \
             _DIVERSIFICATION[index % len(_DIVERSIFICATION)]
-        suffix = "-inp" if inproc else ""
         configs.append(PortfolioConfig(
-            name=f"{heur}-{restart}{interval}{suffix}-s{seed + index}",
+            name=f"{heur}-{restart}{interval}-s{seed + index}",
             heuristic=heur, restart=restart, restart_interval=interval,
-            seed=seed + index, random_freq=freq, phase_saving=phases,
-            inprocess=inproc))
+            seed=seed + index, random_freq=freq, phase_saving=phases))
     return configs
 
 
@@ -259,7 +245,6 @@ def solve_portfolio(formula: CNFFormula,
                     fault_plan: Optional[FaultPlan] = None,
                     progress_interval: Optional[float] = 0.25,
                     proof_dir: Optional[str] = None,
-                    inprocess=None,
                     tracer=None) -> PortfolioResult:
     """Race a portfolio of CDCL configurations on *formula*.
 
@@ -295,13 +280,6 @@ def solve_portfolio(formula: CNFFormula,
     result carries a :class:`~repro.verify.certificate.Certificate`
     (:func:`~repro.verify.certificate.certify_result`) -- an UNKNOWN
     the first failed one, if any claim failed its check.
-
-    ``inprocess`` (an
-    :class:`~repro.solvers.inprocess.InprocessConfig`) force-enables
-    in-search simplification on *every* configuration with the given
-    interval -- the CLI's ``--inprocess`` pass-through.  Without it,
-    the default portfolio already diversifies along the inprocessing
-    axis (every second configuration simplifies).
     """
     if processes is None:
         processes = os.cpu_count() or 1
@@ -311,10 +289,6 @@ def solve_portfolio(formula: CNFFormula,
         configs = default_portfolio(max(processes, 1), seed=seed)
     if not configs:
         raise ValueError("empty portfolio")
-    if inprocess is not None:
-        configs = [replace(c, inprocess=True,
-                           inprocess_interval=inprocess.interval)
-                   for c in configs]
 
     if timeout is not None:
         if budget is None:

@@ -8,8 +8,7 @@ one variable is eliminated."
 
 :func:`equivalency_reduce` finds such pairs (including the negated form
 x == y'), builds equivalence classes via union-find
-(:func:`equivalence_classes`, shared with the inprocessor's
-equivalent-literal pass), rewrites the formula onto class
+(:func:`equivalence_classes`), rewrites the formula onto class
 representatives, and reports the substitution so models can be lifted
 back.  :func:`preprocess` chains the standard
 passes of :mod:`repro.cnf.simplify` with equivalency reasoning and
@@ -99,9 +98,7 @@ def _equivalency_pairs(binaries: Iterable[Tuple[int, int]]
                        ) -> Iterator[Tuple[int, int]]:
     """Yield each binary clause (a + b) of *binaries* (sorted literal
     pairs) whose counterpart (a' + b') is present too: together they
-    say a == b'.  Pairs come in the set order of *binaries*; that
-    order picks the unit the inprocessor derives from a contradiction
-    (:mod:`repro.solvers.inprocess`), so it must not change."""
+    say a == b'."""
     binary = set(binaries)
     for lit_a, lit_b in binary:
         counterpart = ((-lit_a, -lit_b) if -lit_a <= -lit_b
@@ -132,28 +129,26 @@ def find_equivalences(formula: CNFFormula) -> List[Tuple[int, int, bool]]:
 
 
 def equivalence_classes(binaries: Iterable[Tuple[int, int]]
-                        ) -> Tuple[Dict[int, int], Optional[int]]:
+                        ) -> Optional[Dict[int, int]]:
     """The equivalences that *binaries* (sorted literal pairs) define,
-    merged into classes with parity -- the core :func:`equivalency_reduce`
-    shares with the inprocessor's equivalent-literal pass.
+    merged into classes with parity.
 
-    Returns ``(mapping, None)``: *mapping* sends each variable that is
-    not its class's representative (the smallest variable) to the
-    signed representative literal.  An equivalence contradicting the
-    classes (x == x') returns ``({}, lit)``, *lit* being the first
-    literal of that pair.
+    Returns a mapping that sends each variable that is not its class's
+    representative (the smallest variable) to the signed
+    representative literal, or ``None`` when an equivalence
+    contradicts the classes (x == x').
     """
     classes = _UnionFind()
     for lit_a, lit_b in _equivalency_pairs(binaries):
         if not classes.union(abs(lit_a), abs(lit_b),
                              (lit_a > 0) != (lit_b > 0)):
-            return {}, lit_a
+            return None
     mapping: Dict[int, int] = {}
     for var in list(classes.parent):
         root, sign = classes.find(var)
         if root != var:
             mapping[var] = root * sign
-    return mapping, None
+    return mapping
 
 
 def equivalency_reduce(formula: CNFFormula) -> EquivalencyResult:
@@ -168,8 +163,8 @@ def equivalency_reduce(formula: CNFFormula) -> EquivalencyResult:
     removed = 0
 
     for _ in range(formula.num_vars + 1):
-        mapping, contradiction = equivalence_classes(_binaries(current))
-        if contradiction is not None:
+        mapping = equivalence_classes(_binaries(current))
+        if mapping is None:
             return EquivalencyResult(None, substitution, eliminated,
                                      removed)
         if not mapping:

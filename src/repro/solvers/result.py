@@ -48,17 +48,6 @@ class SolverStats:
     #: High-water mark of the clause arena's flat literal buffer --
     #: an occupancy reading, so it merges via max, not sum.
     arena_peak_lits: int = 0
-    #: In-search simplification (repro.solvers.inprocess, PR 6):
-    #: engine runs, clauses removed outright, clauses rewritten to a
-    #: shorter form, flat-buffer literal slots reclaimed, variables
-    #: eliminated (BVE + equivalent-literal substitution), and root
-    #: units derived.
-    inprocess_runs: int = 0
-    inprocess_removed_clauses: int = 0
-    inprocess_strengthened_clauses: int = 0
-    inprocess_reclaimed_lits: int = 0
-    inprocess_eliminated_vars: int = 0
-    inprocess_units: int = 0
     #: Crash-recovery checkpointing (repro.runtime.checkpoint):
     #: checkpoints exported by this attempt; attempts seeded from a
     #: checkpoint (0/1 per attempt, summing to warm-resume count

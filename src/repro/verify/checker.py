@@ -316,9 +316,8 @@ class RupDatabase:
     engine :func:`check_proof_steps` runs.  A clause that fails here is
     dropped by the importer (it would fail certification later), which
     doubles as a soundness firewall: admitted clauses are genuine
-    consequences of the original formula, whatever transformations
-    (e.g. inprocessing) the dead attempt had applied when it learned
-    them.
+    consequences of the original formula, whatever state the dead
+    attempt was in when it learned them.
 
     The dependency direction is solver -> checker; the checker still
     imports nothing from the solver stack.

@@ -93,8 +93,7 @@ class CDCLEngine(Engine):
                  deletion_interval: int = 1000,
                  minimize_learned: bool = False,
                  phase_saving: bool = False,
-                 max_conflicts: Optional[int] = None,
-                 inprocess_interval: Optional[int] = None):
+                 max_conflicts: Optional[int] = None):
         self.name = name
         self.params = dict(
             heuristic=heuristic, seed=seed, random_freq=random_freq,
@@ -102,23 +101,17 @@ class CDCLEngine(Engine):
             deletion=deletion, deletion_bound=deletion_bound,
             deletion_interval=deletion_interval,
             minimize_learned=minimize_learned,
-            phase_saving=phase_saving, max_conflicts=max_conflicts,
-            inprocess_interval=inprocess_interval)
+            phase_saving=phase_saving, max_conflicts=max_conflicts)
         self.proof_events = None
 
-    def solver(self, formula: Optional[CNFFormula] = None,
-               inprocess: bool = True):
+    def solver(self, formula: Optional[CNFFormula] = None):
         """A :class:`CDCLSolver` in this configuration, with a memory
-        proof sink (``inprocess=False`` leaves inprocessing out)."""
+        proof sink."""
         from repro.solvers.cdcl import CDCLSolver
         from repro.solvers.heuristics import make_heuristic
         from repro.solvers.restarts import make_restart_policy
 
         p = self.params
-        config = None
-        if inprocess and p["inprocess_interval"] is not None:
-            from repro.solvers.inprocess import InprocessConfig
-            config = InprocessConfig(interval=p["inprocess_interval"])
         solver = CDCLSolver(
             formula,
             heuristic=make_heuristic(p["heuristic"], seed=p["seed"],
@@ -129,8 +122,7 @@ class CDCLEngine(Engine):
             deletion_interval=p["deletion_interval"],
             minimize_learned=p["minimize_learned"],
             phase_saving=p["phase_saving"],
-            max_conflicts=p["max_conflicts"],
-            inprocess=config)
+            max_conflicts=p["max_conflicts"])
         solver.proof = MemoryProofSink()
         return solver
 
@@ -153,8 +145,7 @@ class IncrementalEngine(Engine):
     query without any gives the verdict.  Every model is audited
     against the clauses added so far and its query's assumptions; the
     whole proof stream is checked once, its input steps against those
-    clauses and its targets against the refuted queries.  Inprocessing
-    stays off: elimination may not meet a later clause.  The batches
+    clauses and its targets against the refuted queries.  The batches
     and queries are drawn from *cdcl*'s seed.
     """
 
@@ -165,7 +156,7 @@ class IncrementalEngine(Engine):
 
     def run(self, formula: CNFFormula) -> SolverResult:
         rng = random.Random(self.cdcl.params["seed"])
-        solver = self.cdcl.solver(inprocess=False)
+        solver = self.cdcl.solver()
         added = CNFFormula(num_vars=formula.num_vars)
         for _ in range(formula.num_vars):
             solver.new_var()
@@ -282,14 +273,8 @@ def default_engines(rng: random.Random) -> List[Engine]:
     restart = rng.choice(["none", "fixed", "geometric", "luby"])
     deletion = rng.choice(["keep", "size", "relevance"])
     max_conflicts = rng.choice([None, None, None, 150])
-    # Half the rounds run with in-search inprocessing enabled at an
-    # aggressive interval so the differential harness also exercises
-    # the simplification passes (subsumption / vivification / BVE /
-    # equivalence substitution) against the reference engines.
-    inprocess_interval = rng.choice([None, None, 4, 16])
     cdcl = CDCLEngine(
-        name=f"cdcl-{heuristic}-{restart}-{deletion}"
-             + ("-inp" if inprocess_interval is not None else ""),
+        name=f"cdcl-{heuristic}-{restart}-{deletion}",
         heuristic=heuristic, seed=rng.randrange(1 << 30),
         random_freq=rng.choice([0.0, 0.02, 0.1]),
         restart=restart, restart_interval=rng.choice([16, 64, 256]),
@@ -297,8 +282,7 @@ def default_engines(rng: random.Random) -> List[Engine]:
         deletion_interval=rng.choice([25, 100, 1000]),
         minimize_learned=rng.random() < 0.5,
         phase_saving=rng.random() < 0.5,
-        max_conflicts=max_conflicts,
-        inprocess_interval=inprocess_interval)
+        max_conflicts=max_conflicts)
     return [cdcl, IncrementalEngine(cdcl),
             DPLLEngine(max_decisions=rng.choice([None, None, 20000])),
             RecursiveLearningEngine(depth=rng.choice([1, 2]))]

@@ -53,6 +53,19 @@ def assert_model_satisfies(formula: CNFFormula, assignment) -> None:
             f"clause {clause} falsified by model"
 
 
+def half_adder_sum():
+    """half_adder()'s inputs with its sum output alone: the same input
+    names, one output fewer."""
+    from repro.circuits.gates import GateType
+    from repro.circuits.netlist import Circuit
+    circuit = Circuit("half_adder_sum")
+    circuit.add_input("a")
+    circuit.add_input("b")
+    circuit.add_gate("sum", GateType.XOR, ["a", "b"])
+    circuit.set_output("sum")
+    return circuit
+
+
 @pytest.fixture
 def tiny_sat_formula():
     """(a + b)(a' + b)(b' + c): satisfiable, forces b."""

@@ -2,9 +2,11 @@
 
 import pytest
 
+from conftest import half_adder_sum
+
 from repro.circuits.bench_format import save_bench
 from repro.circuits.generators import binary_counter, ripple_carry_adder
-from repro.circuits.library import c17
+from repro.circuits.library import c17, half_adder
 from repro.cli import main
 from repro.cnf.dimacs import save_dimacs
 from repro.cnf.generators import pigeonhole, random_ksat_at_ratio
@@ -243,6 +245,21 @@ class TestBadInput:
         assert main(["cec", path, path]) == 2
         assert_one_error_line(capsys, path, "sequential")
 
+    @pytest.mark.parametrize("left, right, needle", [
+        (c17, lambda: ripple_carry_adder(3), "input name lists"),
+        (half_adder, half_adder_sum, "equally many outputs"),
+    ], ids=["inputs", "outputs"])
+    def test_cec_rejects_mismatched_interfaces(self, tmp_path, capsys,
+                                               left, right, needle):
+        # Neither a simulator KeyError nor a "NOT EQUIVALENT" (exit 1)
+        # on a vector the shared outputs agree on.
+        paths = [str(tmp_path / "left.bench"),
+                 str(tmp_path / "right.bench")]
+        save_bench(left(), paths[0])
+        save_bench(right(), paths[1])
+        assert main(["cec"] + paths) == 2
+        assert_one_error_line(capsys, *paths, needle)
+
     @pytest.mark.parametrize("text, flags, needle", [
         (None, ["--output", "ghost"], "'ghost'"),
         ("INPUT(a)\nq = DFF(a)\n", [], "no outputs"),
@@ -335,8 +352,6 @@ class TestBadFlags:
         "cec a.bench b.bench --portfolio -2",
         "solve x.cnf --max-conflicts -3",
         "bmc x.bench --depth -1",
-        "solve x.cnf --inprocess --inprocess-interval 0",
-        "solve x.cnf --inprocess --inprocess-interval -5",
         "delay x.bench --max-paths 0",
         "serve --workers 0",
         "serve --queue-depth 0",
@@ -356,6 +371,13 @@ class TestBadFlags:
         assert err.startswith("usage: ")
         assert f"argument {argv[-2]}: must be >= " in err
         assert "Traceback" not in err
+
+    def test_inprocess_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "x.cnf", "--inprocess"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --inprocess" in \
+            capsys.readouterr().err
 
 
 class TestCertification:
@@ -406,14 +428,6 @@ class TestCertification:
         save_dimacs(pigeonhole(3), path)
         assert main(["solve", path, "--certify", "--preprocess",
                      "--portfolio", "2"]) == 2
-
-    def test_solve_inprocess_certified(self, tmp_path, capsys):
-        path = str(tmp_path / "unsat.cnf")
-        save_dimacs(pigeonhole(4), path)
-        assert main(["solve", path, "--certify", "--inprocess",
-                     "--inprocess-interval", "10"]) == 20
-        out = capsys.readouterr().out
-        assert "c certificate: proof verified" in out
 
     def test_check_valid_proof(self, tmp_path, capsys):
         path = str(tmp_path / "unsat.cnf")

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import half_adder_sum
+
 from repro.apps.equivalence import check_equivalence, mutate_circuit
 from repro.circuits.gates import GateType
 from repro.circuits.generators import (
@@ -96,6 +98,20 @@ class TestInterfaces:
         simulator would not know the latches' state either."""
         with pytest.raises(ValueError, match="combinational"):
             check_equivalence(binary_counter(2), binary_counter(2),
+                              simulation_vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [0, 32])
+    def test_output_count_mismatch_rejected(self, vectors):
+        """The simulation prefilter must not report the shared
+        output's agreement as a counterexample."""
+        with pytest.raises(ValueError, match="equally many outputs"):
+            check_equivalence(half_adder(), half_adder_sum(),
+                              simulation_vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [0, 32])
+    def test_input_mismatch_rejected(self, vectors):
+        with pytest.raises(ValueError, match="input name lists"):
+            check_equivalence(c17(), ripple_carry_adder(3),
                               simulation_vectors=vectors)
 
     def test_output_less_pair_equivalent(self):

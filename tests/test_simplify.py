@@ -10,6 +10,7 @@ from repro.cnf.simplify import (
     remove_subsumed,
     remove_tautologies,
     simplify,
+    subsumption_pairs,
 )
 
 
@@ -91,6 +92,17 @@ class TestSubsumption:
     def test_polarity_blocks_subsumption(self):
         result = remove_subsumed(build([[1], [-1, 2]]))
         assert result.formula.num_clauses == 2
+
+    def test_subsumption_pairs_strict_subset(self):
+        # A strictly shorter clause subsumes its superset (the
+        # signature filter's direction).
+        assert subsumption_pairs([[1, 2, 3], [1, 2]]) == [(0, 1)]
+
+    def test_subsumption_pairs_duplicates(self):
+        assert subsumption_pairs([[4, 5], [5, 4]]) == [(1, 0)]
+
+    def test_subsumption_pairs_none(self):
+        assert subsumption_pairs([[1, 2], [-1, 3], [2, -3]]) == []
 
 
 class TestFullSimplify:

@@ -66,12 +66,22 @@ class TestFieldCoverage:
         assert abs(a.time_seconds - 0.75) < 1e-9
 
 
+#: Counters of the removed in-search simplification engine: journals,
+#: caches and checkpoints written before the removal still carry them.
+REMOVED_FIELDS = ("inprocess_runs", "inprocess_removed_clauses",
+                  "inprocess_strengthened_clauses",
+                  "inprocess_reclaimed_lits", "inprocess_eliminated_vars",
+                  "inprocess_units")
+
+
 class TestFromDictAudit:
     def test_unknown_keys_dropped(self):
-        rebuilt = SolverStats.from_dict({"decisions": 3,
-                                         "shutil": "rmtree"})
-        assert rebuilt.decisions == 3
-        assert not hasattr(rebuilt, "shutil")
+        for unknown in ({"shutil": "rmtree"},
+                        {name: 7 for name in REMOVED_FIELDS}):
+            rebuilt = SolverStats.from_dict({"decisions": 3, **unknown})
+            assert rebuilt.decisions == 3
+            for key in unknown:
+                assert not hasattr(rebuilt, key)
 
     def test_wrong_types_dropped(self):
         rebuilt = SolverStats.from_dict({
