@@ -3,8 +3,8 @@
 Positive pairs (ripple-carry vs carry-select adders) must come back
 UNSAT-equivalent; seeded single-gate mutations must be refuted with a
 validated counterexample.  Expected shape: equivalent pairs need real
-search on the miter, mutations usually fall to the simulation
-prefilter.
+search on the structurally hashed miter, mutations usually fall to the
+simulation prefilter.
 """
 
 from repro.apps.equivalence import check_equivalence, mutate_circuit
@@ -18,12 +18,12 @@ from repro.experiments.tables import format_table
 #: The whole table; a change that moves the search re-pins it and
 #: reports the rows it moved.
 EXPECTED = [
-    ["rca3 vs csa3", "equivalent", 80, 71, "-"],
-    ["rca4 vs csa4", "equivalent", 158, 92, "-"],
-    ["rca5 vs csa5", "equivalent", 231, 128, "-"],
+    ["rca3 vs csa3", "equivalent", 59, 45, "-"],
+    ["rca4 vs csa4", "equivalent", 104, 69, "-"],
+    ["rca5 vs csa5", "equivalent", 149, 105, "-"],
     ["rca4 vs csa4-mut0", "BUG FOUND", 0, 0, "simulation"],
     ["rca4 vs csa4-mut1", "BUG FOUND", 0, 0, "simulation"],
-    ["rca4 vs csa4-mut2", "equivalent (benign swap)", 122, 89, "-"],
+    ["rca4 vs csa4-mut2", "equivalent (benign swap)", 87, 56, "-"],
 ]
 
 

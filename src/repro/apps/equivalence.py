@@ -6,10 +6,11 @@ output can be raised.  UNSAT proves equivalence; a model is a
 counterexample vector.
 
 Following the hybrid approaches the paper cites [16, 26], the checker
-optionally runs a random-simulation prefilter (fast refutation of
-inequivalent pairs) and CNF preprocessing with equivalency reasoning
-(Section 6), which collapses the internal equivalences miters are full
-of -- experiment C6 quantifies that effect.
+runs a random-simulation prefilter (fast refutation of inequivalent
+pairs), then structurally hashes the miter
+(:mod:`repro.circuits.strash`) so the SAT search sees shared logic
+once.  CNF preprocessing with equivalency reasoning (Section 6) is
+optional; experiment C6 quantifies it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Dict, Optional
 
 from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import output_values, random_vector, simulate
+from repro.circuits.strash import HashedEncoding
 from repro.circuits.tseitin import check_miter_interface, encode_miter
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
@@ -45,7 +47,7 @@ class EquivalenceReport:
     budget_exhausted: bool = False
     stats: SolverStats = field(default_factory=SolverStats)
     #: :class:`repro.verify.certificate.Certificate` under
-    #: ``certify=True``: a checked DRUP proof of the miter's
+    #: ``certify=True``: a checked DRUP proof of the unhashed miter's
     #: unsatisfiability for ``equivalent=True``, an audited
     #: counterexample model for ``equivalent=False``.  A failed check
     #: yields ``equivalent=None`` with the diagnostic here -- a
@@ -56,11 +58,8 @@ class EquivalenceReport:
 def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
                       simulation_vectors: int = 32,
                       use_preprocessing: bool = False,
-                      use_strash: bool = False,
                       max_conflicts: Optional[int] = 100000,
                       seed: int = 0,
-                      backend: str = "cdcl",
-                      portfolio_processes: Optional[int] = None,
                       budget: Optional[Budget] = None,
                       tracer=None,
                       certify: bool = False,
@@ -73,31 +72,31 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
     ``ValueError`` before any vector is simulated.  So does a
     sequential circuit: one frame with free latches would report
     differences no reachable state shows
-    (:mod:`repro.apps.seq_equivalence` bounds sequential pairs).  ``use_preprocessing`` enables the Section 6
-    equivalency-reasoning pass on the miter CNF; ``use_strash`` merges
-    structurally identical miter gates first (the structural half of
-    the hybrid checkers [16, 26]).  ``backend="portfolio"`` races
-    diversified CDCL configurations on the miter
-    (:mod:`repro.solvers.portfolio`) instead of a single engine;
-    ``portfolio_processes`` caps the process count.  ``budget``
-    bounds the SAT effort (deadline / counters / memory ceiling);
-    exhaustion returns ``equivalent=None`` with
-    ``budget_exhausted=True`` rather than raising.  *tracer* records
-    the check as a ``cec.check`` span with ``cec.simulation`` /
-    ``cec.preprocess`` phase events and the SAT effort nested inside.
+    (:mod:`repro.apps.seq_equivalence` bounds sequential pairs).
+
+    The search runs on the structurally hashed miter (the structural
+    half of the hybrid checkers [16, 26]), encoded over the unhashed
+    miter's variables.  ``use_preprocessing`` adds the Section 6
+    equivalency-reasoning pass on that CNF.  ``budget`` bounds the
+    SAT effort (deadline / counters / memory ceiling); exhaustion
+    returns ``equivalent=None`` with ``budget_exhausted=True`` rather
+    than raising.  *tracer* records the check as a ``cec.check`` span
+    with ``cec.simulation`` / ``cec.strash`` / ``cec.preprocess``
+    phase events and the SAT effort nested inside.
 
     With *certify*, an ``equivalent=True`` verdict must carry a DRUP
-    proof of the miter CNF's unsatisfiability that passes the
-    independent checker (kept in *proof_dir* when given), and a SAT
-    counterexample's model is audited; failed checks return
+    proof of the *unhashed* miter
+    (``encode_miter(circuit_a, circuit_b).formula``) that passes the
+    independent checker (kept in *proof_dir* when given); it opens
+    with the hashing's own derivation, so a wrong merge fails the
+    check.  A SAT counterexample's model is lifted to the unhashed
+    miter and audited; failed checks return
     ``equivalent=None``.  Certification is incompatible with
     ``use_preprocessing``: the equivalency-reasoning pass rewrites the
     formula (and can even conclude UNSAT itself), so a proof of the
     rewritten CNF would not certify the miter actually encoded --
     asking for both raises ``ValueError``.
     """
-    if backend not in ("cdcl", "portfolio"):
-        raise ValueError(f"unknown backend {backend!r}")
     if circuit_a.is_sequential() or circuit_b.is_sequential():
         raise ValueError("equivalence checking is combinational only")
     check_miter_interface(circuit_a, circuit_b)
@@ -109,14 +108,12 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
     if tracer is None:
         return _check_equivalence(
             circuit_a, circuit_b, simulation_vectors, use_preprocessing,
-            use_strash, max_conflicts, seed, backend,
-            portfolio_processes, budget, None, certify, proof_dir)
+            max_conflicts, seed, budget, None, certify, proof_dir)
     with tracer.span("cec.check", circuit_a=circuit_a.name,
-                     circuit_b=circuit_b.name, backend=backend) as end:
+                     circuit_b=circuit_b.name) as end:
         report = _check_equivalence(
             circuit_a, circuit_b, simulation_vectors, use_preprocessing,
-            use_strash, max_conflicts, seed, backend,
-            portfolio_processes, budget, tracer, certify, proof_dir)
+            max_conflicts, seed, budget, tracer, certify, proof_dir)
         end["equivalent"] = report.equivalent
         end["refuted_by_simulation"] = report.refuted_by_simulation
         end["budget_exhausted"] = report.budget_exhausted
@@ -126,15 +123,12 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
 def _check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
                        simulation_vectors: int,
                        use_preprocessing: bool,
-                       use_strash: bool,
                        max_conflicts: Optional[int],
                        seed: int,
-                       backend: str,
-                       portfolio_processes: Optional[int],
                        budget: Optional[Budget],
                        tracer,
-                       certify: bool = False,
-                       proof_dir: Optional[str] = None
+                       certify: bool,
+                       proof_dir: Optional[str]
                        ) -> EquivalenceReport:
     rng = random.Random(seed)
     for index in range(simulation_vectors):
@@ -152,18 +146,13 @@ def _check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
         tracer.event("cec.simulation", vectors=simulation_vectors,
                      refuted=False)
 
-    if use_strash:
-        from repro.circuits.strash import structural_hash
-        from repro.circuits.tseitin import (
-            build_miter,
-            encode_with_objective,
-        )
-        miter, _ = build_miter(circuit_a, circuit_b)
-        miter = structural_hash(miter)
-        encoding = encode_with_objective(miter, {"miter_out": True})
-    else:
-        encoding = encode_miter(circuit_a, circuit_b)
-    formula = encoding.formula
+    encoding = encode_miter(circuit_a, circuit_b)
+    hashed = HashedEncoding(encoding)
+    hashed.formula.add_clause([encoding.literal("miter_out")])
+    if tracer is not None:
+        tracer.event("cec.strash", gates=hashed.gates,
+                     merged=hashed.merged)
+    formula = hashed.formula
     eliminated = 0
     lift = None
     if use_preprocessing:
@@ -180,14 +169,7 @@ def _check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
         eliminated = pre.variables_eliminated
         lift = pre.lift_model
 
-    if backend == "portfolio":
-        from repro.solvers.portfolio import race_portfolio
-        result = race_portfolio(formula, certify, proof_dir,
-                                processes=portfolio_processes,
-                                max_conflicts=max_conflicts,
-                                seed=seed, budget=budget,
-                                tracer=tracer).result
-    elif certify:
+    if certify:
         import os
         from repro.verify.certificate import certified_solve
         proof_path = None
@@ -196,8 +178,8 @@ def _check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
             proof_path = os.path.join(
                 proof_dir,
                 f"cec-{circuit_a.name}-vs-{circuit_b.name}.drup")
-        result = certified_solve(formula, proof_path=proof_path,
-                                 tracer=tracer,
+        result = certified_solve(encoding.formula, proof_path=proof_path,
+                                 tracer=tracer, prefix=hashed.prove,
                                  max_conflicts=max_conflicts,
                                  budget=budget)
     else:

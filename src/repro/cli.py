@@ -187,11 +187,15 @@ def _cmd_solve(args) -> int:
             os.makedirs(args.proof_dir, exist_ok=True)
             stem = os.path.splitext(os.path.basename(args.file))[0]
             proof_path = os.path.join(args.proof_dir, stem + ".drup")
+        prefix = None
+        if certified_preprocess:
+            from functools import partial
+            from repro.cnf.simplify import simplify_with_proof
+            prefix = partial(simplify_with_proof, formula)
         result = certified_solve(formula, proof_path=proof_path,
                                  tracer=tracer,
                                  max_conflicts=args.max_conflicts,
-                                 budget=budget,
-                                 preprocess=certified_preprocess)
+                                 budget=budget, prefix=prefix)
     else:
         solver = CDCLSolver(formula, max_conflicts=args.max_conflicts,
                             budget=budget)
@@ -301,9 +305,6 @@ def _cmd_cec(args) -> int:
     report = check_equivalence(
         left, right,
         use_preprocessing=args.preprocess,
-        use_strash=args.strash,
-        backend="portfolio" if args.portfolio else "cdcl",
-        portfolio_processes=args.portfolio or None,
         budget=_budget_from_args(args),
         tracer=getattr(args, "obs_tracer", None),
         certify=args.certify,
@@ -728,12 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     cec.add_argument("left")
     cec.add_argument("right")
     cec.add_argument("--preprocess", action="store_true")
-    cec.add_argument("--portfolio", type=_at_least(0), default=0,
-                     metavar="N",
-                     help="race N diversified CDCL configurations on "
-                          "the miter (0 = single engine)")
-    cec.add_argument("--strash", action="store_true",
-                     help="structurally hash the miter first")
     _add_budget_flags(cec)
     _add_obs_flags(cec)
     _add_certify_flags(cec)

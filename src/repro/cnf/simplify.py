@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cnf.assignment import Assignment
 from repro.cnf.clause import is_tautology
 from repro.cnf.formula import CNFFormula
 from repro.cnf.literals import variable
@@ -33,6 +34,14 @@ class SimplifyResult:
     def unsat(self) -> bool:
         """True when preprocessing alone refuted the formula."""
         return self.formula is None
+
+    def lift(self, assignment: Assignment) -> None:
+        """Complete a model of ``formula`` into one of the input: the
+        propagated-unit variables take their forced values
+        (overwriting whatever a search gave the now unconstrained
+        variables)."""
+        for var, value in self.forced.items():
+            assignment.assign(var, value)
 
 
 def propagate_units(formula: CNFFormula) -> SimplifyResult:

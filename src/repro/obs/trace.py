@@ -63,6 +63,9 @@ NAMED_EVENT_ATTRS: Dict[str, Dict[str, str]] = {
         "fill": "number",          # live_ints / peak_lits
     },
     "cdcl.restart": {"restarts": "int", "conflicts": "int"},
+    # Structural hashing of a CEC miter (repro.apps.equivalence): the
+    # miter's gates before hashing and how many hashing removed.
+    "cec.strash": {"gates": "int", "merged": "int"},
     # The solve service (repro.service): one terminal event per
     # answered job (status/attempts/cache/degradation), one per shed
     # job.  "cached"/"degraded" are 0/1 ints (bools don't qualify).

@@ -322,7 +322,7 @@ def solve_portfolio(formula: CNFFormula,
 def race_portfolio(formula: CNFFormula, certify: bool,
                    proof_dir: Optional[str], **options) -> PortfolioResult:
     """:func:`solve_portfolio` for a caller's ``certify``/``proof_dir``
-    pair (the CLI, CEC and ATPG races).
+    pair (the CLI and ATPG races).
 
     Without *certify*, *proof_dir* is ignored.  A certified race
     streams its proofs into *proof_dir* or, when that is ``None``,

@@ -166,7 +166,7 @@ def certify_result(formula, result, proof_path: Optional[str],
 
 def certified_solve(formula, proof_path: Optional[str] = None,
                     tracer=None, sink_factory=FileProofSink,
-                    preprocess: bool = False,
+                    prefix=None,
                     **cdcl_kwargs):
     """Solve *formula* with end-to-end certification.
 
@@ -181,12 +181,14 @@ def certified_solve(formula, proof_path: Optional[str] = None,
     post-mortem); a temporary file is cleaned up, and a non-UNSAT
     run's partial proof never survives its sink's ``close``.
 
-    ``preprocess=True`` runs the proof-logged preprocessing subset
-    (:func:`repro.cnf.simplify.simplify_with_proof`) into the same
-    sink before solving the reduced formula, so the combined stream
-    still verifies against the *original* formula; SAT models are
-    lifted back through the forced assignments and audited against
-    the original.
+    ``prefix(sink)``, when given, writes the lines deriving a reduced
+    formula from *formula* into the sink and returns an object whose
+    ``formula`` is that reduction (``None`` when it refuted *formula*
+    and concluded the sink) and whose ``lift(assignment)`` completes
+    a model of it into one of *formula*.  The search solves the
+    reduction, and the one stream still verifies against *formula*
+    (:func:`repro.cnf.simplify.simplify_with_proof`,
+    :meth:`repro.circuits.strash.HashedEncoding.prove`).
 
     ``sink_factory`` exists for fault injection: tests substitute a
     sink that corrupts the stream to pin the demotion path.
@@ -203,14 +205,11 @@ def certified_solve(formula, proof_path: Optional[str] = None,
                                               prefix="repro-proof-")
         os.close(handle)
     sink = sink_factory(proof_path)
-    target, forced = formula, {}
-    if preprocess:
-        from repro.cnf.simplify import simplify_with_proof
-        pre = simplify_with_proof(formula, sink)
-        target, forced = pre.formula, pre.forced
+    reduced = prefix(sink) if prefix is not None else None
+    target = formula if reduced is None else reduced.formula
     if target is None:
-        # Preprocessing refuted the formula; the sink already holds
-        # the concluding empty clause.
+        # The prefix refuted the formula; the sink already holds the
+        # concluding empty clause.
         sink.close()
         result = SolverResult(Status.UNSATISFIABLE, None, SolverStats())
     else:
@@ -221,13 +220,8 @@ def certified_solve(formula, proof_path: Optional[str] = None,
             result = solver.solve()
         finally:
             sink.close()
-        if result.status is Status.SATISFIABLE:
-            # Lift the model of the reduced formula back to the
-            # original: propagated-unit variables take their forced
-            # values (overwriting whatever the search assigned to the
-            # now unconstrained variables).
-            for var, value in forced.items():
-                result.assignment.assign(var, value)
+        if result.status is Status.SATISFIABLE and reduced is not None:
+            reduced.lift(result.assignment)
 
     result = certify_result(formula, result, proof_path, tracer)
     if ephemeral:

@@ -176,13 +176,16 @@ class TestOptimize:
         code = main(["optimize", source])
         assert code == 0
 
-    def test_cec_strash_flag(self, tmp_path, capsys):
-        left = str(tmp_path / "l.bench")
-        right = str(tmp_path / "r.bench")
-        save_bench(c17(), left)
-        save_bench(c17(), right)
-        assert main(["cec", left, right, "--strash"]) == 0
-        assert "EQUIVALENT" in capsys.readouterr().out
+    def test_dff_fed_by_merged_gate(self, tmp_path):
+        """Strash walks a DFF before its data input; a data input that
+        merges later must not leave a dangling fanin behind."""
+        source = tmp_path / "dff.bench"
+        source.write_text("INPUT(a)\nOUTPUT(o)\nq = DFF(g2)\n"
+                          "g1 = AND(q, a)\ng2 = AND(a, q)\n"
+                          "o = OR(g1, g2)\n")
+        output = str(tmp_path / "out.bench")
+        assert main(["optimize", str(source), "--output", output]) == 0
+        assert "q = DFF(g1)" in open(output).read()
 
 
 def assert_one_error_line(capsys, *needles):
@@ -349,7 +352,6 @@ class TestBadFlags:
 
     @pytest.mark.parametrize("argv", [
         "solve x.cnf --portfolio -1",
-        "cec a.bench b.bench --portfolio -2",
         "solve x.cnf --max-conflicts -3",
         "bmc x.bench --depth -1",
         "delay x.bench --max-paths 0",
@@ -377,6 +379,14 @@ class TestBadFlags:
             main(["solve", "x.cnf", "--inprocess"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --inprocess" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", ["--strash", "--portfolio 2"])
+    def test_cec_engine_flags_are_gone(self, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cec", "a.bench", "b.bench"] + flags.split())
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flags}" in \
             capsys.readouterr().err
 
 
@@ -452,14 +462,24 @@ class TestCertification:
         assert "INVALID: line 1:" in out
 
     def test_cec_certify(self, tmp_path, capsys):
+        from repro.circuits.bench_format import load_bench
+        from repro.circuits.tseitin import encode_miter
+
         a, b = str(tmp_path / "a.bench"), str(tmp_path / "b.bench")
         save_bench(ripple_carry_adder(3), a)
         save_bench(ripple_carry_adder(3), b)
-        code = main(["cec", a, b, "--certify",
-                     "--proof-dir", str(tmp_path / "proofs")])
+        proofs = tmp_path / "proofs"
+        code = main(["cec", a, b, "--certify", "--proof-dir",
+                     str(proofs)])
         out = capsys.readouterr().out
         assert code == 0
         assert "certificate: proof verified" in out
+        # The kept proof is of the unhashed miter the two files encode.
+        (proof,) = proofs.iterdir()
+        miter = str(tmp_path / "miter.cnf")
+        save_dimacs(encode_miter(load_bench(a), load_bench(b)).formula,
+                    miter)
+        assert main(["check", miter, str(proof)]) == 0
 
     def test_atpg_certify_reports_proofs(self, c17_path, capsys):
         code = main(["atpg", c17_path, "--certify"])

@@ -1,10 +1,14 @@
 """Unit tests for repro.apps.equivalence (Section 3)."""
 
+import tempfile
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import half_adder_sum
 
 from repro.apps.equivalence import check_equivalence, mutate_circuit
+from repro.circuits import strash
 from repro.circuits.gates import GateType
 from repro.circuits.generators import (
     binary_counter,
@@ -15,7 +19,13 @@ from repro.circuits.generators import (
 )
 from repro.circuits.library import c17, half_adder
 from repro.circuits.netlist import Circuit
-from repro.circuits.simulate import output_values, simulate
+from repro.circuits.simulate import (
+    exhaustive_truth_table,
+    output_values,
+    simulate,
+)
+from repro.circuits.tseitin import encode_miter
+from repro.verify.checker import check_proof_file
 
 
 class TestEquivalentPairs:
@@ -121,6 +131,81 @@ class TestInterfaces:
         left.add_gate("na", GateType.NOT, ["a"])
         report = check_equivalence(left, left.copy())
         assert report.equivalent is True
+
+
+class TestHashedMiter:
+    """The search runs on the structurally hashed miter; its verdicts
+    and certificates must still be about the unhashed one."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=st.integers(2, 6), gates=st.integers(1, 30),
+           seed=st.integers(0, 10 ** 6), mutant=st.booleans())
+    def test_verdicts_and_proofs_match_the_circuits(self, inputs, gates,
+                                                    seed, mutant):
+        left = random_circuit(inputs, gates, seed=seed)
+        right = (mutate_circuit(left, seed=seed) if mutant
+                 else random_circuit(inputs, gates, seed=seed))
+        truth = exhaustive_truth_table(left) == \
+            exhaustive_truth_table(right)
+        report = check_equivalence(left, right, simulation_vectors=0)
+        assert report.equivalent is truth
+        if not truth:
+            vector = report.counterexample
+            assert list(output_values(left, simulate(left, vector))
+                        .values()) != \
+                list(output_values(right, simulate(right, vector))
+                     .values())
+        with tempfile.TemporaryDirectory() as proof_dir:
+            certified = check_equivalence(left, right,
+                                          simulation_vectors=0,
+                                          certify=True,
+                                          proof_dir=proof_dir)
+            assert certified.equivalent is truth
+            assert certified.certificate.valid
+            if truth:
+                outcome = check_proof_file(
+                    encode_miter(left, right).formula,
+                    certified.certificate.proof_path)
+                assert outcome.valid, outcome.error
+
+    def test_wrong_merge_is_demoted(self, monkeypatch, tmp_path):
+        """A hashing bug that merges an OR into an AND over the same
+        fanins makes a different pair look equivalent; the certified
+        check must refuse to vouch for it."""
+        left, right = Circuit("and"), Circuit("or")
+        for circuit, gate_type in ((left, GateType.AND),
+                                   (right, GateType.OR)):
+            circuit.add_input("a")
+            circuit.add_input("b")
+            circuit.add_gate("y", gate_type, ["a", "b"])
+            circuit.set_output("y")
+        hash_circuit = strash._hash
+
+        def or_read_as_and(circuit):
+            rewritten = Circuit(circuit.name)
+            for node in circuit:
+                if node.is_input:
+                    rewritten.add_input(node.name)
+                else:
+                    rewritten.add_gate(
+                        node.name,
+                        GateType.AND if node.gate_type is GateType.OR
+                        else node.gate_type, node.fanins)
+            for output in circuit.outputs:
+                rewritten.set_output(output)
+            return hash_circuit(rewritten)
+
+        monkeypatch.setattr(strash, "_hash", or_read_as_and)
+        assert check_equivalence(left, right,
+                                 simulation_vectors=0).equivalent
+        report = check_equivalence(left, right, simulation_vectors=0,
+                                   certify=True,
+                                   proof_dir=str(tmp_path))
+        assert report.equivalent is None
+        assert not report.budget_exhausted
+        assert report.certificate.valid is False
+        assert report.certificate.reason.startswith("line ")
 
 
 class TestMutateCircuit:

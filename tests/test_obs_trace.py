@@ -445,3 +445,28 @@ class TestSolverEmission:
         assert traced.status == plain.status
         assert traced.stats.flips == plain.stats.flips
         assert traced.stats.tries == plain.stats.tries
+
+
+class TestAppEmission:
+    def test_cec_check_records_the_hashing(self):
+        from repro.apps.equivalence import check_equivalence
+        from repro.circuits.generators import (
+            carry_select_adder,
+            ripple_carry_adder,
+        )
+
+        sink = ListSink()
+        report = check_equivalence(ripple_carry_adder(4),
+                                   carry_select_adder(4),
+                                   tracer=Tracer(sink))
+        assert report.equivalent is True
+        assert_valid(sink.events)
+        begin = next(e for e in sink.events if e["kind"] == "span_begin"
+                     and e["name"] == "cec.check")
+        assert "backend" not in begin["attrs"]
+        (strash,) = [e for e in sink.events if e["name"] == "cec.strash"]
+        assert strash["attrs"]["merged"] > 0
+        assert strash["attrs"]["gates"] > strash["attrs"]["merged"]
+        # The schema knows the event: dropping an attr is a violation.
+        del strash["attrs"]["merged"]
+        assert validate_event(strash)

@@ -134,25 +134,6 @@ class TestCrossCheck:
 
 
 class TestAppIntegration:
-    def test_equivalence_portfolio_backend(self):
-        from repro.apps.equivalence import check_equivalence, \
-            mutate_circuit
-        from repro.circuits.generators import ripple_carry_adder
-
-        rca = ripple_carry_adder(4)
-        mutant = mutate_circuit(rca, seed=1)
-        # simulation_vectors=0 forces the SAT path.
-        report = check_equivalence(rca, rca, simulation_vectors=0,
-                                   backend="portfolio",
-                                   portfolio_processes=2)
-        assert report.equivalent is True
-        report = check_equivalence(rca, mutant, simulation_vectors=0,
-                                   backend="portfolio",
-                                   portfolio_processes=2)
-        assert report.equivalent is False
-        with pytest.raises(ValueError):
-            check_equivalence(rca, rca, backend="bogus")
-
     def test_atpg_portfolio_method(self):
         from repro.apps.atpg import TestOutcome, full_fault_list, \
             solve_fault

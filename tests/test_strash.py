@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.equivalence import check_equivalence, mutate_circuit
+from repro.circuits.bench_format import parse_bench
 from repro.circuits.gates import GateType
 from repro.circuits.generators import (
     array_multiplier,
@@ -11,9 +12,22 @@ from repro.circuits.generators import (
 )
 from repro.circuits.library import c17
 from repro.circuits.netlist import Circuit
-from repro.circuits.simulate import exhaustive_truth_table
-from repro.circuits.strash import merged_gate_count, structural_hash
+from repro.circuits.simulate import (
+    exhaustive_truth_table,
+    simulate_sequence,
+)
+from repro.circuits.strash import structural_hash
 from repro.circuits.tseitin import build_miter
+
+#: g2 duplicates g1 and feeds q, which the walk visits first.
+DFF_MERGED_DATA = """\
+INPUT(a)
+OUTPUT(o)
+q = DFF(g2)
+g1 = AND(q, a)
+g2 = AND(a, q)
+o = OR(g1, g2)
+"""
 
 
 class TestMerging:
@@ -83,9 +97,25 @@ class TestMerging:
         assert hashed.dffs == circuit.dffs
         hashed.validate()
 
+    def test_dff_data_input_merged_later(self):
+        """A DFF is a source, so its data input is walked after it; a
+        data input that merges then must not leave the DFF naming a
+        node the hashed netlist dropped."""
+        circuit = parse_bench(DFF_MERGED_DATA)
+        circuit.validate()
+        hashed = structural_hash(circuit)
+        hashed.validate()
+        assert hashed.node("q").fanins == ("g1",)
+        vectors = [{"a": value} for value in (True, True, False, True)]
+        for start in (False, True):
+            traces = [[(frame["q"], frame["o"]) for frame in
+                       simulate_sequence(netlist, vectors, {"q": start})]
+                      for netlist in (circuit, hashed)]
+            assert traces[0] == traces[1]
+
     def test_idempotent_on_clean_circuits(self):
         circuit = c17()
-        assert merged_gate_count(circuit) == 0
+        assert structural_hash(circuit).num_gates() == circuit.num_gates()
 
 
 class TestFunctionPreservation:
@@ -114,8 +144,7 @@ class TestCECIntegration:
     def test_strash_cec_equivalent_pair(self):
         report = check_equivalence(ripple_carry_adder(3),
                                    ripple_carry_adder(3),
-                                   simulation_vectors=0,
-                                   use_strash=True)
+                                   simulation_vectors=0)
         assert report.equivalent is True
         # Identical circuits: search should be almost free.
         assert report.stats.conflicts < 50
@@ -125,8 +154,7 @@ class TestCECIntegration:
         circuit = c17()
         mutated = mutate_circuit(circuit, seed=2)
         report = check_equivalence(circuit, mutated,
-                                   simulation_vectors=0,
-                                   use_strash=True)
+                                   simulation_vectors=0)
         if report.equivalent is False:
             vector = report.counterexample
             left = output_values(circuit, simulate(circuit, vector))
@@ -134,12 +162,12 @@ class TestCECIntegration:
             assert list(left.values()) != list(right.values())
 
     def test_strash_agrees_with_plain(self):
+        """The hashed search's verdict is the truth table's."""
         for seed in range(3):
             circuit = c17()
             mutated = mutate_circuit(circuit, seed=seed)
-            plain = check_equivalence(circuit, mutated,
-                                      simulation_vectors=0)
             hashed = check_equivalence(circuit, mutated,
-                                       simulation_vectors=0,
-                                       use_strash=True)
-            assert plain.equivalent == hashed.equivalent
+                                       simulation_vectors=0)
+            assert hashed.equivalent == (
+                exhaustive_truth_table(circuit)
+                == exhaustive_truth_table(mutated))

@@ -766,22 +766,6 @@ class TestCertifiedApplications:
         assert cert.proof_path is None
         assert list(temp_root.iterdir()) == []
 
-    def test_cec_race_without_proof_dir(self, temp_root):
-        from repro.apps.equivalence import check_equivalence
-        from repro.circuits.generators import (
-            carry_select_adder,
-            ripple_carry_adder,
-        )
-
-        report = check_equivalence(ripple_carry_adder(4),
-                                   carry_select_adder(4),
-                                   backend="portfolio", certify=True)
-        assert report.equivalent is True
-        cert = report.certificate
-        assert cert.kind == "proof" and cert.valid
-        assert cert.proof_path is None
-        assert list(temp_root.iterdir()) == []
-
     def test_bmc_per_depth_proofs(self, tmp_path):
         from repro.apps.bmc import BoundedModelChecker
 
