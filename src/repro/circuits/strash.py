@@ -127,6 +127,7 @@ class HashedEncoding:
         var_of = encoding.var_of
         self.gates = circuit.num_gates()
         self.merged = self.gates - hashed.num_gates()
+        self._original = encoding.formula
         self.formula = CNFFormula(encoding.formula.num_vars)
         encode_nodes(hashed, var_of.__getitem__, self.formula.add_clause)
         #: (removed node's variable, the variable it reads as)
@@ -144,11 +145,14 @@ class HashedEncoding:
     def prove(self, sink) -> "HashedEncoding":
         """Write the lines deriving ``formula`` from the original
         formula into *sink*: each merge's lemmas in topological order,
-        then every hashed clause, each RUP once the lemmas are in."""
+        then every hashed clause the original lacks, each RUP once the
+        lemmas are in."""
         for lemma in self._lemmas:
             sink.add(lemma)
+        given = self._original.clause_set()
         for clause in self.formula:
-            sink.add(clause)
+            if clause not in given:
+                sink.add(clause)
         return self
 
     def lift(self, assignment: Assignment) -> None:
